@@ -9,6 +9,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from fractions import Fraction
 
@@ -46,8 +47,8 @@ def cmd_eval(args) -> int:
         f = sm.parse_function_spec(args.spec)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if args.tol <= 0:
-        return _fail("tol must be > 0", EXIT_USAGE)
+    if not math.isfinite(args.tol) or args.tol <= 0:
+        return _fail("tol must be a finite number > 0", EXIT_USAGE)
     q = f.weights.q
     try:
         if ":" in args.x:
@@ -75,8 +76,8 @@ def cmd_curve(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if args.grid < 2:
         return _fail("grid must be >= 2", EXIT_USAGE)
-    if args.tol <= 0:
-        return _fail("tol must be > 0", EXIT_USAGE)
+    if not math.isfinite(args.tol) or args.tol <= 0:
+        return _fail("tol must be a finite number > 0", EXIT_USAGE)
     n = args.grid
     q = f.weights.q
     depth = sm.series_depth(f.weights, args.tol)
@@ -177,8 +178,14 @@ def parse_config(text: str) -> dict:
     }
     if cfg["fallback"] is None:
         raise ValueError("fallback must be true or false")
+    if cfg["budget"] < 1:
+        raise ValueError("budget must be >= 1")
+    if cfg["fallback"] and cfg["samples"] < 1:
+        raise ValueError("samples must be >= 1 when fallback is on")
     if "x" in raw:
         cfg["x"] = [parse_rational(tok) for tok in raw["x"].split(",") if tok.strip()]
+        if not all(0 <= x <= 1 for x in cfg["x"]):
+            raise ValueError("thresholds x must lie in [0, 1]")
     else:
         cfg["x"] = []
     for key in ("n", "count"):
@@ -248,6 +255,8 @@ def cmd_measure(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     if args.budget is not None:
+        if args.budget < 1:
+            return _fail("budget must be >= 1", EXIT_USAGE)
         cfg["budget"] = args.budget
     if args.seed is not None:
         cfg["seed"] = args.seed

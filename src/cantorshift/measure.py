@@ -2,12 +2,20 @@
 
 Iterated and generalized shifts over a constant base q are affine with
 positive slope on each cylinder, so any finite composition is a piecewise
-linear map with exact rational branches.  The measure of {z : map(z) < x}
-is then a finite union of intervals computed branch by branch, and the
-measure of {z : A(z) < B(z)} follows from the affine difference on a common
-refinement.  A seeded digit-sampling Monte Carlo estimator provides an
-independent stochastic cross-check, with a branch budget deciding when the
-exact path gives way to it.
+linear map with exact rational branches.  Composing two maps pairs each
+source branch only with the target branches its image meets, found by
+bisection, so the cost of ``compose`` scales with the number of output
+branches rather than with the product of the two branch counts.
+
+The set {z : map(z) < x} is a disjoint union of one piece per branch, so its
+measure is the sum of the piece lengths; ``sublevel_measure`` adds them up
+in an integer kernel, and the measure of {z : A(z) < B(z)} is the same sum
+for the affine difference A - B on a common refinement.  ``sublevel_set``
+returns the pieces as an interval union; it is the set form of the same
+computation and the reference the kernel is tested against.  A seeded
+digit-sampling Monte Carlo estimator provides an independent stochastic
+cross-check, with a branch budget deciding when the exact path gives way to
+it.
 
 All interval endpoints are rationals; intervals are half-open [a, b), so
 single boundary points (the dual representations of the same number) never
@@ -18,7 +26,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -167,8 +175,12 @@ class PiecewiseLinearMap:
 
         Supported for nonnegative slopes (shift compositions always have
         positive slopes; constant branches arise only from thresholds).
+        Each source branch is paired only with the target branches that its
+        image [s*lo + c, s*hi + c) meets, found by bisection, so the cost
+        scales with the number of output branches.
         """
         out: list[Branch] = []
+        targets, target_los = then.branches, then._los
         for br in self.branches:
             if br.slope < 0:
                 raise ValueError("composition with negative slopes is not supported")
@@ -176,7 +188,9 @@ class PiecewiseLinearMap:
                 value = then.apply(br.intercept)
                 out.append(Branch(br.lo, br.hi, Fraction(0), value))
                 continue
-            for nxt in then.branches:
+            first = max(bisect_right(target_los, br.slope * br.lo + br.intercept) - 1, 0)
+            stop = bisect_left(target_los, br.slope * br.hi + br.intercept)
+            for nxt in targets[first:stop]:
                 zlo = max(br.lo, (nxt.lo - br.intercept) / br.slope)
                 zhi = min(br.hi, (nxt.hi - br.intercept) / br.slope)
                 if zlo < zhi:
@@ -196,13 +210,25 @@ class PiecewiseLinearMap:
 
     def subtract(self, other: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
         """Pointwise difference self - other on the common refinement."""
-        points = sorted({br.lo for br in self.branches} | {br.lo for br in other.branches} | {Fraction(1)})
+        mine, theirs = iter(self.branches), iter(other.branches)
+        a, b = next(mine), next(theirs)
+        lo = a.lo
         out = []
-        for lo, hi in zip(points, points[1:]):
-            a = self.branches[bisect_right(self._los, lo) - 1]
-            b = other.branches[bisect_right(other._los, lo) - 1]
+        while True:
+            hi = min(a.hi, b.hi)
             out.append(Branch(lo, hi, a.slope - b.slope, a.intercept - b.intercept))
-        return PiecewiseLinearMap(out)
+            if hi == 1:
+                return PiecewiseLinearMap(out)
+            lo = hi
+            if a.hi == hi:
+                a = next(mine)
+            if b.hi == hi:
+                b = next(theirs)
+
+
+def _cylinder_edges(count: int) -> list[Fraction]:
+    """The rank edges j / count for j = 0..count, shared by adjacent branches."""
+    return [Fraction(j, count) for j in range(count + 1)]
 
 
 def plm_identity() -> PiecewiseLinearMap:
@@ -229,10 +255,9 @@ def plm_iter_shift(
     count = q**n
     if count > budget:
         raise BudgetExceededError(f"{count} branches exceed budget {budget}")
-    scale = Fraction(1, count)
-    return PiecewiseLinearMap(
-        [Branch(j * scale, (j + 1) * scale, Fraction(count), Fraction(-j)) for j in range(count)]
-    )
+    edges = _cylinder_edges(count)
+    slope = Fraction(count)
+    return PiecewiseLinearMap([Branch(edges[j], edges[j + 1], slope, Fraction(-j)) for j in range(count)])
 
 
 def plm_single_deletion(q: int, m: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
@@ -248,13 +273,14 @@ def plm_single_deletion(q: int, m: int, budget: int = DEFAULT_BRANCH_BUDGET) -> 
     count = q**m
     if count > budget:
         raise BudgetExceededError(f"{count} branches exceed budget {budget}")
-    scale = Fraction(1, count)
+    edges = _cylinder_edges(count)
+    slope = Fraction(q)
     qm1 = q ** (m - 1)
     out = []
     for j in range(count):
         head, c_m = divmod(j, q)
         intercept = Fraction(-((q - 1) * head + c_m), qm1)
-        out.append(Branch(j * scale, (j + 1) * scale, Fraction(q), intercept))
+        out.append(Branch(edges[j], edges[j + 1], slope, intercept))
     return PiecewiseLinearMap(out)
 
 
@@ -272,6 +298,8 @@ def plm_generalized_chain(
 
 def sublevel_set(plm: PiecewiseLinearMap, x) -> IntervalUnion:
     """{z : plm(z) < x} as an exact interval union.
+
+    ``sublevel_measure`` returns the measure of this set without building it.
 
     Boundary points where plm(z) = x are measure zero and may fall on either
     side of a half-open endpoint.
@@ -295,15 +323,63 @@ def sublevel_set(plm: PiecewiseLinearMap, x) -> IntervalUnion:
     return IntervalUnion(pairs)
 
 
+def _sublevel_kernel(branches: Iterable[Branch], x: Fraction) -> Fraction:
+    """Measure of {z : plm(z) < x}, summed piece by piece in integers.
+
+    Branch domains are disjoint, so the measure of the union is the sum of
+    the piece lengths.  Endpoints are compared by cross-multiplying and the
+    pieces are added over a running lcm denominator; one Fraction is built
+    at the end.  Slopes may be positive, zero or negative.
+    """
+    xn, xd = x.numerator, x.denominator
+    num, den = 0, 1
+    for br in branches:
+        ln, ld = br.lo.numerator, br.lo.denominator
+        hn, hd = br.hi.numerator, br.hi.denominator
+        sn, sd = br.slope.numerator, br.slope.denominator
+        cn, cd = br.intercept.numerator, br.intercept.denominator
+        if sn == 0:
+            if cn * xd >= xn * cd:
+                continue
+        else:
+            # the crossing point t = (x - c) / s, with a positive denominator
+            tn = (xn * cd - cn * xd) * sd
+            td = xd * cd * sn
+            if sn > 0:
+                # piece [lo, min(hi, t))
+                if tn * hd < hn * td:
+                    if tn * ld <= ln * td:
+                        continue
+                    hn, hd = tn, td
+            else:
+                # piece [max(lo, t), hi)
+                tn, td = -tn, -td
+                if tn * ld > ln * td:
+                    if tn * hd >= hn * td:
+                        continue
+                    ln, ld = tn, td
+        if hd == ld:
+            pn, pd = hn - ln, ld
+        else:
+            pn, pd = hn * ld - ln * hd, hd * ld
+        if den % pd:
+            scale = pd // math.gcd(den, pd)
+            num *= scale
+            den *= scale
+        num += pn * (den // pd)
+    return Fraction(num, den)
+
+
 def sublevel_measure(plm: PiecewiseLinearMap, x) -> Fraction:
-    if not 0 <= Fraction(x) <= 1:
+    x = Fraction(x)
+    if not 0 <= x <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    return sublevel_set(plm, x).measure
+    return _sublevel_kernel(plm.branches, x)
 
 
 def comparison_measure(a: PiecewiseLinearMap, b: PiecewiseLinearMap) -> Fraction:
     """Exact measure of {z : a(z) < b(z)}."""
-    return sublevel_set(a.subtract(b), Fraction(0)).measure
+    return _sublevel_kernel(a.subtract(b).branches, Fraction(0))
 
 
 # --- set families ---------------------------------------------------------

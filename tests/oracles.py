@@ -2,7 +2,9 @@
 
 Everything here works on plain digit lists and integer arithmetic, separate
 from the library's Fraction-based code paths, so the two routes can disagree
-when one of them is wrong.
+when one of them is wrong.  The piecewise-map oracles are the exception:
+they build the library's ``Branch`` values, but by plain all-pairs and
+linear-search constructions instead of the library's bisection.
 """
 
 from __future__ import annotations
@@ -11,6 +13,13 @@ import random
 from fractions import Fraction
 
 from cantorshift import BaseSpec, DigitExpansion, Tail
+from cantorshift.measure import (
+    Branch,
+    BudgetExceededError,
+    PiecewiseLinearMap,
+    plm_identity,
+    plm_single_deletion,
+)
 
 
 def long_division_digits(num: int, den: int, bases, count: int) -> list[int]:
@@ -128,6 +137,48 @@ def midpoint_quadrature(f, nodes: int, depth: int) -> float:
                 break
         total += acc
     return total / nodes
+
+
+def compose_all_pairs(first, then, budget: int):
+    """z -> then(first(z)), pairing every source branch with every target
+    branch.  The plain all-pairs construction that the bisecting
+    ``PiecewiseLinearMap.compose`` must reproduce branch for branch, with the
+    budget checked after each source branch."""
+    out = []
+    for br in first.branches:
+        if br.slope < 0:
+            raise ValueError("composition with negative slopes is not supported")
+        if br.slope == 0:
+            out.append(Branch(br.lo, br.hi, Fraction(0), then.apply(br.intercept)))
+            continue
+        for nxt in then.branches:
+            zlo = max(br.lo, (nxt.lo - br.intercept) / br.slope)
+            zhi = min(br.hi, (nxt.hi - br.intercept) / br.slope)
+            if zlo < zhi:
+                out.append(Branch(zlo, zhi, br.slope * nxt.slope, nxt.slope * br.intercept + nxt.intercept))
+        if len(out) > budget:
+            raise BudgetExceededError(f"composition exceeds branch budget {budget}")
+    return PiecewiseLinearMap(out)
+
+
+def chain_all_pairs(q: int, indices, budget: int):
+    """Sequential single deletions composed with ``compose_all_pairs``."""
+    current = plm_identity()
+    for m in indices:
+        current = compose_all_pairs(current, plm_single_deletion(q, m, budget), budget)
+    return current
+
+
+def subtract_on_refinement(a, b):
+    """a - b on the sorted union of both maps' breakpoints, each piece's
+    branches found by a search over the whole map."""
+    points = sorted({br.lo for br in a.branches} | {br.lo for br in b.branches} | {Fraction(1)})
+    out = []
+    for lo, hi in zip(points, points[1:]):
+        x = next(br for br in a.branches if br.lo <= lo < br.hi)
+        y = next(br for br in b.branches if br.lo <= lo < br.hi)
+        out.append(Branch(lo, hi, x.slope - y.slope, x.intercept - y.intercept))
+    return PiecewiseLinearMap(out)
 
 
 def random_terminating(rng: random.Random, q: int, length: int) -> DigitExpansion:

@@ -41,6 +41,10 @@ class TestEval:
         out = run_cli("eval", "q=2;p=0.5,0.5", "1/2", "--tol", "0")
         assert out.returncode == 2
 
+    def test_infinite_tol(self, capsys):
+        assert main(["eval", "q=2;p=0.5,0.5", "1/2", "--tol", "inf"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 class TestCurve:
     def test_small_grid(self, tmp_path):
@@ -71,6 +75,12 @@ class TestCurve:
     def test_unwritable_path(self):
         out = run_cli("curve", "q=2;p=0.5,0.5", "--grid", "2", "--out", "/nonexistent-dir/x.csv")
         assert out.returncode == 3
+
+    def test_nan_tol(self, tmp_path, capsys):
+        out_path = tmp_path / "x.csv"
+        assert main(["curve", "q=2;p=0.5,0.5", "--grid", "2", "--tol", "nan", "--out", str(out_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestVerify:
@@ -143,6 +153,30 @@ class TestMeasure:
     def test_missing_config_is_io_error(self, tmp_path):
         out = run_cli("measure", str(tmp_path / "missing.cfg"))
         assert out.returncode == 3
+
+
+def _measure_usage_error(tmp_path, capsys, body, *flags):
+    cfg = tmp_path / "exp.cfg"
+    out_csv = tmp_path / "rows.csv"
+    cfg.write_text(body + "out = %s\n" % out_csv)
+    code = main(["measure", str(cfg), *flags])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_csv.exists()
+
+
+class TestMeasureInputs:
+    def test_threshold_above_one(self, tmp_path, capsys):
+        _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 3/2\n")
+
+    def test_zero_samples_with_fallback(self, tmp_path, capsys):
+        _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 9..9\nx = 1/3\nsamples = 0\n")
+
+    def test_negative_budget_in_config(self, tmp_path, capsys):
+        _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\nbudget = -5\n")
+
+    def test_zero_budget_flag(self, tmp_path, capsys):
+        _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n", "--budget", "0")
 
 
 class TestMainEntry:

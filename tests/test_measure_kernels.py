@@ -1,0 +1,156 @@
+"""The bisecting compose and the integer sublevel kernel against their oracles.
+
+``compose`` must give the same branch tuple as the all-pairs construction
+and trip the branch budget at the same budgets; ``sublevel_measure`` and
+``comparison_measure`` must equal the measure of the interval set that
+``sublevel_set`` builds.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cantorshift import (
+    BudgetExceededError,
+    comparison_measure,
+    plm_generalized_chain,
+    plm_identity,
+    plm_iter_shift,
+    plm_single_deletion,
+    sublevel_measure,
+    sublevel_set,
+)
+from cantorshift.measure import _sublevel_kernel, plm_constant
+from oracles import chain_all_pairs, compose_all_pairs, subtract_on_refinement
+
+# largest deletion index per base, keeping the all-pairs oracle cheap
+TOP_INDEX = {2: 6, 3: 4}
+
+
+def random_chain(rng, q):
+    return tuple(rng.randint(1, TOP_INDEX[q]) for _ in range(rng.randint(1, 3)))
+
+
+def random_maps(seed):
+    """(q, map) pairs: seeded chains, iterates, and compositions of both."""
+    rng = random.Random(seed)
+    maps = []
+    for q in (2, 3):
+        chains = [plm_generalized_chain(q, random_chain(rng, q)) for _ in range(4)]
+        step = plm_iter_shift(q, rng.randint(1, 2))
+        maps += [(q, m) for m in chains + [step, chains[-1].compose(step)]]
+    return maps
+
+
+def subtracted_maps(maps):
+    """Differences of same-base maps: slopes positive, zero and negative."""
+    out = []
+    for (q, a), (r, b) in zip(maps, maps[1:] + maps[:1]):
+        if q == r:
+            out += [a.subtract(b), b.subtract(a), a.subtract(a)]
+    return out
+
+
+def thresholds(rng, plm, k=10):
+    """0, 1, and samples of branch endpoints, endpoint images and rationals."""
+    ends = sorted({br.lo for br in plm.branches} | {Fraction(1)})
+    images = sorted({br.slope * e + br.intercept for br in plm.branches for e in (br.lo, br.hi)})
+    xs = {Fraction(0), Fraction(1)}
+    xs |= set(rng.sample(ends, min(k, len(ends)))) | set(rng.sample(images, min(k, len(images))))
+    xs |= {Fraction(rng.randrange(-40, 41), rng.randint(1, 40)) for _ in range(k)}
+    return sorted(xs)
+
+
+class TestCompose:
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_random_chains_match_all_pairs(self, q):
+        rng = random.Random(100 + q)
+        for _ in range(12):
+            indices = random_chain(rng, q)
+            assert plm_generalized_chain(q, indices).branches == chain_all_pairs(q, indices, 10**6).branches
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_iterates_match_all_pairs(self, q):
+        rng = random.Random(200 + q)
+        for n in (1, 2, 3):
+            # the n-fold drop is n deletions at position 1
+            assert plm_iter_shift(q, n).branches == chain_all_pairs(q, (1,) * n, 10**6).branches
+            chain = plm_generalized_chain(q, random_chain(rng, q))
+            step = plm_iter_shift(q, n)
+            assert chain.compose(step).branches == compose_all_pairs(chain, step, 10**6).branches
+            assert step.compose(chain).branches == compose_all_pairs(step, chain, 10**6).branches
+
+    def test_constant_source(self):
+        target = plm_generalized_chain(2, (2, 3))
+        for c in (Fraction(0), Fraction(1, 3), Fraction(5, 8)):
+            source = plm_constant(c)
+            assert source.compose(target).branches == compose_all_pairs(source, target, 10**6).branches
+
+    def test_negative_slope_rejected_like_oracle(self):
+        source = plm_identity().subtract(plm_iter_shift(2, 2))
+        target = plm_iter_shift(2, 1)
+        with pytest.raises(ValueError):
+            compose_all_pairs(source, target, 10**6)
+        with pytest.raises(ValueError):
+            source.compose(target)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_budget_trips_exactly_where_the_oracle_does(self, q):
+        rng = random.Random(300 + q)
+        for _ in range(6):
+            indices = random_chain(rng, q)
+            current, critical = plm_identity(), set()
+            for m in indices:
+                current = current.compose(plm_single_deletion(q, m))
+                critical |= {len(current), q**m}
+            budgets = sorted({b + d for b in critical for d in (-1, 0, 1) if b + d >= 1})
+            for budget in budgets:
+                try:
+                    expected = chain_all_pairs(q, indices, budget).branches
+                except BudgetExceededError as exc:
+                    expected = str(exc)
+                try:
+                    got = plm_generalized_chain(q, indices, budget=budget).branches
+                except BudgetExceededError as exc:
+                    got = str(exc)
+                assert got == expected, (indices, budget)
+
+
+class TestSubtract:
+    def test_matches_refinement_oracle(self):
+        maps = random_maps(400)
+        for (q, a), (r, b) in zip(maps, maps[1:] + maps[:1]):
+            if q == r:
+                assert a.subtract(b).branches == subtract_on_refinement(a, b).branches
+                assert b.subtract(a).branches == subtract_on_refinement(b, a).branches
+
+    def test_differences_cover_every_slope_sign(self):
+        slopes = [br.slope for m in subtracted_maps(random_maps(400)) for br in m.branches]
+        assert min(slopes) < 0 and 0 in slopes and max(slopes) > 0
+
+
+class TestSublevelKernel:
+    def test_measure_matches_interval_set(self):
+        rng = random.Random(500)
+        maps = random_maps(500)
+        for plm in [m for _, m in maps] + subtracted_maps(maps):
+            for x in thresholds(rng, plm):
+                expected = sublevel_set(plm, x).measure
+                assert _sublevel_kernel(plm.branches, x) == expected
+                if 0 <= x <= 1:
+                    assert sublevel_measure(plm, x) == expected
+
+    def test_comparison_matches_interval_set(self):
+        maps = random_maps(600)
+        for (q, a), (r, b) in zip(maps, maps[1:] + maps[:1]):
+            if q == r:
+                assert comparison_measure(a, b) == sublevel_set(a.subtract(b), 0).measure
+                assert comparison_measure(b, a) == sublevel_set(b.subtract(a), 0).measure
+                assert comparison_measure(a, a) == 0
+
+    def test_threshold_range_guard(self):
+        with pytest.raises(ValueError):
+            sublevel_measure(plm_identity(), Fraction(3, 2))
+        with pytest.raises(ValueError):
+            sublevel_measure(plm_identity(), Fraction(-1, 3))
