@@ -11,7 +11,6 @@ from .expansions import (
     DigitExpansion,
     Tail,
     cylinder_interval,
-    digits_of_fraction,
     dual_representation,
     expansion_of,
     format_base,
@@ -38,7 +37,6 @@ from .shifts import (
     shift_n,
 )
 from .salem import (
-    DEFAULT_TOL,
     ContinuityResult,
     DistributionSpec,
     IndexSequence,
@@ -52,7 +50,6 @@ from .salem import (
     cylinder_increment,
     distribution_function,
     evaluate,
-    evaluate_float,
     first_terms,
     format_function_spec,
     increment_endpoints,
@@ -60,6 +57,7 @@ from .salem import (
     increment_via_evaluate,
     integral_closed_form,
     parse_function_spec,
+    rational_expansion,
     residual,
     series_depth,
 )

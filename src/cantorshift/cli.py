@@ -1,32 +1,25 @@
 """Command-line surface: evaluate functions, emit curves, run verification
 suites, and drive measure experiments from config files.
 
-Exit codes: 0 success, 2 usage/parse error, 3 I/O error, 4 branch budget
-exceeded without fallback.  All outputs are deterministic for fixed inputs
-and seed.
+Exit codes: 0 success, 1 a verify check failed, 2 usage/parse error, 3 I/O
+error, 4 branch budget exceeded without fallback.  All outputs are
+deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from fractions import Fraction
 
 from . import measure as me
 from . import salem as sm
 from . import shifts as sh
-from .expansions import (
-    BaseSpec,
-    Tail,
-    expansion_of,
-    parse_expansion,
-    parse_rational,
-    value_of,
-)
+from .expansions import parse_expansion, parse_rational, value_of
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
@@ -47,8 +40,6 @@ def cmd_eval(args) -> int:
         f = sm.parse_function_spec(args.spec)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if not math.isfinite(args.tol) or args.tol <= 0:
-        return _fail("tol must be a finite number > 0", EXIT_USAGE)
     q = f.weights.q
     try:
         if ":" in args.x:
@@ -59,11 +50,10 @@ def cmd_eval(args) -> int:
             x = parse_rational(args.x)
             if not 0 <= x <= 1:
                 return _fail("x must lie in [0, 1]", EXIT_USAGE)
-            depth = sm.series_depth(f.weights, args.tol)
-            e = expansion_of(x, BaseSpec.constant(q), depth, Tail.ZEROS)
+            e = sm.rational_expansion(f, x)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    value = sm.evaluate(f, e, args.tol)
+    value = sm.evaluate(f, e)
     print(_format_value(value))
     print(f"truncation depth: {max(f.seq.size, len(e.prefix))}", file=sys.stderr)
     return EXIT_OK
@@ -76,16 +66,11 @@ def cmd_curve(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if args.grid < 2:
         return _fail("grid must be >= 2", EXIT_USAGE)
-    if not math.isfinite(args.tol) or args.tol <= 0:
-        return _fail("tol must be a finite number > 0", EXIT_USAGE)
-    n = args.grid
-    q = f.weights.q
-    depth = sm.series_depth(f.weights, args.tol)
     lines = ["# q-rational grid points are evaluated in the terminating digit form", "x,g"]
-    for i in range(n + 1):
-        x = Fraction(i, n)
-        e = expansion_of(x, BaseSpec.constant(q), depth, Tail.ZEROS)
-        lines.append(f"{_format_value(x)},{_format_value(sm.evaluate(f, e, args.tol))}")
+    for i in range(args.grid + 1):
+        x = Fraction(i, args.grid)
+        g = sm.evaluate(f, sm.rational_expansion(f, x))
+        lines.append(f"{_format_value(x)},{_format_value(g)}")
     try:
         with open(args.out, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -108,7 +93,7 @@ def cmd_verify(args) -> int:
         suffix = f"  [{detail}]" if (detail and not ok) else ""
         print(f"{tag}  {name}{suffix}")
         failed += not ok
-    return EXIT_OK if failed == 0 else 1
+    return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
 def _parse_range(text: str) -> list[int]:
@@ -180,6 +165,8 @@ def parse_config(text: str) -> dict:
         raise ValueError("fallback must be true or false")
     if cfg["budget"] < 1:
         raise ValueError("budget must be >= 1")
+    if cfg["iter_limit"] < 1:
+        raise ValueError("iter_limit must be >= 1")
     if cfg["fallback"] and cfg["samples"] < 1:
         raise ValueError("samples must be >= 1 when fallback is on")
     if "x" in raw:
@@ -239,6 +226,8 @@ def _threshold_grid(cfg: dict) -> list[Fraction]:
         point = cfg["threshold_point"]
         iterate = cfg.get("threshold_iter", 0)
         return [value_of(sh.shift_n(point, iterate))]
+    if not cfg["x"] and cfg["family"] != "compareiter":
+        raise ValueError(f"{cfg['family']} needs x = ... or threshold_point = ...")
     return cfg["x"]
 
 
@@ -293,13 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a function at a point")
     p_eval.add_argument("spec", help='function spec, e.g. "q=2; p=0.3,0.7; seq=perm(2 1)"')
     p_eval.add_argument("x", help="rational like 1/3 or 0.25, or digit notation like q2:[1]:zeros")
-    p_eval.add_argument("--tol", type=float, default=sm.DEFAULT_TOL)
     p_eval.set_defaults(func=cmd_eval)
 
     p_curve = sub.add_parser("curve", help="write a CSV curve of the function")
     p_curve.add_argument("spec")
     p_curve.add_argument("--grid", type=int, default=256, help="number of grid cells (>= 2)")
-    p_curve.add_argument("--tol", type=float, default=sm.DEFAULT_TOL)
     p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=cmd_curve)
 

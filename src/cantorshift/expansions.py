@@ -32,7 +32,6 @@ __all__ = [
     "dual_representation",
     "cylinder_interval",
     "same_stream",
-    "digits_of_fraction",
     "parse_base",
     "format_base",
     "parse_expansion",
@@ -288,22 +287,6 @@ def same_stream(e1: DigitExpansion, e2: DigitExpansion) -> bool:
         if e1.digit_at(k) != e2.digit_at(k):
             return False
     return True
-
-
-def digits_of_fraction(num: int, den: int, q: int, count: int) -> list[int]:
-    """First ``count`` base-q digits of num/den in [0, 1), by long division.
-
-    Integer-only fast path used by grid evaluations; independent of the
-    Fraction-based :func:`expansion_of`.
-    """
-    if not 0 <= num < den:
-        raise ValueError("num/den must lie in [0, 1)")
-    out = []
-    for _ in range(count):
-        num *= q
-        d, num = divmod(num, den)
-        out.append(d)
-    return out
 
 
 # --- textual notation ---------------------------------------------------

@@ -621,6 +621,21 @@ def gk_scan(
     """
     rows: list[ScanRow] = []
     counter = 0
+
+    def mc_row(spec: SetFamilySpec, x: Optional[Fraction], row_seed: int) -> ScanRow:
+        threshold = Fraction(0) if x is None else x
+        mc = monte_carlo_measure(spec, threshold, samples, row_seed)
+        return ScanRow(
+            spec.kind.value,
+            spec.param,
+            x,
+            Fraction(mc.hits, mc.samples),
+            "mc",
+            mc.samples,
+            mc.halfwidth,
+            mc.indeterminate,
+        )
+
     for spec in specs:
         family = spec.kind.value
         if spec.kind is FamilyKind.COMPARE_ITER:
@@ -635,19 +650,7 @@ def gk_scan(
                     raise
                 if log:
                     log(f"{family} {spec.param}: budget exceeded, Monte Carlo fallback")
-                mc = monte_carlo_measure(spec, Fraction(0), samples, seed + counter)
-                rows.append(
-                    ScanRow(
-                        family,
-                        spec.param,
-                        None,
-                        Fraction(mc.hits, mc.samples),
-                        "mc",
-                        mc.samples,
-                        mc.halfwidth,
-                        mc.indeterminate,
-                    )
-                )
+                rows.append(mc_row(spec, None, seed + counter))
             continue
         try:
             plm = _exact_map(spec, budget, iter_limit)
@@ -662,19 +665,7 @@ def gk_scan(
             if plm is not None:
                 rows.append(ScanRow(family, spec.param, Fraction(x), sublevel_measure(plm, x), "exact"))
             else:
-                mc = monte_carlo_measure(spec, Fraction(x), samples, seed + counter)
-                rows.append(
-                    ScanRow(
-                        family,
-                        spec.param,
-                        Fraction(x),
-                        Fraction(mc.hits, mc.samples),
-                        "mc",
-                        mc.samples,
-                        mc.halfwidth,
-                        mc.indeterminate,
-                    )
-                )
+                rows.append(mc_row(spec, Fraction(x), seed + counter))
     return rows
 
 

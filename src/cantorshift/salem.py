@@ -35,7 +35,6 @@ from .expansions import (
 from .shifts import generalized_shift, make_schedule
 
 __all__ = [
-    "DEFAULT_TOL",
     "WeightSet",
     "IndexSequence",
     "SalemFunction",
@@ -43,8 +42,8 @@ __all__ = [
     "Monotonicity",
     "ContinuityResult",
     "series_depth",
+    "rational_expansion",
     "evaluate",
-    "evaluate_float",
     "first_terms",
     "chain_expansion",
     "chain_value",
@@ -61,7 +60,8 @@ __all__ = [
     "format_function_spec",
 ]
 
-DEFAULT_TOL = 1e-12
+# Accuracy of g at a rational whose expansion does not terminate.
+_ACCURACY = 1e-12
 
 RationalLike = Union[Fraction, int, str]
 
@@ -79,6 +79,7 @@ class WeightSet:
     q: int
     p: tuple[Fraction, ...]
     beta: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
+    max_abs: Fraction = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.q < 2:
@@ -97,10 +98,7 @@ class WeightSet:
             raise ValueError("cumulative sums must lie strictly in (0, 1)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "beta", tuple(beta))
-
-    @property
-    def max_abs(self) -> Fraction:
-        return max(abs(v) for v in self.p)
+        object.__setattr__(self, "max_abs", max(abs(v) for v in p))
 
 
 @dataclass(frozen=True)
@@ -192,14 +190,31 @@ class DistributionSpec:
             raise ValueError("distribution weights must be >= 0")
 
 
-def series_depth(weights: WeightSet, tol: float) -> int:
-    """Series length whose remainder bound (max|p|)^K / (1 - max|p|) < tol."""
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
+def series_depth(weights: WeightSet, bound: float) -> int:
+    """Smallest series length K >= 1 with max|p|^K <= bound.
+
+    Cutting the series after K terms changes g by a product of K weights
+    times a value of g, so by at most ``bound`` when g maps into [0, 1].
+    """
+    if bound <= 0:
+        raise ValueError("bound must be > 0")
     pmax = float(weights.max_abs)
     if pmax == 0.0:
         return 1
-    return max(1, math.ceil(math.log(tol) / math.log(pmax)))
+    return max(1, math.ceil(math.log(bound) / math.log(pmax)))
+
+
+def rational_expansion(f: SalemFunction, x: RationalLike) -> DigitExpansion:
+    """The base-q expansion of a rational x in [0, 1] that g(x) is read from.
+
+    The digits are cut after depth = max(series_depth, reading-order length),
+    with a zeros tail (x = 1 has only the max form).  The reading order reads
+    every kept digit before any dropped one, so the value of the cut
+    expansion is within max|p|^depth <= 1e-12 of g(x) when g maps into
+    [0, 1], and exact when x terminates within depth digits.
+    """
+    depth = max(series_depth(f.weights, _ACCURACY), f.seq.size)
+    return expansion_of(x, BaseSpec.constant(f.weights.q), depth, Tail.ZEROS)
 
 
 def _check_base(f_q: int, e: DigitExpansion) -> None:
@@ -207,16 +222,13 @@ def _check_base(f_q: int, e: DigitExpansion) -> None:
         raise ValueError(f"expansion must use constant base {f_q}")
 
 
-def evaluate(f: SalemFunction, e: DigitExpansion, tol: float = DEFAULT_TOL) -> Fraction:
+def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
     """Exact value of the function at an expansion.
 
     Terms beyond max(reading-prefix length, digit-prefix length) vanish for a
     zeros tail (beta_0 = 0) and sum geometrically to the running product for
     a max tail (beta_{q-1} = 1 - p_{q-1}), so the series is closed form.
-    ``tol`` is validated for interface parity but never loosens the result.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     _check_base(f.weights.q, e)
     w = f.weights
     top = max(f.seq.size, len(e.prefix))
@@ -231,27 +243,6 @@ def evaluate(f: SalemFunction, e: DigitExpansion, tol: float = DEFAULT_TOL) -> F
             break
     if e.tail is Tail.MAX:
         total += prod
-    return total
-
-
-def evaluate_float(f: SalemFunction, digits: Sequence[int], terms: Optional[int] = None) -> float:
-    """Float evaluation from a plain digit list (position k = digits[k-1]).
-
-    Fast path for dense grids; digits beyond the list are treated as zero.
-    """
-    w = f.weights
-    beta = [float(b) for b in w.beta]
-    p = [float(v) for v in w.p]
-    top = max(f.seq.size, len(digits)) if terms is None else terms
-    total = 0.0
-    prod = 1.0
-    for k in range(1, top + 1):
-        n = f.seq.n_at(k)
-        d = digits[n - 1] if n <= len(digits) else 0
-        total += beta[d] * prod
-        prod *= p[d]
-        if prod == 0.0:
-            break
     return total
 
 
@@ -279,7 +270,7 @@ def chain_expansion(f: SalemFunction, e: DigitExpansion, k: int) -> DigitExpansi
     return e
 
 
-def chain_value(f: SalemFunction, e: DigitExpansion, k: int, tol: float = DEFAULT_TOL) -> Fraction:
+def chain_value(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:
     """Function value at the k-th chain point.
 
     The surviving digits are read through the deletion-induced order (for
@@ -288,10 +279,10 @@ def chain_value(f: SalemFunction, e: DigitExpansion, k: int, tol: float = DEFAUL
     wrong series slots.
     """
     shifted = SalemFunction(f.weights, f.seq.induced_after(k))
-    return evaluate(shifted, chain_expansion(f, e, k), tol)
+    return evaluate(shifted, chain_expansion(f, e, k))
 
 
-def residual(f: SalemFunction, e: DigitExpansion, k: int, tol: float = DEFAULT_TOL) -> Fraction:
+def residual(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:
     """Defect of the k-th peeling identity, zero for a correct evaluator.
 
     chain_value(k-1) should equal beta_d + p_d * chain_value(k) with d the
@@ -302,8 +293,8 @@ def residual(f: SalemFunction, e: DigitExpansion, k: int, tol: float = DEFAULT_T
     _check_base(f.weights.q, e)
     w = f.weights
     d = e.digit_at(f.seq.n_at(k))
-    lhs = chain_value(f, e, k - 1, tol)
-    rhs = w.beta[d] + w.p[d] * chain_value(f, e, k, tol)
+    lhs = chain_value(f, e, k - 1)
+    rhs = w.beta[d] + w.p[d] * chain_value(f, e, k)
     return abs(lhs - rhs)
 
 
@@ -344,15 +335,13 @@ def increment_endpoints(
     )
 
 
-def increment_via_evaluate(
-    f: SalemFunction, values: Sequence[int], tol: float = DEFAULT_TOL
-) -> Fraction:
+def increment_via_evaluate(f: SalemFunction, values: Sequence[int]) -> Fraction:
     """g(sup) - g(inf) over the digit-fixing set, by direct evaluation."""
     lo, hi = increment_endpoints(f, values)
-    return evaluate(f, hi, tol) - evaluate(f, lo, tol)
+    return evaluate(f, hi) - evaluate(f, lo)
 
 
-def cylinder_increment(f: SalemFunction, c: Cylinder, tol: float = DEFAULT_TOL) -> Fraction:
+def cylinder_increment(f: SalemFunction, c: Cylinder) -> Fraction:
     """g(sup) - g(inf) over a plain cylinder.
 
     Reduces to :func:`increment_product` when the reading order is the
@@ -361,7 +350,7 @@ def cylinder_increment(f: SalemFunction, c: Cylinder, tol: float = DEFAULT_TOL) 
     _check_base(f.weights.q, DigitExpansion(c.base, c.word, Tail.ZEROS))
     lo = DigitExpansion(c.base, c.word, Tail.ZEROS)
     hi = DigitExpansion(c.base, c.word, Tail.MAX)
-    return evaluate(f, hi, tol) - evaluate(f, lo, tol)
+    return evaluate(f, hi) - evaluate(f, lo)
 
 
 def integral_closed_form(f: SalemFunction) -> Fraction:
@@ -434,7 +423,7 @@ def _dual_pair(e: DigitExpansion) -> tuple[DigitExpansion, DigitExpansion]:
     return zeros_form, max_form
 
 
-def continuity_at(f: SalemFunction, e: DigitExpansion, tol: float = DEFAULT_TOL) -> ContinuityResult:
+def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     """Continuity at a point with two expansions (last nonzero digit at m).
 
     Continuous exactly when the reading order exhausts positions 1..m before
@@ -451,20 +440,18 @@ def continuity_at(f: SalemFunction, e: DigitExpansion, tol: float = DEFAULT_TOL)
     ok = seq.n_at(k0) == m and all(seq.n_at(j) <= m - 1 for j in range(1, k0))
     if ok:
         return ContinuityResult(None)
-    return ContinuityResult(evaluate(f, zeros_form, tol) - evaluate(f, max_form, tol))
+    return ContinuityResult(evaluate(f, zeros_form) - evaluate(f, max_form))
 
 
-def distribution_function(
-    d: DistributionSpec, x: RationalLike, tol: float = DEFAULT_TOL
-) -> Fraction:
+def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
     """CDF of a random number whose base-q digits are drawn independently,
     digit value i with probability p_i.
 
     Reassigning which draw lands in which position (the reading order) does
     not change the law, so the CDF pairs the k-th series slot with the k-th
     digit of x regardless of the order stored in the spec.  Non-terminating
-    arguments are truncated at a depth putting the series remainder below
-    ``tol``; truncation preserves monotonicity in x.
+    arguments are cut as in :func:`rational_expansion`, which keeps the
+    result within 1e-12 and monotone in x.
     """
     x = Fraction(x)
     if x < 0:
@@ -472,9 +459,7 @@ def distribution_function(
     if x >= 1:
         return Fraction(1)
     plain = SalemFunction(d.weights, IndexSequence())
-    depth = max(series_depth(d.weights, tol), d.seq.size) + 8
-    e = expansion_of(x, BaseSpec.constant(d.weights.q), depth, Tail.ZEROS)
-    return evaluate(plain, e, tol)
+    return evaluate(plain, rational_expansion(plain, x))
 
 
 # --- textual function specs ----------------------------------------------

@@ -33,6 +33,51 @@ def long_division_digits(num: int, den: int, bases, count: int) -> list[int]:
     return digits
 
 
+def periodic_digits(num: int, den: int, q: int) -> tuple[list[int], list[int]]:
+    """(preperiod, period) of the base-q digits of num/den in [0, 1].
+
+    Long division, stopping when a remainder repeats.  Terminating values
+    get the period [0]; 1 is written 0.(q-1)(q-1)...
+    """
+    if num == den:
+        return [], [q - 1]
+    digits, seen = [], {}
+    while num not in seen:
+        seen[num] = len(digits)
+        num *= q
+        d, num = divmod(num, den)
+        digits.append(d)
+    start = seen[num]
+    return digits[:start], digits[start:]
+
+
+def salem_value_exact(beta, p, order_prefix, num: int, den: int, q: int) -> Fraction:
+    """Exact g(num/den) for a reading order that is ``order_prefix`` (a
+    permutation of 1..N) followed by the identity.
+
+    Past max(N, preperiod length) the order reads the periodic digits in
+    turn, so the series tail T satisfies T = S + P * T over one period, with
+    S the period's partial sum and P its weight product.
+    """
+    pre, period = periodic_digits(num, den, q)
+
+    def digit(t: int) -> int:
+        return pre[t - 1] if t <= len(pre) else period[(t - len(pre) - 1) % len(period)]
+
+    head = max(len(order_prefix), len(pre))
+    total, prod = Fraction(0), Fraction(1)
+    for k in range(1, head + 1):
+        d = digit(order_prefix[k - 1] if k <= len(order_prefix) else k)
+        total += beta[d] * prod
+        prod *= p[d]
+    block_sum, block_prod = Fraction(0), Fraction(1)
+    for k in range(head + 1, head + len(period) + 1):
+        d = digit(k)
+        block_sum += beta[d] * block_prod
+        block_prod *= p[d]
+    return total + prod * block_sum / (1 - block_prod)
+
+
 def stream_after_deleting(e: DigitExpansion, positions, horizon: int):
     """(digits, bases) of the stream with the given original positions removed."""
     top = max([horizon] + list(positions)) + 1

@@ -1,8 +1,13 @@
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from cantorshift.cli import main
+from cantorshift.verify import SUITES
+from oracles import salem_value_exact
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 
@@ -14,6 +19,13 @@ def run_cli(*args):
         text=True,
         cwd=PKG_ROOT,
     )
+
+
+# A reading order of 20 positions; series_depth asks for 18 digits here.
+LONG_ORDER_SPEC = (
+    "q=10; p=0.21,0.09,0.09,0.09,0.09,0.09,0.09,0.09,0.09,0.07; "
+    "seq=perm(20 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 1)"
+)
 
 
 class TestEval:
@@ -42,8 +54,15 @@ class TestEval:
         assert out.returncode == 2
 
     def test_infinite_tol(self, capsys):
-        assert main(["eval", "q=2;p=0.5,0.5", "1/2", "--tol", "inf"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "q=2;p=0.5,0.5", "1/2", "--tol", "inf"])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_reading_order_longer_than_series_depth(self):
+        out = run_cli("eval", LONG_ORDER_SPEC, "1/3")
+        assert out.returncode == 0
+        assert out.stdout.strip() == "0.428571428571"  # 3/7
 
 
 class TestCurve:
@@ -78,9 +97,23 @@ class TestCurve:
 
     def test_nan_tol(self, tmp_path, capsys):
         out_path = tmp_path / "x.csv"
-        assert main(["curve", "q=2;p=0.5,0.5", "--grid", "2", "--tol", "nan", "--out", str(out_path)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["curve", "q=2;p=0.5,0.5", "--grid", "2", "--tol", "nan", "--out", str(out_path)])
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_reading_order_longer_than_series_depth(self, tmp_path):
+        out_path = tmp_path / "curve.csv"
+        assert main(["curve", LONG_ORDER_SPEC, "--grid", "3", "--out", str(out_path)]) == 0
+        rows = [line.split(",") for line in out_path.read_text().splitlines()[2:]]
+        assert len(rows) == 4
+        p = [Fraction(21, 100)] + [Fraction(9, 100)] * 8 + [Fraction(7, 100)]
+        beta = [sum(p[:i], Fraction(0)) for i in range(10)]
+        order = (20,) + tuple(range(2, 20)) + (1,)
+        for i, (_, g) in enumerate(rows):
+            exact = salem_value_exact(beta, p, order, i, 3, 10)
+            assert abs(float(g) - float(exact)) <= 5e-13 + 1e-12
 
 
 class TestVerify:
@@ -97,6 +130,16 @@ class TestVerify:
         out = run_cli("verify", "integral", "--spec", "q=2;p=0.3,0.7")
         assert out.returncode == 0
         assert "FAIL" not in out.stdout
+
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_every_suite_passes(self, suite, capsys):
+        assert main(["verify", suite]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines and all(line.startswith("PASS  ") for line in lines)
+
+    def test_failed_check_exits_one(self, capsys):
+        assert main(["verify", "integral", "--spec", "q=2; p=0.3,0.7; seq=perm(2 1)"]) == 1
+        assert any(line.startswith("FAIL  ") for line in capsys.readouterr().out.splitlines())
 
 
 class TestMeasure:
@@ -177,6 +220,22 @@ class TestMeasureInputs:
 
     def test_zero_budget_flag(self, tmp_path, capsys):
         _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n", "--budget", "0")
+
+    @pytest.mark.parametrize("limit, fallback", [("0", "true"), ("-3", "false")])
+    def test_iter_limit_below_one(self, tmp_path, capsys, limit, fallback):
+        _measure_usage_error(
+            tmp_path,
+            capsys,
+            f"family = itershift\nq = 2\nn = 1..2\nx = 1/3\niter_limit = {limit}\nfallback = {fallback}\n",
+        )
+
+    @pytest.mark.parametrize(
+        "family_lines",
+        ["family = itershift\nn = 1..2\n", "family = genchain\nindices = 2,2\n", "family = schedulechain\npsi = 2,3\n"],
+        ids=["itershift", "genchain", "schedulechain"],
+    )
+    def test_threshold_family_without_thresholds(self, tmp_path, capsys, family_lines):
+        _measure_usage_error(tmp_path, capsys, family_lines + "q = 2\n")
 
 
 class TestMainEntry:

@@ -10,7 +10,6 @@ from cantorshift import (
     DigitExpansion,
     Tail,
     cylinder_interval,
-    digits_of_fraction,
     dual_representation,
     expansion_of,
     format_expansion,
@@ -99,7 +98,7 @@ class TestExpansionOf:
             q = rng.choice([2, 3, 10])
             num = rng.randrange(0, 97)
             e = expansion_of(Fraction(num, 97), BaseSpec.constant(q), 12)
-            assert list(e.prefix) == digits_of_fraction(num, 97, q, 12)
+            assert list(e.prefix) == long_division_digits(num, 97, [q], 12)
 
 
 class TestDuality:

@@ -29,6 +29,7 @@ from cantorshift import (
     increment_via_evaluate,
     integral_closed_form,
     parse_function_spec,
+    rational_expansion,
     residual,
     series_depth,
     value_of,
@@ -39,6 +40,7 @@ from oracles import (
     random_terminating,
     riemann_bracket,
     salem_series_brute,
+    salem_value_exact,
 )
 
 B2 = BaseSpec.constant(2)
@@ -151,15 +153,39 @@ class TestEvaluate:
             eb = expansion_of(b, B2, 16)
             assert evaluate(f, ea) < evaluate(f, eb)
 
-    def test_tolerance_stability(self):
-        e = expansion_of(Fraction(1, 3), B2, 60)
-        assert abs(evaluate(IDENT37, e, 1e-12) - evaluate(IDENT37, e, 1e-13)) <= 1e-12
-
     def test_guards(self):
         with pytest.raises(ValueError):
-            evaluate(IDENT37, DigitExpansion(B2, (1,)), 0.0)
-        with pytest.raises(ValueError):
             evaluate(IDENT37, DigitExpansion(BaseSpec.constant(3), (1,)))
+
+
+class TestRationalExpansion:
+    # perm(20 2 .. 19 1) is longer than the 18 digits series_depth asks for.
+    LONG = SalemFunction(
+        WeightSet(10, (Fraction(21, 100),) + (Fraction(9, 100),) * 8 + (Fraction(7, 100),)),
+        IndexSequence((20,) + tuple(range(2, 20)) + (1,)),
+    )
+
+    def test_depth_covers_the_reading_order(self):
+        assert series_depth(self.LONG.weights, 1e-12) < self.LONG.seq.size
+        e = rational_expansion(self.LONG, Fraction(1, 3))
+        assert e.prefix == (3,) * 20 and e.tail is Tail.ZEROS
+        assert len(rational_expansion(IDENT37, Fraction(1, 3)).prefix) == series_depth(W37, 1e-12)
+
+    def test_terminating_points_are_exact(self):
+        e = rational_expansion(IDENT37, Fraction(3, 8))
+        assert value_of(e) == Fraction(3, 8) and e.tail is Tail.ZEROS
+        assert evaluate(IDENT37, e) == evaluate(IDENT37, DigitExpansion(B2, (0, 1, 1)))
+        assert rational_expansion(IDENT37, 1) == DigitExpansion(B2, (), Tail.MAX)
+
+    def test_values_within_accuracy_of_exact(self):
+        rng = random.Random(59)
+        cases = [(self.LONG, 1, 3), (self.LONG, 2, 3), (SalemFunction(W37, EXAMPLE_ORDER), 5, 7)]
+        cases += [(IDENT37, rng.randrange(0, 13), 13) for _ in range(10)]
+        for f, num, den in cases:
+            w = f.weights
+            exact = salem_value_exact(w.beta, w.p, f.seq.prefix, num, den, w.q)
+            got = evaluate(f, rational_expansion(f, Fraction(num, den)))
+            assert abs(got - exact) <= 1e-12
 
 
 class TestFunctionalEquations:
@@ -370,6 +396,12 @@ class TestDistribution:
         d = DistributionSpec(WeightSet(2, (Fraction(1, 2), Fraction(1, 2))))
         got = distribution_function(d, Fraction(1, 3))
         assert abs(got - Fraction(1, 3)) < Fraction(1, 10**12)
+
+    def test_within_accuracy_of_exact(self):
+        d = DistributionSpec(W37, EXAMPLE_ORDER)
+        for num, den in ((1, 3), (2, 7), (5, 11)):
+            exact = salem_value_exact(W37.beta, W37.p, (), num, den, 2)
+            assert abs(distribution_function(d, Fraction(num, den)) - exact) <= 1e-12
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
