@@ -41,6 +41,7 @@ def cmd_eval(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     q = f.weights.q
+    exact = True
     try:
         if ":" in args.x:
             e = parse_expansion(args.x)
@@ -51,11 +52,13 @@ def cmd_eval(args) -> int:
             if not 0 <= x <= 1:
                 return _fail("x must lie in [0, 1]", EXIT_USAGE)
             e = sm.rational_expansion(f, x)
+            exact = value_of(e) == x
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     value = sm.evaluate(f, e)
     print(_format_value(value))
-    print(f"truncation depth: {max(f.seq.size, len(e.prefix))}", file=sys.stderr)
+    depth = max(f.seq.size, len(e.prefix))
+    print("exact" if exact else f"truncation depth: {depth}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -169,6 +172,8 @@ def parse_config(text: str) -> dict:
         raise ValueError("iter_limit must be >= 1")
     if cfg["fallback"] and cfg["samples"] < 1:
         raise ValueError("samples must be >= 1 when fallback is on")
+    if "x" in raw and "threshold_point" in raw:
+        raise ValueError("set either x or threshold_point, not both")
     if "x" in raw:
         cfg["x"] = [parse_rational(tok) for tok in raw["x"].split(",") if tok.strip()]
         if not all(0 <= x <= 1 for x in cfg["x"]):

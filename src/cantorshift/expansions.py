@@ -134,9 +134,17 @@ class DigitExpansion:
     tail: Tail = Tail.ZEROS
 
     def __post_init__(self) -> None:
-        prefix = tuple(int(d) for d in self.prefix)
-        for k, d in enumerate(prefix, start=1):
-            if not 0 <= d < self.base.base_at(k):
+        prefix = tuple(map(int, self.prefix))
+        if prefix:
+            if self.base.is_constant:
+                q = self.base.tail_value
+                ok = min(prefix) >= 0 and max(prefix) < q
+            else:
+                ok = all(0 <= d < q for d, q in zip(prefix, _bases(self.base, len(prefix))))
+            if not ok:
+                k, d = next(
+                    (k, d) for k, d in enumerate(prefix, start=1) if not 0 <= d < self.base.base_at(k)
+                )
                 raise ValueError(
                     f"digit {d} at position {k} outside alphabet 0..{self.base.base_at(k) - 1}"
                 )
@@ -177,22 +185,25 @@ class Cylinder:
         return len(self.word)
 
 
+def _bases(base: BaseSpec, n: int) -> tuple[int, ...]:
+    """The bases of positions 1..n."""
+    return base.prefix[:n] + (base.tail_value,) * (n - len(base.prefix))
+
+
 def value_of(e: DigitExpansion) -> Fraction:
     """Exact value of an expansion.
 
-    The finite prefix sums directly; a max-digits tail beyond position m
-    telescopes to 1/(q_1 ... q_m), so the result is closed form for both
-    tails.
+    The finite prefix is read as one integer over q_1 ... q_m (Horner); a
+    max-digits tail beyond position m telescopes to 1/(q_1 ... q_m), so the
+    result is closed form for both tails.
     """
-    total = Fraction(0)
-    den = 1
-    for k, d in enumerate(e.prefix, start=1):
-        den *= e.base.base_at(k)
-        if d:
-            total += Fraction(d, den)
+    num, den = 0, 1
+    for d, q in zip(e.prefix, _bases(e.base, len(e.prefix))):
+        num = num * q + d
+        den *= q
     if e.tail is Tail.MAX:
-        total += Fraction(1, den)
-    return total
+        num += 1
+    return Fraction(num, den)
 
 
 def expansion_of(
@@ -201,7 +212,8 @@ def expansion_of(
     depth: int,
     tail_pref: Tail = Tail.ZEROS,
 ) -> DigitExpansion:
-    """Greedy digit extraction of a rational in [0, 1].
+    """Greedy digit extraction of a rational in [0, 1], by integer long
+    division of x's numerator by its denominator.
 
     If x terminates within ``depth`` digits the tail preference picks which
     of the two dual forms is returned; otherwise the result is the truncated
@@ -216,19 +228,15 @@ def expansion_of(
         raise ValueError("value must lie in [0, 1]")
     if x == 1:
         return DigitExpansion(base, (), Tail.MAX)
+    n, m = x.numerator, x.denominator
     digits = []
-    r = x
-    for k in range(1, depth + 1):
-        r *= base.base_at(k)
-        d = int(r)
+    for q in _bases(base, depth):
+        d, n = divmod(n * q, m)
         digits.append(d)
-        r -= d
-    if r == 0:
-        if tail_pref is Tail.MAX and any(digits):
-            last = max(k for k, d in enumerate(digits, start=1) if d)
-            word = digits[: last - 1] + [digits[last - 1] - 1]
-            return DigitExpansion(base, tuple(word), Tail.MAX)
-        return DigitExpansion(base, tuple(digits), Tail.ZEROS)
+    if n == 0 and tail_pref is Tail.MAX and any(digits):
+        last = max(k for k, d in enumerate(digits, start=1) if d)
+        word = digits[: last - 1] + [digits[last - 1] - 1]
+        return DigitExpansion(base, tuple(word), Tail.MAX)
     return DigitExpansion(base, tuple(digits), Tail.ZEROS)
 
 

@@ -13,7 +13,10 @@ rearranged orders give functions without monotonicity intervals.
 
 Evaluation here is exact: zeros tails terminate the series (beta_0 = 0) and
 max tails sum geometrically to the running product, so every representable
-expansion has a closed-form rational image.
+expansion has a closed-form rational image.  The series is the peeling
+identity g(x) = beta_d + p_d * g(sigma x) unrolled, so it is computed as an
+integer Horner scheme over the common denominator D of the weights, read
+backwards from the tail, with one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
@@ -74,12 +77,18 @@ class WeightSet:
     beta_i = p_0 + .. + p_{i-1} strictly between 0 and 1 for i >= 1
     (beta_0 = 0).  Negative weights are allowed as long as the cumulative
     sums stay inside (0, 1); that forces p_0 > 0 and p_{q-1} > 0.
+
+    ``den`` is the lcm D of the weights' denominators; ``p_num`` and
+    ``beta_num`` are the integers p_i * D and beta_i * D.
     """
 
     q: int
     p: tuple[Fraction, ...]
     beta: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
     max_abs: Fraction = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
+    p_num: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    beta_num: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.q < 2:
@@ -99,6 +108,14 @@ class WeightSet:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "beta", tuple(beta))
         object.__setattr__(self, "max_abs", max(abs(v) for v in p))
+        den = math.lcm(*(v.denominator for v in p))
+        p_num = tuple(v.numerator * (den // v.denominator) for v in p)
+        beta_num = [0]
+        for v in p_num[:-1]:
+            beta_num.append(beta_num[-1] + v)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "p_num", p_num)
+        object.__setattr__(self, "beta_num", tuple(beta_num))
 
 
 @dataclass(frozen=True)
@@ -227,23 +244,30 @@ def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
 
     Terms beyond max(reading-prefix length, digit-prefix length) vanish for a
     zeros tail (beta_0 = 0) and sum geometrically to the running product for
-    a max tail (beta_{q-1} = 1 - p_{q-1}), so the series is closed form.
+    a max tail (beta_{q-1} = 1 - p_{q-1}), so the series is closed form:
+    g = 0 or 1 past the last read digit.  The digits, in reading order, are
+    then folded in backwards by g <- beta_d + p_d * g, in integers over the
+    common weight denominator D: acc <- B_d * scale + P_d * acc and
+    scale <- scale * D, with g = acc / scale.
     """
     _check_base(f.weights.q, e)
     w = f.weights
-    top = max(f.seq.size, len(e.prefix))
-    total = Fraction(0)
-    prod = Fraction(1)
-    for k in range(1, top + 1):
-        d = e.digit_at(f.seq.n_at(k))
-        if w.beta[d]:
-            total += w.beta[d] * prod
-        prod *= w.p[d]
-        if prod == 0 and e.tail is Tail.ZEROS:
-            break
-    if e.tail is Tail.MAX:
-        total += prod
-    return total
+    order = f.seq.prefix
+    top = max(len(order), len(e.prefix))
+    tail_digit = w.q - 1 if e.tail is Tail.MAX else 0
+    digits = list(e.prefix) + [tail_digit] * (top - len(e.prefix))
+    digits[: len(order)] = [digits[n - 1] for n in order]
+    if e.tail is Tail.ZEROS:
+        # beta_0 = 0 and g = 0 past them: trailing zeros add nothing
+        while digits and not digits[-1]:
+            digits.pop()
+    P, B, D = w.p_num, w.beta_num, w.den
+    acc = 1 if e.tail is Tail.MAX else 0
+    scale = 1
+    for d in reversed(digits):
+        acc = B[d] * scale + P[d] * acc
+        scale *= D
+    return Fraction(acc, scale)
 
 
 def first_terms(f: SalemFunction, e: DigitExpansion, count: int) -> list[Fraction]:

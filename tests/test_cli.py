@@ -40,6 +40,18 @@ class TestEval:
         assert out.returncode == 0
         assert out.stdout.strip() == "0.3"
 
+    def test_terminating_point_is_exact(self, capsys):
+        assert main(["eval", "q=2;p=0.5,0.5", "1/2"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "0.5"
+        assert captured.err.strip() == "exact"
+
+    def test_digit_notation_is_exact(self, capsys):
+        assert main(["eval", "q=2;p=0.3,0.7", "q2:[1,0]:max"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "0.51"  # g(3/4) = 3/10 + 7/10 * 3/10
+        assert captured.err.strip() == "exact"
+
     def test_weights_must_sum_to_one(self):
         out = run_cli("eval", "q=2;p=0.3,0.8", "1/2")
         assert out.returncode == 2
@@ -236,6 +248,13 @@ class TestMeasureInputs:
     )
     def test_threshold_family_without_thresholds(self, tmp_path, capsys, family_lines):
         _measure_usage_error(tmp_path, capsys, family_lines + "q = 2\n")
+
+    def test_x_with_threshold_point(self, tmp_path, capsys):
+        _measure_usage_error(
+            tmp_path,
+            capsys,
+            "family = itershift\nq = 2\nn = 1..2\nx = 1/3\nthreshold_point = q2:[1]:zeros\n",
+        )
 
 
 class TestMainEntry:

@@ -101,6 +101,113 @@ class TestExpansionOf:
             assert list(e.prefix) == long_division_digits(num, 97, [q], 12)
 
 
+CANTOR_BASES = [
+    BaseSpec.cantor((2, 3, 4), 5),
+    BaseSpec.cantor((7, 2), 3),
+    BaseSpec.cantor((10, 10, 2, 6), 4),
+]
+
+
+def _base_list(base: BaseSpec) -> list[int]:
+    return list(base.prefix) + [base.tail_value]
+
+
+def _plain_value(digits, bases, max_tail: bool) -> Fraction:
+    total, den = Fraction(0), 1
+    for k, d in enumerate(digits):
+        den *= bases[k] if k < len(bases) else bases[-1]
+        total += Fraction(d, den)
+    return total + Fraction(1, den) if max_tail else total
+
+
+class TestLongDivisionKernel:
+    """``expansion_of`` and ``value_of`` against plain long division and
+    term-by-term sums, on constant and Cantor bases."""
+
+    @pytest.mark.parametrize("base", CANTOR_BASES, ids=str)
+    def test_zeros_preference_matches_long_division(self, base):
+        rng = random.Random(17)
+        for _ in range(60):
+            den = rng.randint(1, 500)
+            num = rng.randint(0, den - 1)
+            depth = rng.randint(1, 12)
+            e = expansion_of(Fraction(num, den), base, depth)
+            assert list(e.prefix) == long_division_digits(num, den, _base_list(base), depth)
+            assert e.tail is Tail.ZEROS
+
+    @pytest.mark.parametrize("base", CANTOR_BASES, ids=str)
+    def test_max_preference_matches_long_division(self, base):
+        rng = random.Random(19)
+        bases = _base_list(base)
+        hits = 0
+        for _ in range(60):
+            # half the draws have a denominator q_1 ... q_j, so they terminate
+            den = _plain_value([0] * rng.randint(1, 8), bases, True).denominator
+            den = rng.choice([rng.randint(1, 500), den])
+            num = rng.randint(0, den - 1)
+            depth = rng.randint(1, 12)
+            digits = long_division_digits(num, den, bases, depth)
+            e = expansion_of(Fraction(num, den), base, depth, Tail.MAX)
+            exact = _plain_value(digits, bases, False) == Fraction(num, den)
+            if exact and any(digits):
+                hits += 1
+                last = max(k for k, d in enumerate(digits) if d)
+                assert e.prefix == tuple(digits[:last]) + (digits[last] - 1,)
+                assert e.tail is Tail.MAX
+            else:
+                assert list(e.prefix) == digits and e.tail is Tail.ZEROS
+        assert hits >= 10
+
+    @pytest.mark.parametrize("base", CANTOR_BASES + [BaseSpec.constant(10)], ids=str)
+    def test_zero_and_one(self, base):
+        for pref in (Tail.ZEROS, Tail.MAX):
+            zero = expansion_of(0, base, 6, pref)
+            assert zero.prefix == (0,) * 6 and zero.tail is Tail.ZEROS
+            one = expansion_of(1, base, 6, pref)
+            assert one.prefix == () and one.tail is Tail.MAX
+
+    @pytest.mark.parametrize("base", CANTOR_BASES + [BaseSpec.constant(3)], ids=str)
+    def test_terminating_exactly_at_depth(self, base):
+        rng = random.Random(23)
+        bases = _base_list(base)
+        for depth in range(1, 9):
+            digits = [rng.randrange(base.base_at(k)) for k in range(1, depth)]
+            digits.append(rng.randrange(1, base.base_at(depth)))
+            x = _plain_value(digits, bases, False)
+            assert list(expansion_of(x, base, depth).prefix) == digits
+            dual = expansion_of(x, base, depth, Tail.MAX)
+            assert dual.prefix == tuple(digits[:-1]) + (digits[-1] - 1,) and dual.tail is Tail.MAX
+            if depth > 1:
+                cut = expansion_of(x, base, depth - 1, Tail.MAX)
+                assert list(cut.prefix) == digits[:-1] and cut.tail is Tail.ZEROS
+
+    @pytest.mark.parametrize("base", CANTOR_BASES + [BaseSpec.constant(2), BaseSpec.constant(10)], ids=str)
+    def test_value_of_matches_plain_sum(self, base):
+        rng = random.Random(29)
+        bases = _base_list(base)
+        for _ in range(60):
+            digits = [rng.randrange(base.base_at(k)) for k in range(1, rng.randint(0, 12) + 1)]
+            tail = rng.choice([Tail.ZEROS, Tail.MAX])
+            e = DigitExpansion(base, tuple(digits), tail)
+            assert value_of(e) == _plain_value(digits, bases, tail is Tail.MAX)
+
+    @pytest.mark.parametrize(
+        "base, digits, message",
+        [
+            (BaseSpec.constant(2), (2,), "digit 2 at position 1 outside alphabet 0..1"),
+            (BaseSpec.constant(3), (0, 5, 7), "digit 5 at position 2 outside alphabet 0..2"),
+            (BaseSpec.constant(10), (1, -1), "digit -1 at position 2 outside alphabet 0..9"),
+            (BaseSpec.cantor((2, 3), 4), (1, 3), "digit 3 at position 2 outside alphabet 0..2"),
+            (BaseSpec.cantor((2, 3), 4), (1, 2, 3, 4, 9), "digit 4 at position 4 outside alphabet 0..3"),
+            (BaseSpec.cantor((5, 2), 3), (4, 1, -2), "digit -2 at position 3 outside alphabet 0..2"),
+        ],
+    )
+    def test_out_of_alphabet_digits_rejected(self, base, digits, message):
+        with pytest.raises(ValueError) as exc:
+            DigitExpansion(base, digits)
+        assert str(exc.value) == message
+
+
 class TestDuality:
     def test_terminating_to_max(self):
         d = dual_representation(DigitExpansion(BaseSpec.constant(10), (2, 5)))

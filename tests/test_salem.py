@@ -158,6 +158,78 @@ class TestEvaluate:
             evaluate(IDENT37, DigitExpansion(BaseSpec.constant(3), (1,)))
 
 
+def _signed_weights(rng: random.Random, q: int) -> tuple[Fraction, ...]:
+    """q weights summing to 1 whose inner entries may be zero or negative;
+    drawn until ``WeightSet`` accepts them."""
+    while True:
+        grains = [rng.randint(1, 12)] + [rng.randint(-4, 12) for _ in range(q - 2)] + [rng.randint(1, 12)]
+        if q > 2 and rng.random() < 0.4:
+            grains[rng.randrange(1, q - 1)] = 0
+        total = sum(grains)
+        if total <= 0:
+            continue
+        p = tuple(Fraction(g, total) for g in grains)
+        try:
+            WeightSet(q, p)
+        except ValueError:
+            continue
+        return p
+
+
+class TestEvaluateKernel:
+    """The integer Horner pass against the series summed term by term."""
+
+    def test_matches_brute_series_with_tails(self):
+        rng = random.Random(4093)
+        seen_negative = seen_zero = seen_shorter = seen_longer = False
+        for q in (2, 3, 4, 10):
+            for _ in range(40):
+                p = _signed_weights(rng, q)
+                seen_negative |= any(v < 0 for v in p)
+                seen_zero |= any(v == 0 for v in p)
+                w = WeightSet(q, p)
+                beta = [sum(p[:i], Fraction(0)) for i in range(q)]
+                digits = [rng.randrange(q) for _ in range(rng.randrange(0, 9))]
+                # orders shorter and longer than the digit prefix
+                size = rng.choice([0, 3, len(digits) + rng.randrange(1, 6)])
+                order = list(range(1, size + 1))
+                rng.shuffle(order)
+                seq = IndexSequence(tuple(order))
+                seen_shorter |= 0 < size < len(digits)
+                seen_longer |= size > len(digits)
+                tail = rng.choice([Tail.ZEROS, Tail.MAX])
+                tail_digit = q - 1 if tail is Tail.MAX else 0
+
+                def digit_at(t):
+                    return digits[t - 1] if t <= len(digits) else tail_digit
+
+                def order_at(k):
+                    return order[k - 1] if k <= len(order) else k
+
+                terms = max(size, len(digits))
+                expected = salem_series_brute(beta, p, digit_at, order_at, terms)
+                if tail is Tail.MAX:
+                    prod = Fraction(1)
+                    for k in range(1, terms + 1):
+                        prod *= p[digit_at(order_at(k))]
+                    expected += prod
+                e = DigitExpansion(BaseSpec.constant(q), tuple(digits), tail)
+                assert evaluate(SalemFunction(w, seq), e) == expected
+        assert seen_negative and seen_zero and seen_shorter and seen_longer
+
+    def test_integer_weights_over_common_denominator(self):
+        w = WeightSet(3, (Fraction(1, 2), Fraction(-1, 6), Fraction(2, 3)))
+        assert w.den == 6
+        assert w.p_num == (3, -1, 4)
+        assert w.beta_num == (0, 3, 2)
+
+    def test_trailing_zero_digits_do_not_change_the_value(self):
+        f = SalemFunction(W37, EXAMPLE_ORDER)
+        short = DigitExpansion(B2, (1, 0, 1))
+        padded = DigitExpansion(B2, (1, 0, 1) + (0,) * 30)
+        assert evaluate(f, short) == evaluate(f, padded)
+
+
 class TestRationalExpansion:
     # perm(20 2 .. 19 1) is longer than the 18 digits series_depth asks for.
     LONG = SalemFunction(
