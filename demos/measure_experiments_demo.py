@@ -34,8 +34,10 @@ print("\nmeasure of {z : sigma^2(z) < sigma(z)} =", comparison_measure(a, b))
 mc = monte_carlo_measure(SetFamilySpec.compare_iter(2, 2, 1), 0, 200_000, seed=1)
 print(f"Monte Carlo cross-check: {mc.estimate:.4f} +- {mc.halfwidth:.4f} (99%)")
 
-# The scan produces the CSV table the CLI writes; exact rows where the
-# branch budget allows, seeded sampling beyond it.
+# The scan produces the CSV table the CLI writes.  Each row is exact when
+# the map's q^n branches fit the branch budget and n is within the iterate
+# limit (8 by default), both decided before any map is built; beyond that
+# the row is a seeded Monte Carlo estimate.
 specs = [SetFamilySpec.iter_shift(2, n) for n in range(1, 10)]
 rows = gk_scan(specs, [Fraction(1, 3)], samples=100_000, seed=7, log=print)
 print()

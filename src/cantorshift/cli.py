@@ -9,6 +9,7 @@ deterministic for fixed inputs and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -116,26 +117,19 @@ def _parse_int_list(text: str) -> list[int]:
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
-_CONFIG_KEYS = {
-    "family",
-    "q",
-    "n",
-    "indices",
-    "count",
-    "psi",
-    "phi",
-    "a",
-    "b",
-    "x",
-    "samples",
-    "seed",
-    "budget",
-    "iter_limit",
-    "fallback",
-    "out",
-    "threshold_point",
-    "threshold_iter",
+_SHARED_KEYS = {"family", "q", "samples", "seed", "budget", "iter_limit", "fallback", "out"}
+# The keys each family reads besides the shared ones.  A key the chosen
+# family never reads is an error rather than silently ignored.
+_THRESHOLD_KEYS = {"x", "threshold_point", "threshold_iter"}
+_FAMILY_KEYS = {
+    "itershift": {"n"} | _THRESHOLD_KEYS,
+    "genchain": {"indices", "psi", "count"} | _THRESHOLD_KEYS,
+    "schedulechain": {"indices", "psi", "count"} | _THRESHOLD_KEYS,
+    "compareiter": {"a", "b", "psi", "phi"},
 }
+_CONFIG_KEYS = _SHARED_KEYS.union(*_FAMILY_KEYS.values())
+# key groups that one config may not mix
+_EXCLUSIVE = ((("x",), ("threshold_point",)), (("indices",), ("psi",)), (("a", "b"), ("psi", "phi")))
 
 
 def parse_config(text: str) -> dict:
@@ -154,8 +148,19 @@ def parse_config(text: str) -> dict:
         raw[key] = value.strip()
     if "family" not in raw or "q" not in raw:
         raise ValueError("config needs at least family= and q=")
+    family = raw["family"].lower()
+    if family not in _FAMILY_KEYS:
+        raise ValueError(f"unknown family {family!r}")
+    unread = sorted(raw.keys() - _SHARED_KEYS - _FAMILY_KEYS[family])
+    if unread:
+        raise ValueError(f"{family} does not read {', '.join(unread)}")
+    for left, right in _EXCLUSIVE:
+        if raw.keys() & left and raw.keys() & right:
+            raise ValueError(f"set either {'/'.join(left)} or {'/'.join(right)}, not both")
+    if "threshold_iter" in raw and "threshold_point" not in raw:
+        raise ValueError("threshold_iter needs threshold_point")
     cfg: dict = {
-        "family": raw["family"].lower(),
+        "family": family,
         "q": int(raw["q"]),
         "samples": int(raw.get("samples", "100000")),
         "seed": int(raw.get("seed", "0")),
@@ -172,8 +177,6 @@ def parse_config(text: str) -> dict:
         raise ValueError("iter_limit must be >= 1")
     if cfg["fallback"] and cfg["samples"] < 1:
         raise ValueError("samples must be >= 1 when fallback is on")
-    if "x" in raw and "threshold_point" in raw:
-        raise ValueError("set either x or threshold_point, not both")
     if "x" in raw:
         cfg["x"] = [parse_rational(tok) for tok in raw["x"].split(",") if tok.strip()]
         if not all(0 <= x <= 1 for x in cfg["x"]):
@@ -214,16 +217,15 @@ def _build_specs(cfg: dict) -> list[me.SetFamilySpec]:
             else lambda q_, idx: me.SetFamilySpec.schedule_chain(q_, table, len(idx))
         )
         return [maker(q, tuple(table[:c])) for c in counts]
-    if family == "compareiter":
-        if "psi" in cfg and "phi" in cfg:
-            psi, phi = cfg["psi"], cfg["phi"]
-            if len(psi) != len(phi):
-                raise ValueError("psi and phi tables must have equal length")
-            return [me.SetFamilySpec.compare_iter(q, a, b) for a, b in zip(psi, phi)]
-        if "a" in cfg and "b" in cfg:
-            return [me.SetFamilySpec.compare_iter(q, cfg["a"], cfg["b"])]
-        raise ValueError("compareiter needs a= and b= (or psi= and phi= tables)")
-    raise ValueError(f"unknown family {family!r}")
+    # compareiter, the one family left after parse_config
+    if "psi" in cfg and "phi" in cfg:
+        psi, phi = cfg["psi"], cfg["phi"]
+        if len(psi) != len(phi):
+            raise ValueError("psi and phi tables must have equal length")
+        return [me.SetFamilySpec.compare_iter(q, a, b) for a, b in zip(psi, phi)]
+    if "a" in cfg and "b" in cfg:
+        return [me.SetFamilySpec.compare_iter(q, cfg["a"], cfg["b"])]
+    raise ValueError("compareiter needs a= and b= (or psi= and phi= tables)")
 
 
 def _threshold_grid(cfg: dict) -> list[Fraction]:
@@ -277,6 +279,7 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cantorshift",
@@ -310,8 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

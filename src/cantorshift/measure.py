@@ -14,8 +14,13 @@ for the affine difference A - B on a common refinement.  ``sublevel_set``
 returns the pieces as an interval union; it is the set form of the same
 computation and the reference the kernel is tested against.  A seeded
 digit-sampling Monte Carlo estimator provides an independent stochastic
-cross-check, with a branch budget deciding when the exact path gives way to
-it.
+cross-check.
+
+A composition that deletes original digit positions up to M is affine on
+every rank-M cylinder, so its exact map has q^M branches.  The builders
+check that count against the branch budget before they build anything, and
+``gk_scan`` decides once per set, from the same count and its iterate limit,
+whether the set's rows are exact or sampled.
 
 All interval endpoints are rationals; intervals are half-open [a, b), so
 single boundary points (the dual representations of the same number) never
@@ -170,14 +175,16 @@ class PiecewiseLinearMap:
         br = self.branches[bisect_right(self._los, z) - 1]
         return br.slope * z + br.intercept
 
-    def compose(self, then: "PiecewiseLinearMap", budget: int = DEFAULT_BRANCH_BUDGET) -> "PiecewiseLinearMap":
+    def compose(self, then: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
         """The map z -> then(self(z)).
 
         Supported for nonnegative slopes (shift compositions always have
         positive slopes; constant branches arise only from thresholds).
         Each source branch is paired only with the target branches that its
         image [s*lo + c, s*hi + c) meets, found by bisection, so the cost
-        scales with the number of output branches.
+        scales with the number of output branches.  Callers that build shift
+        compositions check the branch count against their budget before they
+        compose (see ``plm_generalized_chain``).
         """
         out: list[Branch] = []
         targets, target_los = then.branches, then._los
@@ -202,10 +209,6 @@ class PiecewiseLinearMap:
                             nxt.slope * br.intercept + nxt.intercept,
                         )
                     )
-            if len(out) > budget:
-                raise BudgetExceededError(
-                    f"composition exceeds branch budget {budget}"
-                )
         return PiecewiseLinearMap(out)
 
     def subtract(self, other: "PiecewiseLinearMap") -> "PiecewiseLinearMap":
@@ -239,19 +242,12 @@ def plm_constant(c) -> PiecewiseLinearMap:
     return PiecewiseLinearMap([Branch(Fraction(0), Fraction(1), Fraction(0), Fraction(c))])
 
 
-def plm_iter_shift(
-    q: int,
-    n: int,
-    limit: int = DEFAULT_ITER_LIMIT,
-    budget: int = DEFAULT_BRANCH_BUDGET,
-) -> PiecewiseLinearMap:
+def plm_iter_shift(q: int, n: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
     """The n-fold digit drop: z -> q^n z - j on the j-th rank-n cylinder."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > limit:
-        raise BudgetExceededError(f"iterate count {n} over limit {limit}")
     count = q**n
     if count > budget:
         raise BudgetExceededError(f"{count} branches exceed budget {budget}")
@@ -289,10 +285,20 @@ def plm_generalized_chain(
     indices: Sequence[int],
     budget: int = DEFAULT_BRANCH_BUDGET,
 ) -> PiecewiseLinearMap:
-    """Sequential digit deletions at ``indices`` (first entry applied first)."""
+    """Sequential digit deletions at ``indices`` (first entry applied first).
+
+    The result has q^M branches, M the largest original position the chain
+    deletes; that count is checked against the budget before anything is
+    built, and every intermediate map and single deletion is no larger.
+    """
     current = plm_identity()
+    if not indices:
+        return current
+    count = q ** max(SetFamilySpec.gen_chain(q, indices).deleted_positions())
+    if count > budget:
+        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
     for m in indices:
-        current = current.compose(plm_single_deletion(q, m, budget), budget)
+        current = current.compose(plm_single_deletion(q, m, budget))
     return current
 
 
@@ -440,17 +446,21 @@ class SetFamilySpec:
             return f"{self.a}:{self.b}"
         return str(len(self.indices))
 
-    def deleted_positions(self, horizon: int) -> list[int]:
-        """Original digit positions removed by the composition, within horizon."""
+    def deleted_positions(self) -> list[int]:
+        """Original digit positions the composition deletes, in increasing order.
+
+        The n-fold drop deletes 1..n and a comparison the positions of its
+        deeper iterate, 1..max(a, b); a chain deletes one surviving position
+        per index.  With M the largest of them, the exact map is affine on
+        every rank-M cylinder and has q^M branches.
+        """
         if self.kind is FamilyKind.ITER_SHIFT:
             return list(range(1, self.n + 1))
-        remaining = list(range(1, horizon + 1))
-        deleted = []
-        for j in self.indices:
-            if j > len(remaining):
-                raise ValueError("horizon too small for the chain")
-            deleted.append(remaining.pop(j - 1))
-        return sorted(deleted)
+        if self.kind is FamilyKind.COMPARE_ITER:
+            return list(range(1, max(self.a, self.b) + 1))
+        # each earlier deletion moves an index at most one position further
+        remaining = list(range(1, max(self.indices) + len(self.indices)))
+        return sorted(remaining.pop(j - 1) for j in self.indices)
 
 
 @dataclass(frozen=True)
@@ -471,45 +481,6 @@ def _halfwidth(hits: int, samples: int) -> float:
     return _Z99 * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples)
 
 
-def _mc_block_threshold(
-    q: int,
-    x: Fraction,
-    samples: int,
-    rng: random.Random,
-    draw_block: Callable[[random.Random], int],
-    block_len: int,
-    cap: int = 128,
-) -> tuple[int, int]:
-    """Count samples with composition value < x, refining digits on demand.
-
-    ``draw_block`` returns the integer formed by the first ``block_len``
-    digits of the composed value; the value then lies in
-    [block, block + 1) / q^block_len and one extra digit per round shrinks
-    the bracket until the comparison decides or the depth cap marks the
-    sample indeterminate.
-    """
-    xn, xd = x.numerator, x.denominator
-    hits = indet = 0
-    q_block = q**block_len
-    for _ in range(samples):
-        block = draw_block(rng)
-        scale = q_block
-        depth = block_len
-        while True:
-            if (block + 1) * xd <= xn * scale:
-                hits += 1
-                break
-            if block * xd >= xn * scale:
-                break
-            if depth >= cap:
-                indet += 1
-                break
-            block = block * q + rng.randrange(q)
-            scale *= q
-            depth += 1
-    return hits, indet
-
-
 def monte_carlo_measure(
     spec: SetFamilySpec,
     x,
@@ -519,10 +490,14 @@ def monte_carlo_measure(
 ) -> MonteCarloResult:
     """Seeded uniform digit-sampling estimate of the set's measure.
 
-    Digits of z are drawn uniformly; the composed value is bracketed from the
-    surviving digits and compared against the threshold exactly, drawing more
-    digits only when the bracket straddles it.  Deterministic for a fixed
-    seed.  Undecidable samples past the depth cap are counted separately.
+    Digits of z are drawn uniformly.  For a threshold family one draw
+    u = randrange(q^top) holds the digits at positions 1..top, where top is
+    the last deleted position plus ``guard``.  The surviving digits are read
+    from u as whole runs between the deleted positions; the integer they form
+    brackets the composed value, which is compared against the threshold
+    exactly, one more digit per round, until the comparison decides or the
+    depth cap marks the sample indeterminate.  Deterministic for a fixed
+    seed; indeterminate samples are counted separately.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -550,33 +525,42 @@ def monte_carlo_measure(
         return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
     x = Fraction(x)
-    if spec.kind is FamilyKind.ITER_SHIFT:
-        span = q ** (spec.n + guard)
-        q_guard = q**guard
-        block_len = guard
-
-        def draw_block(r: random.Random) -> int:
-            return r.randrange(span) % q_guard
-
-    else:
-        sim_horizon = max(spec.indices) + len(spec.indices) + guard
-        deleted = set(spec.deleted_positions(sim_horizon))
-        # the initial block must reach past the last deletion so that every
-        # later refinement digit belongs to a surviving position
-        top = max(deleted) + guard
-        kept = [pos for pos in range(1, top + 1) if pos not in deleted]
-        block_len = len(kept)
-        powers = [q ** (top - pos) for pos in kept]
-        span = q**top
-
-        def draw_block(r: random.Random) -> int:
-            u = r.randrange(span)
-            block = 0
-            for power in powers:
-                block = block * q + (u // power) % q
-            return block
-
-    hits, indet = _mc_block_threshold(q, x, samples, rng, draw_block, block_len)
+    xn, xd = x.numerator, x.denominator
+    deleted = spec.deleted_positions()
+    # the draw reaches past the last deletion so that every later
+    # refinement digit belongs to a surviving position
+    top = deleted[-1] + guard
+    span, q_tail = q**top, q**guard
+    runs = []  # (q^(top - last position), q^length) of each run before the tail
+    start = 1
+    for pos in deleted:
+        if pos > start:
+            runs.append((q ** (top - pos + 1), q ** (pos - start)))
+        start = pos + 1
+    block_len = top - len(deleted)
+    q_block, cap = q**block_len, 128
+    hits = indet = 0
+    for _ in range(samples):
+        u = rng.randrange(span)
+        block = 0
+        for div, size in runs:
+            block = block * size + (u // div) % size
+        block = block * q_tail + u % q_tail
+        # the composed value lies in [block, block + 1) / scale
+        scale = q_block
+        depth = block_len
+        while True:
+            if (block + 1) * xd <= xn * scale:
+                hits += 1
+                break
+            if block * xd >= xn * scale:
+                break
+            if depth >= cap:
+                indet += 1
+                break
+            block = block * q + rng.randrange(q)
+            scale *= q
+            depth += 1
     return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
 
@@ -595,10 +579,25 @@ class ScanRow:
     indeterminate: int = 0
 
 
-def _exact_map(spec: SetFamilySpec, budget: int, iter_limit: int) -> PiecewiseLinearMap:
-    if spec.kind is FamilyKind.ITER_SHIFT:
-        return plm_iter_shift(spec.q, spec.n, limit=iter_limit, budget=budget)
-    return plm_generalized_chain(spec.q, spec.indices, budget=budget)
+def _exact_refusal(spec: SetFamilySpec, budget: int, iter_limit: int) -> Optional[str]:
+    """Why the set's rows cannot be exact, or None when they can.
+
+    A map that deletes original positions up to M has q^M branches, so this
+    is decided before any map is built.  The exact path builds one map per
+    side of a comparison and one map otherwise; the maps are checked in
+    that order, and iterates are also held to ``iter_limit``.
+    """
+    if spec.kind is FamilyKind.COMPARE_ITER:
+        tops = (spec.a, spec.b)
+    else:
+        tops = (max(spec.deleted_positions()),)
+    iterate = spec.kind in (FamilyKind.ITER_SHIFT, FamilyKind.COMPARE_ITER)
+    for top in tops:
+        if iterate and top > iter_limit:
+            return f"iterate count {top} over limit {iter_limit}"
+        if spec.q**top > budget:
+            return f"{spec.q**top} branches exceed budget {budget}"
+    return None
 
 
 def gk_scan(
@@ -613,59 +612,52 @@ def gk_scan(
 ) -> list[ScanRow]:
     """Measure table over a family of shift-composition sets.
 
-    Each spec is computed exactly when its branch count fits the budget and
-    otherwise falls back to Monte Carlo (per-row derived seeds keep the
-    output deterministic).  Threshold families emit one row per grid value;
-    comparison families emit a single row with empty threshold columns.
-    No limits are extrapolated: rows report finite compositions only.
+    Each set is decided once, before any map is built: its rows are exact
+    when q^M fits the budget, M being the largest original position it
+    deletes, and, for itershift and compareiter, M is at most
+    ``iter_limit``.  Otherwise the rows fall back to Monte Carlo, with
+    per-row seeds ``seed + counter`` that keep the output deterministic, or
+    BudgetExceededError is raised when fallback is off.  Threshold families
+    emit one row per grid value; comparison families emit a single row with
+    empty threshold columns.  No limits are extrapolated: rows report finite
+    compositions only.
     """
     rows: list[ScanRow] = []
     counter = 0
-
-    def mc_row(spec: SetFamilySpec, x: Optional[Fraction], row_seed: int) -> ScanRow:
-        threshold = Fraction(0) if x is None else x
-        mc = monte_carlo_measure(spec, threshold, samples, row_seed)
-        return ScanRow(
-            spec.kind.value,
-            spec.param,
-            x,
-            Fraction(mc.hits, mc.samples),
-            "mc",
-            mc.samples,
-            mc.halfwidth,
-            mc.indeterminate,
-        )
-
     for spec in specs:
-        family = spec.kind.value
-        if spec.kind is FamilyKind.COMPARE_ITER:
-            counter += 1
-            try:
-                a_map = plm_iter_shift(spec.q, spec.a, limit=iter_limit, budget=budget)
-                b_map = plm_iter_shift(spec.q, spec.b, limit=iter_limit, budget=budget)
-                value = comparison_measure(a_map, b_map)
-                rows.append(ScanRow(family, spec.param, None, value, "exact"))
-            except BudgetExceededError:
-                if not allow_fallback:
-                    raise
-                if log:
-                    log(f"{family} {spec.param}: budget exceeded, Monte Carlo fallback")
-                rows.append(mc_row(spec, None, seed + counter))
-            continue
-        try:
-            plm = _exact_map(spec, budget, iter_limit)
-        except BudgetExceededError:
+        family, q = spec.kind.value, spec.q
+        refusal = _exact_refusal(spec, budget, iter_limit)
+        if refusal is not None:
             if not allow_fallback:
-                raise
+                raise BudgetExceededError(refusal)
             if log:
                 log(f"{family} {spec.param}: budget exceeded, Monte Carlo fallback")
-            plm = None
-        for x in x_grid:
+        elif spec.kind is FamilyKind.COMPARE_ITER:
+            value = comparison_measure(plm_iter_shift(q, spec.a, budget), plm_iter_shift(q, spec.b, budget))
+        elif spec.kind is FamilyKind.ITER_SHIFT:
+            plm = plm_iter_shift(q, spec.n, budget)
+        else:
+            plm = plm_generalized_chain(q, spec.indices, budget)
+        grid = [None] if spec.kind is FamilyKind.COMPARE_ITER else [Fraction(x) for x in x_grid]
+        for x in grid:
             counter += 1
-            if plm is not None:
-                rows.append(ScanRow(family, spec.param, Fraction(x), sublevel_measure(plm, x), "exact"))
-            else:
-                rows.append(mc_row(spec, Fraction(x), seed + counter))
+            if refusal is None:
+                measure = value if x is None else sublevel_measure(plm, x)
+                rows.append(ScanRow(family, spec.param, x, measure, "exact"))
+                continue
+            mc = monte_carlo_measure(spec, Fraction(0) if x is None else x, samples, seed + counter)
+            rows.append(
+                ScanRow(
+                    family,
+                    spec.param,
+                    x,
+                    Fraction(mc.hits, mc.samples),
+                    "mc",
+                    mc.samples,
+                    mc.halfwidth,
+                    mc.indeterminate,
+                )
+            )
     return rows
 
 

@@ -214,6 +214,56 @@ def chain_all_pairs(q: int, indices, budget: int):
     return current
 
 
+def chain_deleted_positions(indices) -> list[int]:
+    """Original positions a chain of single deletions removes, sorted.
+
+    Each index is mapped back through the earlier deletions, latest first:
+    a position at or past an earlier deleted one moves one place right.
+    """
+    out = []
+    for k, j in enumerate(indices):
+        pos = j
+        for earlier in reversed(indices[:k]):
+            if pos >= earlier:
+                pos += 1
+        out.append(pos)
+    return sorted(out)
+
+
+def threshold_mc_counts(q: int, deleted, x: Fraction, samples: int, seed: int, guard: int = 16, cap: int = 128):
+    """(hits, indeterminate) of ``monte_carlo_measure`` on a threshold
+    family that deletes ``deleted``, read digit by digit.
+
+    One draw u = randrange(q^top), top = max(deleted) + guard, holds the
+    digits of positions 1..top; the surviving ones are read one digit at a
+    time, then one fresh digit per round refines the bracket until it
+    decides against x or the depth reaches ``cap``.
+    """
+    rng = random.Random(seed)
+    top = max(deleted) + guard
+    kept = [pos for pos in range(1, top + 1) if pos not in set(deleted)]
+    hits = indet = 0
+    for _ in range(samples):
+        u = rng.randrange(q**top)
+        block = 0
+        for pos in kept:
+            block = block * q + (u // q ** (top - pos)) % q
+        scale, depth = q ** len(kept), len(kept)
+        while True:
+            if Fraction(block + 1, scale) <= x:
+                hits += 1
+                break
+            if Fraction(block, scale) >= x:
+                break
+            if depth >= cap:
+                indet += 1
+                break
+            block = block * q + rng.randrange(q)
+            scale *= q
+            depth += 1
+    return hits, indet
+
+
 def subtract_on_refinement(a, b):
     """a - b on the sorted union of both maps' breakpoints, each piece's
     branches found by a search over the whole map."""

@@ -256,6 +256,30 @@ class TestMeasureInputs:
             "family = itershift\nq = 2\nn = 1..2\nx = 1/3\nthreshold_point = q2:[1]:zeros\n",
         )
 
+    @pytest.mark.parametrize(
+        "family_lines",
+        [
+            "family = compareiter\na = 2\nb = 1\nx = 1/3\n",
+            "family = compareiter\na = 2\nb = 1\nthreshold_point = q2:[1]:zeros\n",
+            "family = compareiter\na = 2\nb = 1\npsi = 3\nphi = 1\n",
+            "family = itershift\nn = 1..2\nx = 1/3\nthreshold_iter = 3\n",
+            "family = itershift\nn = 1..2\nx = 1/3\ncount = 5\n",
+            "family = itershift\nn = 1..2\nx = 1/3\nindices = 1,2\n",
+            "family = genchain\nindices = 2,2\npsi = 3,1\nx = 1/3\n",
+        ],
+        ids=[
+            "compareiter-x",
+            "compareiter-threshold_point",
+            "compareiter-ab-and-tables",
+            "threshold_iter-without-point",
+            "itershift-count",
+            "itershift-indices",
+            "genchain-indices-and-psi",
+        ],
+    )
+    def test_key_the_family_does_not_read(self, tmp_path, capsys, family_lines):
+        _measure_usage_error(tmp_path, capsys, family_lines + "q = 2\n")
+
 
 class TestMainEntry:
     def test_in_process_eval(self, capsys):

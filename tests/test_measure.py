@@ -26,7 +26,9 @@ from cantorshift import (
     sublevel_set,
     value_of,
 )
+from cantorshift import measure
 from cantorshift.measure import plm_constant
+from oracles import chain_deleted_positions, threshold_mc_counts
 
 THIRDS = (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5))
 
@@ -88,9 +90,7 @@ class TestPiecewiseMaps:
 
     def test_iterate_limit_guard(self):
         with pytest.raises(BudgetExceededError):
-            plm_iter_shift(2, 9)
-        with pytest.raises(BudgetExceededError):
-            plm_iter_shift(10, 8, limit=8, budget=10**6)
+            plm_iter_shift(10, 8)
 
     def test_single_deletion_matches_digit_operator(self):
         rng = random.Random(11)
@@ -223,6 +223,28 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_measure(SetFamilySpec.iter_shift(2, 1), Fraction(1, 2), 0, seed=0)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SetFamilySpec.iter_shift(2, 1),
+            SetFamilySpec.iter_shift(3, 9),
+            SetFamilySpec.gen_chain(2, (1, 4, 2)),
+            SetFamilySpec.gen_chain(2, (7, 7)),
+            SetFamilySpec.gen_chain(2, (20,)),
+            SetFamilySpec.gen_chain(3, (3, 4, 1)),
+            SetFamilySpec.gen_chain(4, (2, 2, 5)),
+            SetFamilySpec.schedule_chain(2, (5, 6, 4), 3),
+            SetFamilySpec.schedule_chain(2, (3, 1, 5, 2, 6), 5),
+        ],
+        ids=lambda spec: f"{spec.kind.value}-q{spec.q}-{spec.n or '.'.join(map(str, spec.indices))}",
+    )
+    def test_matches_digit_by_digit_reference(self, spec):
+        deleted = chain_deleted_positions(spec.indices) if spec.indices else range(1, spec.n + 1)
+        for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
+            for seed in (4, 19):
+                mc = monte_carlo_measure(spec, x, 600, seed)
+                assert (mc.hits, mc.indeterminate) == threshold_mc_counts(spec.q, deleted, x, 600, seed)
+
 
 class TestScan:
     def test_iter_shift_columns(self):
@@ -253,6 +275,18 @@ class TestScan:
         assert rows[0].method == "mc" and rows[0].samples == 20000
         assert abs(float(rows[0].measure) - 1 / 3) < 0.02
         assert messages
+
+    def test_refused_sets_build_no_map(self, monkeypatch):
+        def build(*_args, **_kwargs):
+            raise AssertionError("a map was built for a refused set")
+
+        monkeypatch.setattr(measure, "plm_iter_shift", build)
+        monkeypatch.setattr(measure, "plm_generalized_chain", build)
+        # 2^9 fits the budget, so the iterates are refused by the iterate
+        # limit alone; the chain deletes up to position 10
+        specs = [SetFamilySpec.iter_shift(2, 9), SetFamilySpec.gen_chain(2, (9, 9)), SetFamilySpec.compare_iter(2, 9, 3)]
+        rows = gk_scan(specs, [Fraction(1, 3)], budget=600, samples=200, seed=1)
+        assert [row.method for row in rows] == ["mc"] * 3
 
     def test_no_fallback_raises(self):
         with pytest.raises(BudgetExceededError):

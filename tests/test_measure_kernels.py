@@ -1,7 +1,8 @@
 """The bisecting compose and the integer sublevel kernel against their oracles.
 
-``compose`` must give the same branch tuple as the all-pairs construction
-and trip the branch budget at the same budgets; ``sublevel_measure`` and
+``compose`` must give the same branch tuple as the all-pairs construction,
+a chain must have q^M branches (M its largest deleted position) and trip the
+branch budget where the all-pairs chain does; ``sublevel_measure`` and
 ``comparison_measure`` must equal the measure of the interval set that
 ``sublevel_set`` builds.
 """
@@ -13,6 +14,7 @@ import pytest
 
 from cantorshift import (
     BudgetExceededError,
+    SetFamilySpec,
     comparison_measure,
     plm_generalized_chain,
     plm_identity,
@@ -21,11 +23,12 @@ from cantorshift import (
     sublevel_measure,
     sublevel_set,
 )
+from cantorshift import measure
 from cantorshift.measure import _sublevel_kernel, plm_constant
-from oracles import chain_all_pairs, compose_all_pairs, subtract_on_refinement
+from oracles import chain_all_pairs, chain_deleted_positions, compose_all_pairs, subtract_on_refinement
 
 # largest deletion index per base, keeping the all-pairs oracle cheap
-TOP_INDEX = {2: 6, 3: 4}
+TOP_INDEX = {2: 6, 3: 4, 4: 3}
 
 
 def random_chain(rng, q):
@@ -108,13 +111,42 @@ class TestCompose:
             for budget in budgets:
                 try:
                     expected = chain_all_pairs(q, indices, budget).branches
-                except BudgetExceededError as exc:
-                    expected = str(exc)
+                except BudgetExceededError:
+                    expected = None
                 try:
                     got = plm_generalized_chain(q, indices, budget=budget).branches
-                except BudgetExceededError as exc:
-                    got = str(exc)
+                except BudgetExceededError:
+                    got = None
                 assert got == expected, (indices, budget)
+
+
+class TestBranchCount:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_chain_has_q_to_the_largest_deleted_position(self, q):
+        rng = random.Random(700 + q)
+        for _ in range(8):
+            indices = random_chain(rng, q) + random_chain(rng, q)[:1]
+            for k in range(1, len(indices) + 1):
+                prefix = indices[:k]
+                deleted = SetFamilySpec.gen_chain(q, prefix).deleted_positions()
+                assert deleted == chain_deleted_positions(prefix)
+                assert len(plm_generalized_chain(q, prefix)) == q ** max(deleted)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (2, 1), (1, 3), (4, 2)])
+    def test_comparison_has_q_to_the_deeper_iterate(self, a, b):
+        for q in (2, 3):
+            deleted = SetFamilySpec.compare_iter(q, a, b).deleted_positions()
+            assert deleted == list(range(1, max(a, b) + 1))
+            assert len(plm_iter_shift(q, a).subtract(plm_iter_shift(q, b))) == q ** max(deleted)
+
+    def test_chain_budget_is_checked_before_building(self, monkeypatch):
+        def build(*_args, **_kwargs):
+            raise AssertionError("built before the budget check")
+
+        monkeypatch.setattr(measure, "plm_single_deletion", build)
+        monkeypatch.setattr(measure.PiecewiseLinearMap, "compose", build)
+        with pytest.raises(BudgetExceededError):
+            plm_generalized_chain(2, (7, 7), budget=150)
 
 
 class TestSubtract:
