@@ -1,11 +1,13 @@
 """Exact Lebesgue measures for sublevel sets of shift compositions.
 
-Iterated and generalized shifts over a constant base q are affine with
-positive slope on each cylinder, so any finite composition is a piecewise
-linear map with exact rational branches.  Composing two maps pairs each
-source branch only with the target branches its image meets, found by
-bisection, so the cost of ``compose`` scales with the number of output
-branches rather than with the product of the two branch counts.
+Iterated and generalized shifts over a constant base q delete digit
+positions, so any finite composition of them deletes a set D of original
+positions.  With M = max D and L = |D| it is affine on each rank-M cylinder:
+on the j-th it is z -> q^L z + (s_j - j) / q^(M-L), where s_j is the integer
+formed by the digits of j that survive.  The builders emit these q^M exact
+rational branches in one pass from D.  ``compose`` is a general map
+operation that the builders do not use; it pairs each source branch only
+with the target branches its image meets, found by bisection.
 
 The set {z : map(z) < x} is a disjoint union of one piece per branch, so its
 measure is the sum of the piece lengths; ``sublevel_measure`` adds them up
@@ -16,11 +18,9 @@ computation and the reference the kernel is tested against.  A seeded
 digit-sampling Monte Carlo estimator provides an independent stochastic
 cross-check.
 
-A composition that deletes original digit positions up to M is affine on
-every rank-M cylinder, so its exact map has q^M branches.  The builders
-check that count against the branch budget before they build anything, and
-``gk_scan`` decides once per set, from the same count and its iterate limit,
-whether the set's rows are exact or sampled.
+The builders check the branch count q^M against the budget before they
+build anything, and ``gk_scan`` decides once per set, from the same count and
+its iterate limit, whether the set's rows are exact or sampled.
 
 All interval endpoints are rationals; intervals are half-open [a, b), so
 single boundary points (the dual representations of the same number) never
@@ -182,9 +182,7 @@ class PiecewiseLinearMap:
         positive slopes; constant branches arise only from thresholds).
         Each source branch is paired only with the target branches that its
         image [s*lo + c, s*hi + c) meets, found by bisection, so the cost
-        scales with the number of output branches.  Callers that build shift
-        compositions check the branch count against their budget before they
-        compose (see ``plm_generalized_chain``).
+        scales with the number of output branches.
         """
         out: list[Branch] = []
         targets, target_los = then.branches, then._los
@@ -229,11 +227,6 @@ class PiecewiseLinearMap:
                 b = next(theirs)
 
 
-def _cylinder_edges(count: int) -> list[Fraction]:
-    """The rank edges j / count for j = 0..count, shared by adjacent branches."""
-    return [Fraction(j, count) for j in range(count + 1)]
-
-
 def plm_identity() -> PiecewiseLinearMap:
     return PiecewiseLinearMap([Branch(Fraction(0), Fraction(1), Fraction(1), Fraction(0))])
 
@@ -242,42 +235,60 @@ def plm_constant(c) -> PiecewiseLinearMap:
     return PiecewiseLinearMap([Branch(Fraction(0), Fraction(1), Fraction(0), Fraction(c))])
 
 
+def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int, int]]:
+    """(q^(top - last position), q^length) of each run of surviving positions
+    before the last deleted one: with u holding the digits of 1..top, folding
+    ``block * size + (u // div) % size`` over the runs gives the integer they form."""
+    runs = []
+    start = 1
+    for pos in deleted:
+        if pos > start:
+            runs.append((q ** (top - pos + 1), q ** (pos - start)))
+        start = pos + 1
+    return runs
+
+
+def _plm_deleting(q: int, deleted: Sequence[int], budget: int) -> PiecewiseLinearMap:
+    """The map deleting the sorted original positions D = ``deleted``, in one pass:
+    z -> q^L z + (s_j - j) / q^(M-L) on the j-th rank-M cylinder; see the module docstring."""
+    top = deleted[-1]
+    count = q**top
+    if count > budget:
+        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
+    runs = _surviving_runs(q, deleted, top)
+    slope = Fraction(q ** len(deleted))
+    scale = q ** (top - len(deleted))
+    out, lo = [], Fraction(0)
+    for j in range(count):
+        kept = 0
+        for div, size in runs:
+            kept = kept * size + (j // div) % size
+        hi = Fraction(j + 1, count)
+        out.append(Branch(lo, hi, slope, Fraction(kept - j, scale)))
+        lo = hi
+    return PiecewiseLinearMap(out)
+
+
 def plm_iter_shift(q: int, n: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
-    """The n-fold digit drop: z -> q^n z - j on the j-th rank-n cylinder."""
+    """The n-fold digit drop (deletion of 1..n): z -> q^n z - j on the j-th rank-n cylinder."""
     if q < 2:
         raise ValueError("q must be >= 2")
     if n < 1:
         raise ValueError("n must be >= 1")
-    count = q**n
-    if count > budget:
-        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
-    edges = _cylinder_edges(count)
-    slope = Fraction(count)
-    return PiecewiseLinearMap([Branch(edges[j], edges[j + 1], slope, Fraction(-j)) for j in range(count)])
+    return _plm_deleting(q, range(1, n + 1), budget)
 
 
 def plm_single_deletion(q: int, m: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
     """Deletion of digit position m as a map: affine on each rank-m cylinder.
 
-    On the cylinder with digits c_1..c_m the map is
+    It is the deletion of {m}; on the cylinder with digits c_1..c_m it is
     z -> q z - (q - 1) * (c_1/q + .. + c_{m-1}/q^{m-1}) - c_m / q^{m-1}.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
     if m < 1:
         raise ValueError("m must be >= 1")
-    count = q**m
-    if count > budget:
-        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
-    edges = _cylinder_edges(count)
-    slope = Fraction(q)
-    qm1 = q ** (m - 1)
-    out = []
-    for j in range(count):
-        head, c_m = divmod(j, q)
-        intercept = Fraction(-((q - 1) * head + c_m), qm1)
-        out.append(Branch(edges[j], edges[j + 1], slope, intercept))
-    return PiecewiseLinearMap(out)
+    return _plm_deleting(q, [m], budget)
 
 
 def plm_generalized_chain(
@@ -287,19 +298,13 @@ def plm_generalized_chain(
 ) -> PiecewiseLinearMap:
     """Sequential digit deletions at ``indices`` (first entry applied first).
 
-    The result has q^M branches, M the largest original position the chain
-    deletes; that count is checked against the budget before anything is
-    built, and every intermediate map and single deletion is no larger.
+    The chain removes the original positions ``deleted_positions()`` of its
+    ``SetFamilySpec``, so it is built in one pass as that deletion; it has
+    q^M branches, M the largest of them.
     """
-    current = plm_identity()
     if not indices:
-        return current
-    count = q ** max(SetFamilySpec.gen_chain(q, indices).deleted_positions())
-    if count > budget:
-        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
-    for m in indices:
-        current = current.compose(plm_single_deletion(q, m, budget))
-    return current
+        return plm_identity()
+    return _plm_deleting(q, SetFamilySpec.gen_chain(q, indices).deleted_positions(), budget)
 
 
 def sublevel_set(plm: PiecewiseLinearMap, x) -> IntervalUnion:
@@ -531,12 +536,7 @@ def monte_carlo_measure(
     # refinement digit belongs to a surviving position
     top = deleted[-1] + guard
     span, q_tail = q**top, q**guard
-    runs = []  # (q^(top - last position), q^length) of each run before the tail
-    start = 1
-    for pos in deleted:
-        if pos > start:
-            runs.append((q ** (top - pos + 1), q ** (pos - start)))
-        start = pos + 1
+    runs = _surviving_runs(q, deleted, top)
     block_len = top - len(deleted)
     q_block, cap = q**block_len, 128
     hits = indet = 0
@@ -631,7 +631,7 @@ def gk_scan(
             if not allow_fallback:
                 raise BudgetExceededError(refusal)
             if log:
-                log(f"{family} {spec.param}: budget exceeded, Monte Carlo fallback")
+                log(f"{family} {spec.param}: {refusal}, Monte Carlo fallback")
         elif spec.kind is FamilyKind.COMPARE_ITER:
             value = comparison_measure(plm_iter_shift(q, spec.a, budget), plm_iter_shift(q, spec.b, budget))
         elif spec.kind is FamilyKind.ITER_SHIFT:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expansions import DigitExpansion, Tail, value_of
+from .expansions import BaseSpec, DigitExpansion, Tail, value_of
 
 __all__ = [
     "PartialSums",
@@ -83,15 +83,13 @@ def shift(e: DigitExpansion) -> DigitExpansion:
 
 
 def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
-    """n-fold shift; n = 0 is the identity.
+    """n-fold shift, dropping the first n digits and base entries at once; n = 0 is the identity.
 
     Satisfies value_of(e) == prefix_sum(e, n) + value_of(shift_n(e, n)) / block(n).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    for _ in range(n):
-        e = shift(e)
-    return e
+    return DigitExpansion(BaseSpec(e.base.prefix[n:], e.base.tail_value), e.prefix[n:], e.tail)
 
 
 def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:

@@ -3,8 +3,9 @@
 Everything here works on plain digit lists and integer arithmetic, separate
 from the library's Fraction-based code paths, so the two routes can disagree
 when one of them is wrong.  The piecewise-map oracles are the exception:
-they build the library's ``Branch`` values, but by plain all-pairs and
-linear-search constructions instead of the library's bisection.
+they build the library's ``Branch`` values, but cylinder by cylinder and by
+plain all-pairs and linear-search constructions, instead of the library's
+closed form from the deleted positions and its bisection.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from cantorshift.measure import (
     BudgetExceededError,
     PiecewiseLinearMap,
     plm_identity,
-    plm_single_deletion,
 )
 
 
@@ -206,11 +206,26 @@ def compose_all_pairs(first, then, budget: int):
     return PiecewiseLinearMap(out)
 
 
+def single_deletion(q: int, m: int, budget: int):
+    """Deletion of digit position m, cylinder by cylinder: on the rank-m
+    cylinder with digits c_1..c_m it is
+    z -> q z - (q - 1) * (c_1/q + .. + c_{m-1}/q^{m-1}) - c_m / q^{m-1}."""
+    count = q**m
+    if count > budget:
+        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
+    out = []
+    for j in range(count):
+        head, c_m = divmod(j, q)
+        intercept = Fraction(-((q - 1) * head + c_m), q ** (m - 1))
+        out.append(Branch(Fraction(j, count), Fraction(j + 1, count), Fraction(q), intercept))
+    return PiecewiseLinearMap(out)
+
+
 def chain_all_pairs(q: int, indices, budget: int):
     """Sequential single deletions composed with ``compose_all_pairs``."""
     current = plm_identity()
     for m in indices:
-        current = compose_all_pairs(current, plm_single_deletion(q, m, budget), budget)
+        current = compose_all_pairs(current, single_deletion(q, m, budget), budget)
     return current
 
 

@@ -190,6 +190,33 @@ class TestMeasure:
         # sigma(0.101b) = 0.01b = 1/4; shifts preserve measure
         assert lines[1].split(",")[2:6] == ["1", "4", "1", "4"]
 
+    def test_threshold_point_shifted_past_its_digits(self, tmp_path):
+        out_csv = tmp_path / "rows.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "family = itershift\nq = 2\nn = 1..2\n"
+            "threshold_point = q2:[1,0,1]:zeros\nthreshold_iter = 1000000000\nout = %s\n" % out_csv
+        )
+        assert main(["measure", str(cfg)]) == 0
+        lines = out_csv.read_text().strip().splitlines()
+        assert [line.split(",")[:7] for line in lines[1:]] == [
+            ["itershift", str(n), "0", "1", "0", "1", "exact"] for n in (1, 2)
+        ]
+
+    @pytest.mark.parametrize(
+        "n, budget, reason",
+        [(9, 10**6, "iterate count 9 over limit 8"), (3, 7, "8 branches exceed budget 7")],
+        ids=["iterate-limit", "budget"],
+    )
+    def test_fallback_log_names_the_refusal(self, tmp_path, capsys, n, budget, reason):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"family = itershift\nq = 2\nn = {n}\nx = 1/3\nsamples = 50\nbudget = {budget}\n"
+            f"out = {tmp_path / 'r.csv'}\n"
+        )
+        assert main(["measure", str(cfg)]) == 0
+        assert capsys.readouterr().err.splitlines()[0] == f"itershift {n}: {reason}, Monte Carlo fallback"
+
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("family = itershift\nq = 2\nn = 1..3\nbogus = 1\n")

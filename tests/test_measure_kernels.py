@@ -1,8 +1,9 @@
 """The bisecting compose and the integer sublevel kernel against their oracles.
 
-``compose`` must give the same branch tuple as the all-pairs construction,
-a chain must have q^M branches (M its largest deleted position) and trip the
-branch budget where the all-pairs chain does; ``sublevel_measure`` and
+``compose`` must give the same branch tuple as the all-pairs construction;
+the builders must give the branches of the all-pairs chain without composing,
+and a chain must have q^M branches (M its largest deleted position) and trip
+the branch budget where the all-pairs chain does; ``sublevel_measure`` and
 ``comparison_measure`` must equal the measure of the interval set that
 ``sublevel_set`` builds.
 """
@@ -25,7 +26,13 @@ from cantorshift import (
 )
 from cantorshift import measure
 from cantorshift.measure import _sublevel_kernel, plm_constant
-from oracles import chain_all_pairs, chain_deleted_positions, compose_all_pairs, subtract_on_refinement
+from oracles import (
+    chain_all_pairs,
+    chain_deleted_positions,
+    compose_all_pairs,
+    single_deletion,
+    subtract_on_refinement,
+)
 
 # largest deletion index per base, keeping the all-pairs oracle cheap
 TOP_INDEX = {2: 6, 3: 4, 4: 3}
@@ -66,7 +73,7 @@ def thresholds(rng, plm, k=10):
 
 
 class TestCompose:
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_random_chains_match_all_pairs(self, q):
         rng = random.Random(100 + q)
         for _ in range(12):
@@ -98,7 +105,7 @@ class TestCompose:
         with pytest.raises(ValueError):
             source.compose(target)
 
-    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("q", [2, 3, 4])
     def test_budget_trips_exactly_where_the_oracle_does(self, q):
         rng = random.Random(300 + q)
         for _ in range(6):
@@ -138,6 +145,21 @@ class TestBranchCount:
             deleted = SetFamilySpec.compare_iter(q, a, b).deleted_positions()
             assert deleted == list(range(1, max(a, b) + 1))
             assert len(plm_iter_shift(q, a).subtract(plm_iter_shift(q, b))) == q ** max(deleted)
+
+    def test_builders_do_not_compose(self, monkeypatch):
+        def build(*_args, **_kwargs):
+            raise AssertionError("a builder composed maps")
+
+        monkeypatch.setattr(measure, "plm_single_deletion", build)
+        monkeypatch.setattr(measure.PiecewiseLinearMap, "compose", build)
+        rng = random.Random(800)
+        for q in (2, 3, 4):
+            for _ in range(4):
+                indices = random_chain(rng, q)
+                assert plm_generalized_chain(q, indices).branches == chain_all_pairs(q, indices, 10**6).branches
+            for n in (1, 2, 3):
+                assert plm_iter_shift(q, n).branches == chain_all_pairs(q, (1,) * n, 10**6).branches
+                assert plm_single_deletion(q, n).branches == single_deletion(q, n, 10**6).branches
 
     def test_chain_budget_is_checked_before_building(self, monkeypatch):
         def build(*_args, **_kwargs):

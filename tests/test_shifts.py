@@ -65,6 +65,12 @@ class TestShift:
         with pytest.raises(ValueError):
             shift_n(e, -1)
 
+    def test_shift_past_the_prefix_is_immediate(self):
+        e = DigitExpansion(BaseSpec.constant(2), (1, 0, 1))
+        assert shift_n(e, 10**12) == DigitExpansion(BaseSpec.constant(2), ())
+        f = DigitExpansion(BaseSpec.cantor((3, 5, 2), 4), (2, 4), Tail.MAX)
+        assert shift_n(f, 10**12) == DigitExpansion(BaseSpec.constant(4), (), Tail.MAX)
+
     def test_decomposition_identity(self):
         e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3, 4))
         assert value_of(e) == Fraction(12, 100) + value_of(shift_n(e, 2)) / 100
