@@ -146,12 +146,12 @@ class Branch:
 
 
 class PiecewiseLinearMap:
-    """An exact piecewise affine map whose branch domains partition [0, 1)."""
+    """An exact piecewise affine map whose branch domains, given in order, tile [0, 1)."""
 
     __slots__ = ("branches", "_los")
 
     def __init__(self, branches: Sequence[Branch]):
-        branches = tuple(sorted(branches, key=lambda br: br.lo))
+        branches = tuple(branches)
         if not branches:
             raise ValueError("a map needs at least one branch")
         if branches[0].lo != 0 or branches[-1].hi != 1:

@@ -1,9 +1,14 @@
-"""Self-check suites behind the ``verify`` CLI subcommand.
+"""The paper's identities as checks, and the suites behind ``cantorshift verify``.
 
-Each suite returns (name, ok, detail) triples; a detail string carries the
-counterexample when a check fails.  Checks are deterministic (fixed seeds)
-and sized for interactive use; the pytest suite runs the heavyweight
-versions.
+Each ``check_*`` function is one identity: it holds the predicate, the oracle,
+the tolerance and the check's name.  It takes the cases to check as arguments
+and returns one (name, ok, detail) triple.  The detail names the first failing
+case; a check with a tolerance reports its measured gap there when it passes.
+
+The ``suite_*`` functions build interactive-size cases from fixed seeds and
+call the checks.  The acceptance tests (``tests/test_acceptance.py``) call the
+same checks with their own seeds and larger cases, so every identity, oracle
+and tolerance is written once.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from . import expansions as xp
 from . import measure as me
@@ -18,6 +24,9 @@ from . import salem as sm
 from . import shifts as sh
 
 Check = tuple[str, bool, str]
+
+
+# --- cases -------------------------------------------------------------------
 
 
 def _random_expansion(rng: random.Random, cantor: bool = False, maxlen: int = 12) -> xp.DigitExpansion:
@@ -32,181 +41,381 @@ def _random_expansion(rng: random.Random, cantor: bool = False, maxlen: int = 12
     return xp.DigitExpansion(base, digits, tail)
 
 
-def _stream_oracle_delete(e: xp.DigitExpansion, positions, pad: int):
-    """Remove digit/base positions by plain list surgery (oracle route)."""
-    top = max([pad] + list(positions)) + 1
-    digits = [e.digit_at(k) for k in range(1, top + 1)]
-    bases = [e.base.base_at(k) for k in range(1, top + 1)]
+def random_terminating(rng: random.Random, q: int, length: int) -> xp.DigitExpansion:
+    """A zeros-tail base-q expansion of ``length`` uniform digits."""
+    return xp.DigitExpansion(xp.BaseSpec.constant(q), tuple(rng.randrange(q) for _ in range(length)))
+
+
+def random_two_expansion_point(rng: random.Random, q: int, maxlen: int) -> xp.DigitExpansion:
+    """A zeros-tail base-q expansion of 1..maxlen-1 digits whose last digit is
+    nonzero, so the point it names has a second, (q-1)-tail expansion."""
+    digits = [rng.randrange(q) for _ in range(rng.randrange(1, maxlen))]
+    if digits[-1] == 0:
+        digits[-1] = rng.randrange(1, q)
+    return xp.DigitExpansion(xp.BaseSpec.constant(q), tuple(digits))
+
+
+def random_positive_weights(rng: random.Random, q: int, grains: int = 40) -> tuple[Fraction, ...]:
+    """q positive rationals with denominator ``grains`` summing to 1."""
+    cuts = sorted(rng.sample(range(1, grains), q - 1))
+    return tuple(Fraction(hi - lo, grains) for lo, hi in zip([0] + cuts, cuts + [grains]))
+
+
+# --- oracles -----------------------------------------------------------------
+
+
+def stream_after_deleting(e: xp.DigitExpansion, positions, horizon: int):
+    """(digits, bases) of e's stream through original position
+    max(horizon, positions) + 1, with the given positions removed by plain
+    list surgery."""
+    top = max([horizon] + list(positions)) + 1
     keep = [k for k in range(1, top + 1) if k not in set(positions)]
-    return [digits[k - 1] for k in keep], [bases[k - 1] for k in keep]
+    digits = [e.digit_at(k) for k in keep]
+    bases = [e.base.base_at(k) for k in keep]
+    return digits, bases
 
 
-def _matches_stream(result: xp.DigitExpansion, digits, bases) -> bool:
+def matches_stream(result: xp.DigitExpansion, digits, bases) -> bool:
     return all(
         result.digit_at(k) == digits[k - 1] and result.base.base_at(k) == bases[k - 1]
         for k in range(1, len(digits) + 1)
     )
 
 
-def suite_duality(_args) -> list[Check]:
-    rng = random.Random(100)
-    checks: list[Check] = []
-    bad = ""
-    ok = True
-    for _ in range(400):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5)
-        d = xp.dual_representation(e)
-        if d is None:
-            if xp.value_of(e) not in (0, 1):
-                ok, bad = False, str(e)
-                break
+def grid_integral(f: sm.SalemFunction) -> Fraction:
+    """Exact lower Riemann sum of g over the deepest terminating base-q grid
+    of at most 30000 cells, times cells/(cells - 1).
+
+    For the identity reading order the images of the grid cells are
+    self-similar copies whose weights sum to one, so the corrected lower sum
+    reproduces the integral exactly.
+    """
+    q = f.weights.q
+    level = 1
+    while q ** (level + 1) <= 30000:
+        level += 1
+    cells = q**level
+    total = Fraction(0)
+    stack = [(Fraction(0), Fraction(1), 0)]
+    beta, p = f.weights.beta, f.weights.p
+    while stack:
+        head, prod, depth = stack.pop()
+        if depth == level:
+            total += head
             continue
-        if xp.value_of(d) != xp.value_of(e):
-            ok, bad = False, str(e)
-            break
-    checks.append(("dual representations have equal values", ok, bad))
+        for d in range(q):
+            stack.append((head + beta[d] * prod, prod * p[d], depth + 1))
+    return (total / cells) * Fraction(cells, cells - 1)
 
-    ok, bad = True, ""
-    for _ in range(300):
-        e = _random_expansion(rng)
+
+def midpoint_quadrature(f: sm.SalemFunction, nodes: int, depth: int) -> float:
+    """Float midpoint rule for the mean of g: the first ``depth`` series terms
+    at each of ``nodes`` midpoints, whose digits come from long division.
+
+    The reading order permutes only the positions 1..N of its prefix, so those
+    digits are read into a list first and the rest are summed as they come.
+    """
+    q = f.weights.q
+    beta = [float(b) for b in f.weights.beta]
+    p = [float(v) for v in f.weights.p]
+    head = f.seq.prefix
+    total = 0.0
+    for i in range(nodes):
+        num, den = 2 * i + 1, 2 * nodes
+        digits = []
+        for _ in head:
+            num *= q
+            d, num = divmod(num, den)
+            digits.append(d)
+        acc, prod = 0.0, 1.0
+        for n in head[:depth]:
+            acc += beta[digits[n - 1]] * prod
+            prod *= p[digits[n - 1]]
+        # once prod is 0.0 every further term adds a signed zero, which leaves
+        # acc unchanged, so the tail stops there
+        for _ in range(depth - len(head)):
+            if prod == 0.0:
+                break
+            num *= q
+            d, num = divmod(num, den)
+            acc += beta[d] * prod
+            prod *= p[d]
+        total += acc
+    return total / nodes
+
+
+# --- checks ------------------------------------------------------------------
+
+
+def check_dual_values(expansions: Iterable[xp.DigitExpansion]) -> Check:
+    """Both expansions of a two-expansion point have the same value; only 0
+    and 1 lack a dual."""
+    name = "dual representations have equal values"
+    for e in expansions:
+        x, d = xp.value_of(e), xp.dual_representation(e)
+        if not (x in (0, 1) if d is None else xp.value_of(d) == x):
+            return name, False, str(e)
+    return name, True, ""
+
+
+def check_extraction_round_trip(expansions: Iterable[xp.DigitExpansion]) -> Check:
+    name = "digit extraction round-trips terminating values"
+    for e in expansions:
         x = xp.value_of(e)
-        depth = max(len(e.prefix), 1) + 2
-        rt = xp.expansion_of(x, e.base, depth, e.tail)
-        if xp.value_of(rt) != x:
-            ok, bad = False, str(e)
-            break
-    checks.append(("digit extraction round-trips terminating values", ok, bad))
+        if xp.value_of(xp.expansion_of(x, e.base, max(len(e.prefix), 1) + 2, e.tail)) != x:
+            return name, False, str(e)
+    return name, True, ""
 
-    ok, bad = True, ""
-    for _ in range(300):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5)
+
+def check_notation_round_trip(expansions: Iterable[xp.DigitExpansion]) -> Check:
+    name = "notation parser and printer round-trip"
+    for e in expansions:
         text = xp.format_expansion(e)
         if xp.parse_expansion(text) != e:
-            ok, bad = False, text
-            break
-    checks.append(("notation parser and printer round-trip", ok, bad))
-    return checks
+            return name, False, text
+    return name, True, ""
 
 
-def suite_lemma1(_args) -> list[Check]:
-    rng = random.Random(200)
-    checks: list[Check] = []
-
-    ok, bad = True, ""
-    for _ in range(200):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5)
-        m = rng.randrange(0, 5)
+def check_drop_after_deletions(cases: Iterable[tuple[xp.DigitExpansion, int]]) -> Check:
+    """Cases (e, m): deleting position 2 m times, then the first digit, is
+    the (m+1)-fold shift."""
+    name = "drop-first after m deletions at 2 equals (m+1)-fold shift"
+    for e, m in cases:
         lhs = e
         for _ in range(m):
             lhs = sh.generalized_shift(lhs, 2)
-        lhs = sh.shift(lhs)
-        if not xp.same_stream(lhs, sh.shift_n(e, m + 1)):
-            ok, bad = False, f"{e} m={m}"
-            break
-    checks.append(("drop-first after m deletions at 2 equals (m+1)-fold shift", ok, bad))
+        if not xp.same_stream(sh.shift(lhs), sh.shift_n(e, m + 1)):
+            return name, False, f"{e} m={m}"
+    return name, True, ""
 
-    ok, bad = True, ""
-    for _ in range(200):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5)
-        k1, n = rng.randrange(1, 5), rng.randrange(1, 5)
+
+def check_consecutive_chain(cases: Iterable[tuple[xp.DigitExpansion, int, int]]) -> Check:
+    """Cases (e, k1, n): deleting positions k1, k1+1, .., k1+n-1 in turn and
+    shifting k1+n-1 times is the (k1+2n-1)-fold shift."""
+    name = "consecutive deletion chain collapses to an iterated shift"
+    for e, k1, n in cases:
         cur = e
         for k in range(k1, k1 + n):
             cur = sh.generalized_shift(cur, k)
         if not xp.same_stream(sh.shift_n(cur, k1 + n - 1), sh.shift_n(e, k1 + 2 * n - 1)):
-            ok, bad = False, f"{e} k1={k1} n={n}"
-            break
-    checks.append(("consecutive deletion chain collapses to an iterated shift", ok, bad))
+            return name, False, f"{e} k1={k1} n={n}"
+    return name, True, ""
 
-    ok, bad = True, ""
-    for _ in range(200):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5)
-        n = rng.randrange(2, 5)
-        ks = sorted(rng.sample(range(1, 9), n), reverse=True)
+
+def check_descending_chain(cases: Iterable[tuple[xp.DigitExpansion, list[int]]]) -> Check:
+    """Cases (e, ks), ks decreasing: deleting ks in turn and shifting
+    ks[0] - len(ks) times is the ks[0]-fold shift."""
+    name = "descending deletion chain collapses to an iterated shift"
+    for e, ks in cases:
         cur = e
         for k in ks:
             cur = sh.generalized_shift(cur, k)
-        if not xp.same_stream(sh.shift_n(cur, ks[0] - n), sh.shift_n(e, ks[0])):
-            ok, bad = False, f"{e} ks={ks}"
-            break
-    checks.append(("descending deletion chain collapses to an iterated shift", ok, bad))
+        if not xp.same_stream(sh.shift_n(cur, ks[0] - len(ks)), sh.shift_n(e, ks[0])):
+            return name, False, f"{e} ks={ks}"
+    return name, True, ""
 
-    ok, bad = True, ""
-    for _ in range(200):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5)
-        m = rng.randrange(1, 6)
-        x = xp.value_of(e)
+
+def check_deletion_difference(cases: Iterable[tuple[xp.DigitExpansion, int]]) -> Check:
+    """Cases (e, m): x - sigma_m(x) = c_m/Q_m + (1 - q_m) shift^m(x)/Q_m, with
+    Q_m = q_1...q_m."""
+    name = "deletion difference identity holds exactly"
+    for e, m in cases:
         blk = e.base.block(m)
-        lhs = x - xp.value_of(sh.generalized_shift(e, m))
+        lhs = xp.value_of(e) - xp.value_of(sh.generalized_shift(e, m))
         rhs = Fraction(e.digit_at(m), blk) + xp.value_of(sh.shift_n(e, m)) / blk * (1 - e.base.base_at(m))
         if lhs != rhs:
-            ok, bad = False, f"{e} m={m}"
-            break
-    checks.append(("deletion difference identity holds exactly", ok, bad))
+            return name, False, f"{e} m={m}"
+    return name, True, ""
 
-    ok, bad = True, ""
-    for _ in range(200):
-        e = _random_expansion(rng, cantor=rng.random() < 0.5, maxlen=6)
-        digits = list(e.prefix)
-        if not digits or digits[-1] == 0:
-            continue
-        m = len(digits)
-        zeros_form = xp.DigitExpansion(e.base, tuple(digits), xp.Tail.ZEROS)
-        max_form = xp.dual_representation(zeros_form)
-        jump = xp.value_of(sh.generalized_shift(zeros_form, m)) - xp.value_of(
-            sh.generalized_shift(max_form, m)
-        )
+
+def check_endpoint_gap(points: Iterable[xp.DigitExpansion]) -> Check:
+    """Points: zeros-tail expansions of m digits, the last one nonzero.
+    sigma_m of the zeros form minus sigma_m of the dual form is -1/Q_(m-1)."""
+    name = "one-sided gap at cylinder endpoints is -1/block(m-1)"
+    for e in points:
+        m = len(e.prefix)
+        dual = xp.dual_representation(e)
+        jump = xp.value_of(sh.generalized_shift(e, m)) - xp.value_of(sh.generalized_shift(dual, m))
         if jump != Fraction(-1, e.base.block(m - 1)):
-            ok, bad = False, f"{zeros_form} m={m}"
-            break
-    checks.append(("one-sided gap at cylinder endpoints is -1/block(m-1)", ok, bad))
-    return checks
+            return name, False, f"{e} m={m}"
+    return name, True, ""
 
 
-def suite_compose(_args) -> list[Check]:
-    rng = random.Random(300)
-    ok, bad = True, ""
-    for q in (2, 10):
-        base = xp.BaseSpec.constant(q)
-        digits = tuple(rng.randrange(q) for _ in range(12))
-        e = xp.DigitExpansion(base, digits)
-        for n1 in range(1, 9):
-            for n2 in range(1, 9):
-                lhs = sh.compose_two(e, n1, n2)
-                rhs = sh.generalized_shift(sh.generalized_shift(e, n1), n2)
-                if not xp.same_stream(lhs, rhs):
-                    ok, bad = False, f"q={q} n1={n1} n2={n2}"
-                    break
-    return [("two-deletion closed form equals sequential deletions", ok, bad)]
+def check_two_deletions(cases: Iterable[tuple[xp.DigitExpansion, int, int]]) -> Check:
+    """Cases (e, n1, n2): ``compose_two`` equals deleting n1, then n2."""
+    name = "two-deletion closed form equals sequential deletions"
+    for e, n1, n2 in cases:
+        if not xp.same_stream(sh.compose_two(e, n1, n2), sh.generalized_shift(sh.generalized_shift(e, n1), n2)):
+            return name, False, f"{e} n1={n1} n2={n2}"
+    return name, True, ""
 
 
-def suite_schedule(_args) -> list[Check]:
-    checks: list[Check] = []
-    got = sh.make_schedule((1, 5, 7, 3, 6)).steps
-    checks.append(("re-indexed steps of (1,5,7,3,6) are (1,4,5,2,3)", got == (1, 4, 5, 2, 3), str(got)))
-    got = sh.make_schedule((1, 5, 7, 3, 6, 10, 2, 4, 8, 9)).steps
-    checks.append(
-        (
-            "re-indexed steps of (1,5,7,3,6,10,2,4,8,9) are (1,4,5,2,3,5,1,1,1,1)",
-            got == (1, 4, 5, 2, 3, 5, 1, 1, 1, 1),
-            str(got),
-        )
-    )
+def check_schedule_steps(order: tuple[int, ...], steps: tuple[int, ...]) -> Check:
+    """``make_schedule(order)`` re-indexes the positions to these single-deletion steps."""
+    got = sh.make_schedule(order).steps
+    name = f"re-indexed steps of ({','.join(map(str, order))}) are ({','.join(map(str, steps))})"
+    return name, got == steps, str(got)
 
-    rng = random.Random(400)
-    ok, bad = True, ""
-    base = xp.BaseSpec.constant(10)
-    e = xp.DigitExpansion(base, tuple(rng.randrange(10) for _ in range(10)))
-    for size in range(0, 4):
-        for subset in itertools.combinations(range(1, 6), size):
-            for perm in itertools.permutations(subset):
-                schedule = sh.make_schedule(perm)
-                result = sh.delete_positions(e, schedule)
-                digits, bases = _stream_oracle_delete(e, perm, pad=12)
-                if not _matches_stream(result, digits, bases):
-                    ok, bad = False, str(perm)
-                    break
-    checks.append(("scheduled deletions equal direct position removal", ok, bad))
-    return checks
+
+def check_scheduled_deletions(cases: Iterable[tuple[xp.DigitExpansion, tuple[int, ...]]]) -> Check:
+    """Cases (e, positions): the scheduled deletion equals removing the
+    positions from the stream, compared up to four digits past the prefix."""
+    name = "scheduled deletions equal direct position removal"
+    for e, positions in cases:
+        result = sh.delete_positions(e, sh.make_schedule(positions))
+        if not matches_stream(result, *stream_after_deleting(e, positions, horizon=len(e.prefix) + 3)):
+            return name, False, str(positions)
+    return name, True, ""
+
+
+def check_peeling_identities(cases: Iterable[tuple[sm.SalemFunction, xp.DigitExpansion, int]]) -> Check:
+    """Cases (f, e, k): the k-th peeling identity g_(k-1) = beta_d + p_d g_k
+    of the system holds exactly."""
+    name = "peeling identities hold along deletion chains"
+    for f, e, k in cases:
+        r = sm.residual(f, e, k)
+        if r != 0:
+            return name, False, f"{sm.format_function_spec(f)} k={k} residual={r}"
+    return name, True, ""
+
+
+def check_grid_integral(functions: Iterable[sm.SalemFunction]) -> Check:
+    """The closed-form integral is within 1e-8 of ``grid_integral`` (identity order)."""
+    name = "closed form matches exact terminating-grid quadrature"
+    worst = Fraction(0)
+    for f in functions:
+        closed, grid = sm.integral_closed_form(f), grid_integral(f)
+        if abs(grid - closed) > Fraction(1, 10**8):
+            return name, False, f"{sm.format_function_spec(f)}: closed={closed} grid={grid}"
+        worst = max(worst, abs(grid - closed))
+    return name, True, f"gap {float(worst):.2e} (tol 1e-8)"
+
+
+def check_midpoint_quadrature(cases: Iterable[tuple[sm.SalemFunction, int]], nodes: int) -> Check:
+    """Cases (f, depth): the closed-form integral is within 5e-3 of
+    ``midpoint_quadrature`` on ``nodes`` nodes."""
+    name = "closed form matches midpoint quadrature"
+    worst = 0.0
+    for f, depth in cases:
+        closed = float(sm.integral_closed_form(f))
+        est = midpoint_quadrature(f, nodes, depth)
+        if not abs(est - closed) < 5e-3:
+            return name, False, f"{sm.format_function_spec(f)}: closed={closed:.6f} est={est:.6f}"
+        worst = max(worst, abs(est - closed))
+    return name, True, f"gap {worst:.2e} (tol 5e-3)"
+
+
+def check_continuous_at_two_expansion_points(
+    cases: Iterable[tuple[sm.SalemFunction, xp.DigitExpansion]],
+) -> Check:
+    """Cases (f, e), f in the identity order: ``continuity_at`` finds g
+    continuous at e, and g takes the same value on both expansions."""
+    name = "identity order is continuous at two-expansion points"
+    for f, e in cases:
+        same = sm.evaluate(f, e) == sm.evaluate(f, xp.dual_representation(e))
+        if not (sm.continuity_at(f, e).is_continuous and same):
+            return name, False, f"{sm.format_function_spec(f)} at {e}"
+    return name, True, ""
+
+
+def check_swapped_order_jump(weights: sm.WeightSet) -> Check:
+    """In the order perm(2 1), g jumps at 1/q, and ``continuity_at`` reports
+    the jump between the two expansions exactly."""
+    f = sm.SalemFunction(weights, sm.IndexSequence((2, 1)))
+    e = xp.DigitExpansion(xp.BaseSpec.constant(weights.q), (1,))
+    jump = sm.continuity_at(f, e).jump
+    direct = sm.evaluate(f, e) - sm.evaluate(f, xp.dual_representation(e))
+    ok = jump is not None and jump != 0 and jump == direct
+    return "swapped order jumps at the first cylinder endpoint", ok, f"jump {float(jump or 0):.4f}"
+
+
+def check_distribution_function(specs: Iterable[sm.DistributionSpec], grid: int) -> Check:
+    """F is 0 below 0, 1 from 1 on, and nondecreasing on the points i/grid."""
+    name = "distribution function is a monotone CDF"
+    for d in specs:
+        p = d.weights.p
+        if (
+            sm.distribution_function(d, Fraction(-1, 2)) != 0
+            or sm.distribution_function(d, 1) != 1
+            or sm.distribution_function(d, 2) != 1
+        ):
+            return name, False, f"p={p}"
+        prev = Fraction(-1)
+        for i in range(grid + 1):
+            value = sm.distribution_function(d, Fraction(i, grid))
+            if value < prev:
+                return name, False, f"p={p} x={Fraction(i, grid)}"
+            prev = value
+    return name, True, ""
+
+
+def check_cylinder_increments(cases: Iterable[tuple[sm.SalemFunction, tuple[int, ...]]]) -> Check:
+    """Cases (f, word), f in the identity order: the increment of g over the
+    cylinder of ``word`` is the product of its weights."""
+    name = "cylinder increments equal weight products (identity order)"
+    for f, word in cases:
+        cyl = xp.Cylinder(xp.BaseSpec.constant(f.weights.q), word)
+        if sm.cylinder_increment(f, cyl) != sm.increment_product(f, word):
+            return name, False, str(word)
+    return name, True, ""
+
+
+def check_increments_partition_unity(cases: Iterable[tuple[sm.SalemFunction, int]]) -> Check:
+    """Cases (f, rank): the weight products of all words of that rank sum to 1."""
+    name = "rank-r increments partition unity"
+    for f, rank in cases:
+        words = itertools.product(range(f.weights.q), repeat=rank)
+        if sum(sm.increment_product(f, word) for word in words) != 1:
+            return name, False, f"{sm.format_function_spec(f)} rank={rank}"
+    return name, True, ""
+
+
+def check_iter_shift_measure(shifts: Iterable[tuple[int, int]], points: Iterable[Fraction]) -> Check:
+    """Shifts (q, n): {z : shift^n z < x} has exact measure x at every point x."""
+    name = "iterated shifts preserve Lebesgue measure"
+    points = tuple(points)
+    for q, n in shifts:
+        plm = me.plm_iter_shift(q, n)
+        for x in points:
+            if me.sublevel_measure(plm, x) != x:
+                return name, False, f"q={q} n={n} x={x}"
+    return name, True, ""
+
+
+def _within_four_halfwidths(name: str, runs) -> Check:
+    """Runs (label, exact, Monte Carlo result): each estimate lies within four
+    halfwidths of the exact measure; the detail lists every gap."""
+    ok, gaps = True, []
+    for label, exact, mc in runs:
+        gap = abs(mc.estimate - float(exact))
+        ok = ok and gap <= 4 * mc.halfwidth
+        gaps.append(f"{label}: |mc-exact|={gap:.2e} vs 4hw={4 * mc.halfwidth:.2e}")
+    return name, ok, "; ".join(gaps)
+
+
+def check_monte_carlo_measure(cases: Iterable[tuple[int, int, Fraction, int]], samples: int) -> Check:
+    """Cases (q, n, x, seed): the Monte Carlo measure of {shift^n z < x}
+    agrees with the exact one."""
+    runs = []
+    for q, n, x, seed in cases:
+        exact = me.sublevel_measure(me.plm_iter_shift(q, n), x)
+        mc = me.monte_carlo_measure(me.SetFamilySpec.iter_shift(q, n), x, samples, seed=seed)
+        runs.append((f"q={q},n={n}", exact, mc))
+    return _within_four_halfwidths("Monte Carlo agrees with the exact measure", runs)
+
+
+def check_comparison_measure(cases: Iterable[tuple[int, int, int, int]], samples: int) -> Check:
+    """Cases (q, a, b, seed): the Monte Carlo measure of {shift^a z < shift^b z}
+    agrees with the exact one."""
+    runs = []
+    for q, a, b, seed in cases:
+        exact = me.comparison_measure(me.plm_iter_shift(q, a), me.plm_iter_shift(q, b))
+        mc = me.monte_carlo_measure(me.SetFamilySpec.compare_iter(q, a, b), 0, samples, seed=seed)
+        runs.append((f"q={q},a={a},b={b}", exact, mc))
+    return _within_four_halfwidths("iterate comparison agrees with Monte Carlo", runs)
+
+
+# --- suites ------------------------------------------------------------------
 
 
 def _default_function(args) -> sm.SalemFunction:
@@ -216,9 +425,55 @@ def _default_function(args) -> sm.SalemFunction:
     return sm.SalemFunction(sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))))
 
 
+def suite_duality(_args) -> list[Check]:
+    rng = random.Random(100)
+    mixed = [_random_expansion(rng, cantor=rng.random() < 0.5) for _ in range(400)]
+    constant = [_random_expansion(rng) for _ in range(300)]
+    printed = [_random_expansion(rng, cantor=rng.random() < 0.5) for _ in range(300)]
+    return [check_dual_values(mixed), check_extraction_round_trip(constant), check_notation_round_trip(printed)]
+
+
+def suite_lemma1(_args) -> list[Check]:
+    rng = random.Random(200)
+
+    def point(maxlen: int = 12) -> xp.DigitExpansion:
+        return _random_expansion(rng, cantor=rng.random() < 0.5, maxlen=maxlen)
+
+    drops = [(point(), rng.randrange(0, 5)) for _ in range(200)]
+    runs = [(point(), rng.randrange(1, 5), rng.randrange(1, 5)) for _ in range(200)]
+    descents = [(point(), sorted(rng.sample(range(1, 9), rng.randrange(2, 5)), reverse=True)) for _ in range(200)]
+    differences = [(point(), rng.randrange(1, 6)) for _ in range(200)]
+    short = [point(maxlen=6) for _ in range(200)]
+    endpoints = [xp.DigitExpansion(e.base, e.prefix) for e in short if e.prefix and e.prefix[-1]]
+    return [
+        check_drop_after_deletions(drops),
+        check_consecutive_chain(runs),
+        check_descending_chain(descents),
+        check_deletion_difference(differences),
+        check_endpoint_gap(endpoints),
+    ]
+
+
+def suite_compose(_args) -> list[Check]:
+    rng = random.Random(300)
+    points = [random_terminating(rng, q, 12) for q in (2, 10)]
+    return [check_two_deletions((e, n1, n2) for e in points for n1 in range(1, 9) for n2 in range(1, 9))]
+
+
+def suite_schedule(_args) -> list[Check]:
+    rng = random.Random(400)
+    e = random_terminating(rng, 10, 10)
+    subsets = (s for size in range(0, 4) for s in itertools.combinations(range(1, 6), size))
+    return [
+        check_schedule_steps((1, 5, 7, 3, 6), (1, 4, 5, 2, 3)),
+        check_schedule_steps((1, 5, 7, 3, 6, 10, 2, 4, 8, 9), (1, 4, 5, 2, 3, 5, 1, 1, 1, 1)),
+        check_scheduled_deletions((e, perm) for s in subsets for perm in itertools.permutations(s)),
+    ]
+
+
 def suite_system(args) -> list[Check]:
     rng = random.Random(500)
-    configs = [
+    functions = [
         _default_function(args),
         sm.SalemFunction(
             sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))),
@@ -226,176 +481,52 @@ def suite_system(args) -> list[Check]:
         ),
         sm.SalemFunction(sm.WeightSet(3, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))),
     ]
-    ok, bad = True, ""
-    for f in configs:
-        q = f.weights.q
-        base = xp.BaseSpec.constant(q)
-        for _ in range(25):
-            e = xp.DigitExpansion(base, tuple(rng.randrange(q) for _ in range(12)))
-            for k in range(1, 12):
-                r = sm.residual(f, e, k)
-                if r > Fraction(2, 10**12):
-                    ok, bad = False, f"{sm.format_function_spec(f)} k={k} residual={r}"
-                    break
-    return [("peeling identities hold along deletion chains", ok, bad)]
+    points = [(f, random_terminating(rng, f.weights.q, 12)) for f in functions for _ in range(25)]
+    return [check_peeling_identities((f, e, k) for f, e in points for k in range(1, 12))]
 
 
 def suite_integral(args) -> list[Check]:
     f = _default_function(args)
     if not f.seq.is_identity:
         return [("integral check needs the identity reading order", False, sm.format_function_spec(f))]
-    q = f.weights.q
-    closed = sm.integral_closed_form(f)
-
-    level = 1
-    while q ** (level + 1) <= 30000:
-        level += 1
-    cells = q**level
-    lower = Fraction(0)
-    stack = [(Fraction(0), Fraction(1), 0)]
-    while stack:
-        head, prod, depth = stack.pop()
-        if depth == level:
-            lower += head
-            continue
-        for d in range(q - 1, -1, -1):
-            stack.append((head + f.weights.beta[d] * prod, prod * f.weights.p[d], depth + 1))
-    lower /= cells
-    corrected = lower * Fraction(cells, cells - 1)
-    ok = abs(corrected - closed) <= Fraction(1, 10**8)
-    detail = f"closed={closed} grid={corrected} cells={cells}"
-    checks = [("closed form matches exact terminating-grid quadrature", ok, detail)]
-
-    nodes = 20000
-    beta = [float(b) for b in f.weights.beta]
-    p = [float(v) for v in f.weights.p]
     depth = sm.series_depth(f.weights, 1e-12)
-    total = 0.0
-    for i in range(nodes):
-        num, den = 2 * i + 1, 2 * nodes
-        acc, prod_f = 0.0, 1.0
-        for _ in range(depth):
-            num *= q
-            d, num = divmod(num, den)
-            acc += beta[d] * prod_f
-            prod_f *= p[d]
-            if prod_f == 0.0:
-                break
-        total += acc
-    est = total / nodes
-    ok = abs(est - float(closed)) < 5e-3
-    checks.append(("closed form matches midpoint quadrature", ok, f"closed={float(closed):.6f} est={est:.6f}"))
-    return checks
+    return [check_grid_integral([f]), check_midpoint_quadrature([(f, depth)], 20000)]
 
 
 def suite_continuity(args) -> list[Check]:
-    f = _default_function(args)
-    q = f.weights.q
-    base = xp.BaseSpec.constant(q)
+    weights = _default_function(args).weights
     rng = random.Random(600)
-    checks: list[Check] = []
-
-    ident = sm.SalemFunction(f.weights, sm.IndexSequence())
-    ok, bad = True, ""
-    for _ in range(150):
-        digits = [rng.randrange(q) for _ in range(rng.randrange(1, 8))]
-        if digits[-1] == 0:
-            digits[-1] = rng.randrange(1, q)
-        e = xp.DigitExpansion(base, tuple(digits))
-        res = sm.continuity_at(ident, e)
-        if not res.is_continuous:
-            ok, bad = False, str(e)
-            break
-        other = xp.dual_representation(e)
-        if sm.evaluate(ident, e) != sm.evaluate(ident, other):
-            ok, bad = False, str(e)
-            break
-    checks.append(("identity order is continuous at two-expansion points", ok, bad))
-
-    swapped = sm.SalemFunction(f.weights, sm.IndexSequence((2, 1)))
-    e = xp.DigitExpansion(base, (1,))
-    res = sm.continuity_at(swapped, e)
-    jump_direct = sm.evaluate(swapped, e) - sm.evaluate(swapped, xp.dual_representation(e))
-    ok = (not res.is_continuous) and res.jump == jump_direct and res.jump != 0
-    checks.append(("swapped order jumps at the first cylinder endpoint", ok, f"jump={res.jump}"))
-    return checks
+    ident = sm.SalemFunction(weights)
+    points = [(ident, random_two_expansion_point(rng, weights.q, 8)) for _ in range(150)]
+    return [check_continuous_at_two_expansion_points(points), check_swapped_order_jump(weights)]
 
 
 def suite_distribution(_args) -> list[Check]:
     rng = random.Random(700)
-    ok, bad = True, ""
+    specs = []
     for _ in range(5):
         q = rng.choice([2, 3, 4])
-        cuts = sorted(rng.sample(range(1, 40), q - 1))
-        p = []
-        prev = 0
-        for c in cuts + [40]:
-            p.append(Fraction(c - prev, 40))
-            prev = c
-        d = sm.DistributionSpec(sm.WeightSet(q, tuple(p)))
-        if sm.distribution_function(d, Fraction(-1, 2)) != 0 or sm.distribution_function(d, 2) != 1:
-            ok, bad = False, str(p)
-            break
-        prev_val = Fraction(-1)
-        for i in range(0, 201):
-            val = sm.distribution_function(d, Fraction(i, 200))
-            if val < prev_val:
-                ok, bad = False, f"p={p} x={Fraction(i, 200)}"
-                break
-            prev_val = val
-    return [("distribution function is a monotone CDF", ok, bad)]
+        specs.append(sm.DistributionSpec(sm.WeightSet(q, random_positive_weights(rng, q))))
+    return [check_distribution_function(specs, 200)]
 
 
 def suite_increment(_args) -> list[Check]:
-    checks: list[Check] = []
     f = sm.SalemFunction(sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))))
-    ok, bad = True, ""
-    for rank in range(1, 5):
-        for word in itertools.product(range(2), repeat=rank):
-            cyl = xp.Cylinder(xp.BaseSpec.constant(2), word)
-            if sm.cylinder_increment(f, cyl) != sm.increment_product(f, word):
-                ok, bad = False, str(word)
-                break
-    checks.append(("cylinder increments equal weight products (identity order)", ok, bad))
-
-    ok = True
-    for rank in (1, 2, 3):
-        total = sum(
-            sm.increment_product(f, word) for word in itertools.product(range(2), repeat=rank)
-        )
-        if total != 1:
-            ok = False
-    checks.append(("rank-r increments partition unity", ok, ""))
-    return checks
+    words = (w for rank in range(1, 5) for w in itertools.product(range(2), repeat=rank))
+    return [
+        check_cylinder_increments((f, w) for w in words),
+        check_increments_partition_unity((f, rank) for rank in (1, 2, 3)),
+    ]
 
 
 def suite_measure(_args) -> list[Check]:
-    checks: list[Check] = []
-    ok, bad = True, ""
-    for q in (2, 3):
-        for n in range(1, 7):
-            plm = me.plm_iter_shift(q, n)
-            for x in (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5)):
-                if me.sublevel_measure(plm, x) != x:
-                    ok, bad = False, f"q={q} n={n} x={x}"
-    checks.append(("iterated shifts preserve Lebesgue measure", ok, bad))
-
-    spec = me.SetFamilySpec.iter_shift(2, 2)
-    exact = me.sublevel_measure(me.plm_iter_shift(2, 2), Fraction(1, 3))
-    mc = me.monte_carlo_measure(spec, Fraction(1, 3), 100000, seed=42)
-    ok = abs(mc.estimate - float(exact)) <= 4 * mc.halfwidth
-    checks.append(
-        ("Monte Carlo agrees with the exact measure", ok, f"exact={float(exact):.6f} mc={mc.estimate:.6f}")
-    )
-
-    a = me.plm_iter_shift(2, 2)
-    b = me.plm_iter_shift(2, 1)
-    cm = me.comparison_measure(a, b)
-    spec = me.SetFamilySpec.compare_iter(2, 2, 1)
-    mc = me.monte_carlo_measure(spec, 0, 100000, seed=43)
-    ok = abs(mc.estimate - float(cm)) <= 4 * mc.halfwidth
-    checks.append(("iterate comparison agrees with Monte Carlo", ok, f"exact={cm} mc={mc.estimate:.6f}"))
-    return checks
+    return [
+        check_iter_shift_measure(
+            [(q, n) for q in (2, 3) for n in range(1, 7)], (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5))
+        ),
+        check_monte_carlo_measure([(2, 2, Fraction(1, 3), 42)], 100000),
+        check_comparison_measure([(2, 2, 1, 43)], 100000),
+    ]
 
 
 SUITES = {

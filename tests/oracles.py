@@ -78,22 +78,6 @@ def salem_value_exact(beta, p, order_prefix, num: int, den: int, q: int) -> Frac
     return total + prod * block_sum / (1 - block_prod)
 
 
-def stream_after_deleting(e: DigitExpansion, positions, horizon: int):
-    """(digits, bases) of the stream with the given original positions removed."""
-    top = max([horizon] + list(positions)) + 1
-    keep = [k for k in range(1, top + 1) if k not in set(positions)]
-    digits = [e.digit_at(k) for k in keep]
-    bases = [e.base.base_at(k) for k in keep]
-    return digits, bases
-
-
-def matches_stream(result: DigitExpansion, digits, bases) -> bool:
-    return all(
-        result.digit_at(k) == digits[k - 1] and result.base.base_at(k) == bases[k - 1]
-        for k in range(1, len(digits) + 1)
-    )
-
-
 def alternating_series_direct(e: DigitExpansion, m: int, horizon: int = 40) -> Fraction:
     """Deleted-position alternating sum, term by term.
 
@@ -156,32 +140,6 @@ def riemann_bracket(f, level: int):
         hi = evaluate(f, expansion_of(Fraction(j, cells), BaseSpec.constant(q), level, Tail.MAX))
         upper += hi
     return lower / cells, upper / cells
-
-
-def midpoint_quadrature(f, nodes: int, depth: int) -> float:
-    """Float midpoint rule for the mean of an evaluate-style function."""
-    q = f.weights.q
-    beta = [float(b) for b in f.weights.beta]
-    p = [float(v) for v in f.weights.p]
-    seq = f.seq
-    total = 0.0
-    for i in range(nodes):
-        num, den = 2 * i + 1, 2 * nodes
-        digits = []
-        for _ in range(depth):
-            num *= q
-            d, num = divmod(num, den)
-            digits.append(d)
-        acc, prod = 0.0, 1.0
-        for k in range(1, depth + 1):
-            n = seq.n_at(k)
-            d = digits[n - 1] if n <= depth else 0
-            acc += beta[d] * prod
-            prod *= p[d]
-            if prod == 0.0:
-                break
-        total += acc
-    return total / nodes
 
 
 def compose_all_pairs(first, then, budget: int):
@@ -289,19 +247,3 @@ def subtract_on_refinement(a, b):
         y = next(br for br in b.branches if br.lo <= lo < br.hi)
         out.append(Branch(lo, hi, x.slope - y.slope, x.intercept - y.intercept))
     return PiecewiseLinearMap(out)
-
-
-def random_terminating(rng: random.Random, q: int, length: int) -> DigitExpansion:
-    digits = tuple(rng.randrange(q) for _ in range(length))
-    return DigitExpansion(BaseSpec.constant(q), digits)
-
-
-def random_positive_weights(rng: random.Random, q: int, grains: int = 40):
-    """q positive rationals with denominator ``grains`` summing to 1."""
-    cuts = sorted(rng.sample(range(1, grains), q - 1))
-    p = []
-    prev = 0
-    for c in cuts + [grains]:
-        p.append(Fraction(c - prev, grains))
-        prev = c
-    return tuple(p)

@@ -1,7 +1,10 @@
 """Acceptance gate: one test per criterion, each printing a pass/fail line.
 
-Run with ``pytest -s tests/test_acceptance.py -v`` to see the per-criterion
-lines; every check uses its stated tolerance and asserts its runtime bound.
+Criteria 2-9 call the checks of ``cantorshift.verify``, the functions that
+``cantorshift verify`` runs, with their own seeds and larger cases; each check
+holds its predicate, oracle and tolerance.  Run with
+``pytest -s tests/test_acceptance.py -v`` to see the per-criterion lines; a
+criterion with a runtime bound asserts it.
 """
 
 import itertools
@@ -11,78 +14,32 @@ from fractions import Fraction
 
 from cantorshift import (
     BaseSpec,
-    Cylinder,
     DigitExpansion,
     DistributionSpec,
     IndexSequence,
     SalemFunction,
-    SetFamilySpec,
     Tail,
     WeightSet,
-    chain_value,
-    compose_two,
-    continuity_at,
-    cylinder_increment,
-    delete_positions,
-    distribution_function,
-    dual_representation,
     evaluate,
     expansion_of,
-    generalized_shift,
-    increment_product,
-    integral_closed_form,
-    make_schedule,
-    monte_carlo_measure,
-    plm_iter_shift,
-    residual,
-    same_stream,
     series_depth,
-    shift,
-    shift_n,
-    sublevel_measure,
+    verify,
 )
-from oracles import (
-    matches_stream,
-    midpoint_quadrature,
-    random_positive_weights,
-    random_terminating,
-    stream_after_deleting,
-)
+from cantorshift.verify import random_positive_weights, random_terminating, random_two_expansion_point
 
-TOL = 1e-12
 EXAMPLE_ORDER = IndexSequence((1, 5, 7, 3, 6, 10, 2, 4, 8, 9))
+W37 = WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))
 
 
-def report(number: int, ok: bool, elapsed: float, detail: str) -> None:
+def report(number: int, ok: bool, elapsed: float, detail: str, checks=()) -> None:
+    """Print the criterion's line and assert it.  ``checks`` are results of
+    ``cantorshift.verify`` checks; each failed one is appended to the line."""
+    failed = [f"FAIL {name} [{why}]" for name, passed, why in checks if not passed]
+    ok = ok and not failed
     tag = "PASS" if ok else "FAIL"
+    detail = "; ".join([detail, *failed])
     print(f"[criterion {number}] {tag} ({elapsed:.2f}s) {detail}")
     assert ok, f"criterion {number}: {detail}"
-
-
-def exact_terminating_grid_integral(f: SalemFunction, max_cells: int = 30000) -> Fraction:
-    """Exact lower Riemann sum over the deepest terminating grid within
-    ``max_cells``, with the geometric correction cells/(cells - 1).
-
-    For the identity reading order the images over the grid cells are
-    self-similar copies whose weights sum to one, so the corrected lower sum
-    reproduces the integral exactly.
-    """
-    q = f.weights.q
-    level = 1
-    while q ** (level + 1) <= max_cells:
-        level += 1
-    cells = q**level
-    total = Fraction(0)
-    stack = [(Fraction(0), Fraction(1), 0)]
-    beta, p = f.weights.beta, f.weights.p
-    while stack:
-        head, prod, depth = stack.pop()
-        if depth == level:
-            total += head
-            continue
-        for d in range(q):
-            stack.append((head + beta[d] * prod, prod * p[d], depth + 1))
-    return (total / cells) * Fraction(cells, cells - 1)
 
 
 def test_criterion_1_identity_reduction():
@@ -104,106 +61,63 @@ def test_criterion_1_identity_reduction():
 def test_criterion_2_integral_formula():
     started = time.monotonic()
     rng = random.Random(2024)
-    worst_quad = 0.0
-    worst_exact = Fraction(0)
+    functions = []
     for i in range(10):
         q = rng.choice([2, 3, 4, 5])
         weights = WeightSet(q, random_positive_weights(rng, q, grains=32))
-        seq = IndexSequence(()) if i % 2 == 0 else EXAMPLE_ORDER
-        f = SalemFunction(weights, seq)
-        closed = integral_closed_form(f)
-        depth = min(series_depth(weights, 1e-12), 60)
-        est = midpoint_quadrature(f, 10**5, depth)
-        worst_quad = max(worst_quad, abs(est - float(closed)))
-        if seq.is_identity:
-            grid_value = exact_terminating_grid_integral(f)
-            worst_exact = max(worst_exact, abs(grid_value - closed))
+        functions.append(SalemFunction(weights, IndexSequence(()) if i % 2 == 0 else EXAMPLE_ORDER))
+    depths = [min(series_depth(f.weights, 1e-12), 60) for f in functions]
+    quad = verify.check_midpoint_quadrature(zip(functions, depths), 10**5)
+    grid = verify.check_grid_integral(f for f in functions if f.seq.is_identity)
     elapsed = time.monotonic() - started
-    ok = worst_quad < 5e-3 and worst_exact <= Fraction(1, 10**8) and elapsed < 60.0
-    report(
-        2,
-        ok,
-        elapsed,
-        f"quadrature gap {worst_quad:.2e} (tol 5e-3), exact-grid gap {float(worst_exact):.2e} (tol 1e-8)",
-    )
+    report(2, elapsed < 60.0, elapsed, f"quadrature {quad[2]}, exact-grid {grid[2]}", [quad, grid])
 
 
 def test_criterion_3_increment_formula():
     started = time.monotonic()
     configs = [
-        (2, 5, WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))),
-        (5, 3, WeightSet(5, (Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 5)))),
+        (SalemFunction(W37), 5),
+        (SalemFunction(WeightSet(5, tuple(Fraction(n, 10) for n in (1, 2, 3, 2, 2)))), 3),
     ]
-    checked = 0
-    ok = True
-    for q, max_rank, weights in configs:
-        f = SalemFunction(weights)
-        base = BaseSpec.constant(q)
-        for rank in range(1, max_rank + 1):
-            for word in itertools.product(range(q), repeat=rank):
-                if cylinder_increment(f, Cylinder(base, word)) != increment_product(f, word):
-                    ok = False
-                checked += 1
+    ranks = [(f, rank) for f, max_rank in configs for rank in range(1, max_rank + 1)]
+    words = [(f, word) for f, rank in ranks for word in itertools.product(range(f.weights.q), repeat=rank)]
+    checks = [verify.check_cylinder_increments(words), verify.check_increments_partition_unity(ranks)]
     elapsed = time.monotonic() - started
-    ok = ok and elapsed < 10.0
-    report(3, ok, elapsed, f"{checked} cylinders, exact rational equality")
+    report(3, elapsed < 10.0, elapsed, f"{len(words)} cylinders, exact rational equality", checks)
 
 
 def test_criterion_4_functional_equation_system():
     started = time.monotonic()
     configs = [
-        SalemFunction(WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))),
-        SalemFunction(WeightSet(2, (Fraction(3, 10), Fraction(7, 10))), EXAMPLE_ORDER),
+        SalemFunction(W37),
+        SalemFunction(W37, EXAMPLE_ORDER),
         SalemFunction(WeightSet(3, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))),
         SalemFunction(WeightSet(3, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))), IndexSequence((2, 1))),
         SalemFunction(WeightSet(4, (Fraction(1, 4), Fraction(1, 8), Fraction(3, 8), Fraction(1, 4))), EXAMPLE_ORDER),
     ]
     rng = random.Random(4)
-    worst = Fraction(0)
+    cases = []
     for f in configs:
-        q = f.weights.q
-        beta, p = f.weights.beta, f.weights.p
         for _ in range(100):
-            e = random_terminating(rng, q, 12)
-            values = [chain_value(f, e, k) for k in range(21)]
-            for k in range(1, 21):
-                d = e.digit_at(f.seq.n_at(k))
-                worst = max(worst, abs(values[k - 1] - beta[d] - p[d] * values[k]))
-        # spot-check that the packaged residual op computes the same defect
-        e = random_terminating(rng, q, 12)
-        for k in (1, 7, 20):
-            worst = max(worst, residual(f, e, k))
+            e = random_terminating(rng, f.weights.q, 12)
+            cases += [(f, e, k) for k in range(1, 21)]
+        # and one more point at spread-out k
+        e = random_terminating(rng, f.weights.q, 12)
+        cases += [(f, e, k) for k in (1, 7, 20)]
+    check = verify.check_peeling_identities(cases)
     elapsed = time.monotonic() - started
-    ok = worst <= Fraction(1, 10**10) and elapsed < 10.0
-    report(4, ok, elapsed, f"max residual {float(worst):.2e} over 5 configs x 100 points x k<=20")
+    report(4, elapsed < 10.0, elapsed, "residual exactly 0 over 5 configs x 100 points x k<=20", [check])
 
 
 def test_criterion_5_operator_algebra():
     started = time.monotonic()
     rng = random.Random(5)
-    ok = True
-    schedules = 0
-    for q in (2, 10):
-        e = DigitExpansion(BaseSpec.constant(q), tuple(rng.randrange(q) for _ in range(11)))
-        for size in range(0, 8):
-            for subset in itertools.combinations(range(1, 8), size):
-                for perm in itertools.permutations(subset):
-                    result = delete_positions(e, make_schedule(perm))
-                    digits, bases = stream_after_deleting(e, perm, horizon=14)
-                    if not matches_stream(result, digits, bases):
-                        ok = False
-                    schedules += 1
-    pairs = 0
-    for q in (2, 10):
-        e = DigitExpansion(BaseSpec.constant(q), tuple(rng.randrange(q) for _ in range(12)))
-        for n1 in range(1, 9):
-            for n2 in range(1, 9):
-                if not same_stream(
-                    compose_two(e, n1, n2), generalized_shift(generalized_shift(e, n1), n2)
-                ):
-                    ok = False
-                pairs += 1
-    identities = 0
+    stems = [random_terminating(rng, q, 11) for q in (2, 10)]
+    subsets = [s for size in range(0, 8) for s in itertools.combinations(range(1, 8), size)]
+    schedules = [(e, perm) for e in stems for s in subsets for perm in itertools.permutations(s)]
+    stems = [random_terminating(rng, q, 12) for q in (2, 10)]
+    pairs = [(e, n1, n2) for e in stems for n1 in range(1, 9) for n2 in range(1, 9)]
+    drops, runs, descents = [], [], []
     for _ in range(100):
         q = rng.choice([2, 10])
         e = DigitExpansion(
@@ -211,87 +125,50 @@ def test_criterion_5_operator_algebra():
             tuple(rng.randrange(q) for _ in range(rng.randrange(0, 12))),
             rng.choice([Tail.ZEROS, Tail.MAX]),
         )
-        m = rng.randrange(0, 5)
-        lhs = e
-        for _ in range(m):
-            lhs = generalized_shift(lhs, 2)
-        if not same_stream(shift(lhs), shift_n(e, m + 1)):
-            ok = False
-        k1, n = rng.randrange(1, 5), rng.randrange(1, 5)
-        cur = e
-        for k in range(k1, k1 + n):
-            cur = generalized_shift(cur, k)
-        if not same_stream(shift_n(cur, k1 + n - 1), shift_n(e, k1 + 2 * n - 1)):
-            ok = False
-        ks = sorted(rng.sample(range(1, 9), 3), reverse=True)
-        cur = e
-        for k in ks:
-            cur = generalized_shift(cur, k)
-        if not same_stream(shift_n(cur, ks[0] - 3), shift_n(e, ks[0])):
-            ok = False
-        identities += 3
+        drops.append((e, rng.randrange(0, 5)))
+        runs.append((e, rng.randrange(1, 5), rng.randrange(1, 5)))
+        descents.append((e, sorted(rng.sample(range(1, 9), 3), reverse=True)))
+    checks = [
+        verify.check_scheduled_deletions(schedules),
+        verify.check_two_deletions(pairs),
+        verify.check_drop_after_deletions(drops),
+        verify.check_consecutive_chain(runs),
+        verify.check_descending_chain(descents),
+    ]
     elapsed = time.monotonic() - started
-    ok = ok and elapsed < 30.0
-    report(5, ok, elapsed, f"{schedules} schedules, {pairs} two-deletion pairs, {identities} chain identities")
+    detail = f"{len(schedules)} schedules, {len(pairs)} two-deletion pairs, {3 * len(drops)} chain identities"
+    report(5, elapsed < 30.0, elapsed, detail, checks)
 
 
 def test_criterion_6_bar_index_reproduction():
     started = time.monotonic()
-    got = make_schedule((1, 5, 7, 3, 6, 10, 2, 4, 8, 9)).steps
+    check = verify.check_schedule_steps((1, 5, 7, 3, 6, 10, 2, 4, 8, 9), (1, 4, 5, 2, 3, 5, 1, 1, 1, 1))
     elapsed = time.monotonic() - started
-    report(6, got == (1, 4, 5, 2, 3, 5, 1, 1, 1, 1), elapsed, f"steps = {got}")
+    report(6, True, elapsed, f"steps = {check[2]}", [check])
 
 
 def test_criterion_7_measure_engine():
     started = time.monotonic()
-    ok = True
-    for q in (2, 3):
-        for n in range(1, 7):
-            plm = plm_iter_shift(q, n)
-            for x in (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5)):
-                if sublevel_measure(plm, x) != x:
-                    ok = False
-    details = []
-    for q, n, x in ((2, 3, Fraction(1, 3)), (3, 2, Fraction(2, 5))):
-        mc = monte_carlo_measure(SetFamilySpec.iter_shift(q, n), x, 10**6, seed=q * 10 + n)
-        gap = abs(mc.estimate - float(x))
-        if gap > 4 * mc.halfwidth:
-            ok = False
-        details.append(f"q={q},n={n}: |mc-exact|={gap:.2e} vs 4hw={4 * mc.halfwidth:.2e}")
+    shifts = [(q, n) for q in (2, 3) for n in range(1, 7)]
+    exact = verify.check_iter_shift_measure(shifts, (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5)))
+    runs = [(q, n, x, q * 10 + n) for q, n, x in ((2, 3, Fraction(1, 3)), (3, 2, Fraction(2, 5)))]
+    mc = verify.check_monte_carlo_measure(runs, 10**6)
     elapsed = time.monotonic() - started
-    ok = ok and elapsed < 60.0
-    report(7, ok, elapsed, "36 exact sublevel values; " + "; ".join(details))
+    report(7, elapsed < 60.0, elapsed, "36 exact sublevel values; " + mc[2], [exact, mc])
 
 
 def test_criterion_8_continuity_classifier():
     started = time.monotonic()
-    w = WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))
-    ident = SalemFunction(w)
     rng = random.Random(8)
-    ok = True
+    points = []
     for _ in range(200):
         q = rng.choice([2, 3])
-        weights = WeightSet(q, random_positive_weights(rng, q))
-        f = SalemFunction(weights)
-        digits = [rng.randrange(q) for _ in range(rng.randrange(1, 9))]
-        if digits[-1] == 0:
-            digits[-1] = rng.randrange(1, q)
-        e = DigitExpansion(BaseSpec.constant(q), tuple(digits))
-        res = continuity_at(f, e)
-        if not res.is_continuous:
-            ok = False
-            continue
-        if abs(evaluate(f, e) - evaluate(f, dual_representation(e))) > 2 * TOL:
-            ok = False
-    swapped = SalemFunction(w, IndexSequence((2, 1)))
-    e = DigitExpansion(BaseSpec.constant(2), (1,))
-    res = continuity_at(swapped, e)
-    jump_direct = evaluate(swapped, e) - evaluate(swapped, dual_representation(e))
-    found_jump = (not res.is_continuous) and res.jump != 0 and abs(res.jump - jump_direct) <= 2 * TOL
-    ok = ok and found_jump
+        f = SalemFunction(WeightSet(q, random_positive_weights(rng, q)))
+        points.append((f, random_two_expansion_point(rng, q, 9)))
+    checks = [verify.check_continuous_at_two_expansion_points(points), verify.check_swapped_order_jump(W37)]
     elapsed = time.monotonic() - started
-    detail = f"identity continuous on 200 points; perm(2 1) jump {float(res.jump):.4f} at 1/2"
-    report(8, ok, elapsed, detail)
+    detail = f"identity continuous on 200 points; perm(2 1) {checks[1][2]} at 1/2"
+    report(8, True, elapsed, detail, checks)
 
 
 def test_criterion_9_distribution_function():
@@ -303,18 +180,6 @@ def test_criterion_9_distribution_function():
         specs.append(DistributionSpec(WeightSet(q, random_positive_weights(rng, q))))
     # one spec with an interior zero weight
     specs.append(DistributionSpec(WeightSet(3, (Fraction(1, 2), Fraction(0), Fraction(1, 2)))))
-    ok = True
-    for d in specs:
-        if distribution_function(d, Fraction(-1, 2)) != 0:
-            ok = False
-        if distribution_function(d, 1) != 1 or distribution_function(d, 2) != 1:
-            ok = False
-        prev = Fraction(-1)
-        for i in range(0, 1001):
-            val = distribution_function(d, Fraction(i, 1000))
-            if val < prev:
-                ok = False
-                break
-            prev = val
+    check = verify.check_distribution_function(specs, 1000)
     elapsed = time.monotonic() - started
-    report(9, ok, elapsed, "5 nonnegative weight sets, 1001-point monotone grid")
+    report(9, True, elapsed, "5 nonnegative weight sets, 1001-point monotone grid", [check])

@@ -128,6 +128,33 @@ class TestCurve:
             assert abs(float(g) - float(exact)) <= 5e-13 + 1e-12
 
 
+ALL_CHECKS = [
+    "dual representations have equal values",
+    "digit extraction round-trips terminating values",
+    "notation parser and printer round-trip",
+    "drop-first after m deletions at 2 equals (m+1)-fold shift",
+    "consecutive deletion chain collapses to an iterated shift",
+    "descending deletion chain collapses to an iterated shift",
+    "deletion difference identity holds exactly",
+    "one-sided gap at cylinder endpoints is -1/block(m-1)",
+    "two-deletion closed form equals sequential deletions",
+    "re-indexed steps of (1,5,7,3,6) are (1,4,5,2,3)",
+    "re-indexed steps of (1,5,7,3,6,10,2,4,8,9) are (1,4,5,2,3,5,1,1,1,1)",
+    "scheduled deletions equal direct position removal",
+    "peeling identities hold along deletion chains",
+    "closed form matches exact terminating-grid quadrature",
+    "closed form matches midpoint quadrature",
+    "identity order is continuous at two-expansion points",
+    "swapped order jumps at the first cylinder endpoint",
+    "distribution function is a monotone CDF",
+    "cylinder increments equal weight products (identity order)",
+    "rank-r increments partition unity",
+    "iterated shifts preserve Lebesgue measure",
+    "Monte Carlo agrees with the exact measure",
+    "iterate comparison agrees with Monte Carlo",
+]
+
+
 class TestVerify:
     def test_known_suite_passes(self):
         out = run_cli("verify", "schedule")
@@ -148,6 +175,10 @@ class TestVerify:
         assert main(["verify", suite]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines and all(line.startswith("PASS  ") for line in lines)
+
+    def test_all_prints_every_check_in_order(self, capsys):
+        assert main(["verify", "all"]) == 0
+        assert capsys.readouterr().out.splitlines() == [f"PASS  {name}" for name in ALL_CHECKS]
 
     def test_failed_check_exits_one(self, capsys):
         assert main(["verify", "integral", "--spec", "q=2; p=0.3,0.7; seq=perm(2 1)"]) == 1

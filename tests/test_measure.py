@@ -88,6 +88,11 @@ class TestPiecewiseMaps:
                 continue
             assert plm.apply(z) == value_of(shift_n(e, 3))
 
+    def test_rejects_out_of_order_branches(self):
+        b0, b1, b2, b3 = plm_iter_shift(2, 2).branches
+        with pytest.raises(ValueError, match="branch domains must tile"):
+            measure.PiecewiseLinearMap([b0, b2, b1, b3])
+
     def test_iterate_limit_guard(self):
         with pytest.raises(BudgetExceededError):
             plm_iter_shift(10, 8)

@@ -34,14 +34,8 @@ from cantorshift import (
     series_depth,
     value_of,
 )
-from oracles import (
-    midpoint_quadrature,
-    random_positive_weights,
-    random_terminating,
-    riemann_bracket,
-    salem_series_brute,
-    salem_value_exact,
-)
+from cantorshift.verify import midpoint_quadrature, random_positive_weights, random_terminating
+from oracles import riemann_bracket, salem_series_brute, salem_value_exact
 
 B2 = BaseSpec.constant(2)
 W37 = WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))

@@ -24,12 +24,8 @@ from cantorshift import (
     shift_n,
     value_of,
 )
-from oracles import (
-    alternating_full_value,
-    alternating_series_direct,
-    matches_stream,
-    stream_after_deleting,
-)
+from cantorshift.verify import matches_stream, stream_after_deleting
+from oracles import alternating_full_value, alternating_series_direct
 
 
 def random_expansion(rng, cantor=False, maxlen=12, force_zeros=False):
