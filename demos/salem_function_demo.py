@@ -22,6 +22,7 @@ from cantorshift import (
     increment_product,
     integral_closed_form,
     residual,
+    value_at,
 )
 
 b2 = BaseSpec.constant(2)
@@ -35,6 +36,10 @@ print("classification:", classify_monotonicity(f))
 for num, den in ((0, 1), (1, 4), (1, 2), (3, 4), (1, 1)):
     e = expansion_of(Fraction(num, den), b2, 20)
     print(f"  g({num}/{den}) = {evaluate(f, e)}")
+# 1/3 = 0.010101... in base 2: the period closes after two digits, and g is
+# the fixed point of g -> beta_0 + p_0 (beta_1 + p_1 g), exactly.
+value, cut = value_at(f, Fraction(1, 3))
+print(f"  g(1/3) = {value}", "(exact)" if cut is None else f"(cut after {cut} digits)")
 
 # Increments over cylinders are plain weight products.
 print("\ncylinder [1,0]: increment =", cylinder_increment(f, Cylinder(b2, (1, 0))),

@@ -57,9 +57,8 @@ from .salem import (
     increment_via_evaluate,
     integral_closed_form,
     parse_function_spec,
-    rational_expansion,
     residual,
-    series_depth,
+    value_at,
 )
 from .measure import (
     BudgetExceededError,

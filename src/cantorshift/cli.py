@@ -42,24 +42,21 @@ def cmd_eval(args) -> int:
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_USAGE)
     q = f.weights.q
-    exact = True
     try:
         if ":" in args.x:
             e = parse_expansion(args.x)
             if not (e.base.is_constant and e.base.tail_value == q):
                 return _fail(f"expansion base must be q{q}", EXIT_USAGE)
+            value, cut = sm.evaluate(f, e), None
         else:
             x = parse_rational(args.x)
             if not 0 <= x <= 1:
                 return _fail("x must lie in [0, 1]", EXIT_USAGE)
-            e = sm.rational_expansion(f, x)
-            exact = value_of(e) == x
+            value, cut = sm.value_at(f, x)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    value = sm.evaluate(f, e)
     print(_format_value(value))
-    depth = max(f.seq.size, len(e.prefix))
-    print("exact" if exact else f"truncation depth: {depth}", file=sys.stderr)
+    print("exact" if cut is None else f"truncation depth: {cut}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -73,7 +70,7 @@ def cmd_curve(args) -> int:
     lines = ["# q-rational grid points are evaluated in the terminating digit form", "x,g"]
     for i in range(args.grid + 1):
         x = Fraction(i, args.grid)
-        g = sm.evaluate(f, sm.rational_expansion(f, x))
+        g, _ = sm.value_at(f, x)
         lines.append(f"{_format_value(x)},{_format_value(g)}")
     try:
         with open(args.out, "w", encoding="ascii") as handle:

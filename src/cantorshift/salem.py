@@ -11,12 +11,13 @@ weights 1/q and the natural reading order this is the identity; unequal
 positive weights give the classical strictly increasing singular function,
 rearranged orders give functions without monotonicity intervals.
 
-Evaluation here is exact: zeros tails terminate the series (beta_0 = 0) and
-max tails sum geometrically to the running product, so every representable
-expansion has a closed-form rational image.  The series is the peeling
-identity g(x) = beta_d + p_d * g(sigma x) unrolled, so it is computed as an
-integer Horner scheme over the common denominator D of the weights, read
-backwards from the tail, with one ``Fraction`` at the end.
+The series is the peeling identity g(x) = beta_d + p_d * g(sigma x)
+unrolled.  One pass over a repeating digit block is one affine map whose
+fixed point is g of the periodic part, and the digits before the block are
+folded onto it backwards, all in integers over the common denominator D of
+the weights.  ``evaluate`` is exact; ``value_at`` is exact once a rational's
+digits repeat and cuts the series within 1e-12 if the weights read first
+multiply to 1e-12.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .expansions import (
     DigitExpansion,
     Tail,
     dual_representation,
-    expansion_of,
 )
 from .shifts import generalized_shift, make_schedule
 
@@ -44,9 +44,8 @@ __all__ = [
     "DistributionSpec",
     "Monotonicity",
     "ContinuityResult",
-    "series_depth",
-    "rational_expansion",
     "evaluate",
+    "value_at",
     "first_terms",
     "chain_expansion",
     "chain_value",
@@ -62,9 +61,6 @@ __all__ = [
     "parse_function_spec",
     "format_function_spec",
 ]
-
-# Accuracy of g at a rational whose expansion does not terminate.
-_ACCURACY = 1e-12
 
 RationalLike = Union[Fraction, int, str]
 
@@ -85,7 +81,6 @@ class WeightSet:
     q: int
     p: tuple[Fraction, ...]
     beta: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
-    max_abs: Fraction = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False, repr=False)
     p_num: tuple[int, ...] = field(init=False, compare=False, repr=False)
     beta_num: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -107,7 +102,6 @@ class WeightSet:
             raise ValueError("cumulative sums must lie strictly in (0, 1)")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "beta", tuple(beta))
-        object.__setattr__(self, "max_abs", max(abs(v) for v in p))
         den = math.lcm(*(v.denominator for v in p))
         p_num = tuple(v.numerator * (den // v.denominator) for v in p)
         beta_num = [0]
@@ -207,67 +201,82 @@ class DistributionSpec:
             raise ValueError("distribution weights must be >= 0")
 
 
-def series_depth(weights: WeightSet, bound: float) -> int:
-    """Smallest series length K >= 1 with max|p|^K <= bound.
-
-    Cutting the series after K terms changes g by a product of K weights
-    times a value of g, so by at most ``bound`` when g maps into [0, 1].
-    """
-    if bound <= 0:
-        raise ValueError("bound must be > 0")
-    pmax = float(weights.max_abs)
-    if pmax == 0.0:
-        return 1
-    return max(1, math.ceil(math.log(bound) / math.log(pmax)))
-
-
-def rational_expansion(f: SalemFunction, x: RationalLike) -> DigitExpansion:
-    """The base-q expansion of a rational x in [0, 1] that g(x) is read from.
-
-    The digits are cut after depth = max(series_depth, reading-order length),
-    with a zeros tail (x = 1 has only the max form).  The reading order reads
-    every kept digit before any dropped one, so the value of the cut
-    expansion is within max|p|^depth <= 1e-12 of g(x) when g maps into
-    [0, 1], and exact when x terminates within depth digits.
-    """
-    depth = max(series_depth(f.weights, _ACCURACY), f.seq.size)
-    return expansion_of(x, BaseSpec.constant(f.weights.q), depth, Tail.ZEROS)
-
-
 def _check_base(f_q: int, e: DigitExpansion) -> None:
     if not (e.base.is_constant and e.base.tail_value == f_q):
         raise ValueError(f"expansion must use constant base {f_q}")
 
 
-def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
-    """Exact value of the function at an expansion.
-
-    Terms beyond max(reading-prefix length, digit-prefix length) vanish for a
-    zeros tail (beta_0 = 0) and sum geometrically to the running product for
-    a max tail (beta_{q-1} = 1 - p_{q-1}), so the series is closed form:
-    g = 0 or 1 past the last read digit.  The digits, in reading order, are
-    then folded in backwards by g <- beta_d + p_d * g, in integers over the
-    common weight denominator D: acc <- B_d * scale + P_d * acc and
-    scale <- scale * D, with g = acc / scale.
-    """
-    _check_base(f.weights.q, e)
-    w = f.weights
-    order = f.seq.prefix
-    top = max(len(order), len(e.prefix))
-    tail_digit = w.q - 1 if e.tail is Tail.MAX else 0
-    digits = list(e.prefix) + [tail_digit] * (top - len(e.prefix))
-    digits[: len(order)] = [digits[n - 1] for n in order]
-    if e.tail is Tail.ZEROS:
-        # beta_0 = 0 and g = 0 past them: trailing zeros add nothing
-        while digits and not digits[-1]:
-            digits.pop()
+def _fold(w: WeightSet, digits, num: int, den: int) -> tuple[int, int]:
+    """Fold digits, in reading order, backwards onto g = num/den past them:
+    g <- beta_d + p_d * g, in integers over the common weight denominator D."""
     P, B, D = w.p_num, w.beta_num, w.den
-    acc = 1 if e.tail is Tail.MAX else 0
-    scale = 1
     for d in reversed(digits):
-        acc = B[d] * scale + P[d] * acc
-        scale *= D
-    return Fraction(acc, scale)
+        num = B[d] * den + P[d] * num
+        den *= D
+    return num, den
+
+
+def _series(w: WeightSet, head, block) -> Fraction:
+    """g of the reading-order digits head, block, block, ...: one pass over the
+    block is the map g -> (b + a*g)/s, whose fixed point b/(s - a) (s > |a| as
+    |p| < 1) the head is folded onto."""
+    b, s = _fold(w, block, 0, 1)
+    return Fraction(*_fold(w, head, b, s - math.prod(w.p_num[d] for d in block)))
+
+
+def _read(order: tuple[int, ...], digits: list[int]) -> list[int]:
+    return [digits[n - 1] for n in order] + digits[len(order) :]
+
+
+def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
+    """Exact value of the function at an expansion: past its digit prefix and
+    reading prefix it reads the block (0), fixed point 0, or (q-1), fixed
+    point 1."""
+    _check_base(f.weights.q, e)
+    w, order = f.weights, f.seq.prefix
+    tail = w.q - 1 if e.tail is Tail.MAX else 0
+    digits = list(e.prefix) + [tail] * (len(order) - len(e.prefix))
+    return _series(w, _read(order, digits), (tail,))
+
+
+def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]]:
+    """g at a rational x in [0, 1], and the number of digits read if the series
+    was cut (None if the value is exact).
+
+    Long division with a memo of the remainders reads digits until a remainder
+    repeats, which closes the period and makes the value exact, or until the
+    reading order is read and the weights read multiply to at most 1e-12 in
+    absolute value: the rest of the series is that product times a value in
+    [0, 1].  The cut spares long periods (0.123456789012 in base 3 has one of
+    195,312,500 digits).
+    """
+    x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError("value must lie in [0, 1]")
+    w, order = f.weights, f.seq.prefix
+    if x == 1:
+        return _series(w, [], (w.q - 1,)), None
+    absp = [abs(float(v)) for v in w.p]
+    num, den = x.numerator, x.denominator
+    seen: dict[int, int] = {}
+    digits: list[int] = []
+    prod = 1.0
+    while num and num not in seen:
+        if prod <= 1e-12 and len(digits) >= len(order):
+            return _series(w, _read(order, digits), (0,)), len(digits)
+        seen[num] = len(digits)
+        d, num = divmod(num * w.q, den)
+        digits.append(d)
+        prod *= absp[d]
+    # the digits repeat from ``start`` on (a zero remainder at once); read on
+    # until one period follows the reading order
+    start = seen.get(num, len(digits))
+    period = len(digits) - start or 1
+    top = max(start, len(order))
+    while len(digits) < top + period:
+        d, num = divmod(num * w.q, den)
+        digits.append(d)
+    return _series(w, _read(order, digits[:top]), digits[top:]), None
 
 
 def first_terms(f: SalemFunction, e: DigitExpansion, count: int) -> list[Fraction]:
@@ -473,17 +482,16 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
 
     Reassigning which draw lands in which position (the reading order) does
     not change the law, so the CDF pairs the k-th series slot with the k-th
-    digit of x regardless of the order stored in the spec.  Non-terminating
-    arguments are cut as in :func:`rational_expansion`, which keeps the
-    result within 1e-12 and monotone in x.
+    digit of x regardless of the order stored in the spec.  The value is
+    :func:`value_at`'s: exact when the digits of x repeat before the weights
+    read multiply to 1e-12, and within 1e-12 otherwise.
     """
     x = Fraction(x)
     if x < 0:
         return Fraction(0)
     if x >= 1:
         return Fraction(1)
-    plain = SalemFunction(d.weights, IndexSequence())
-    return evaluate(plain, rational_expansion(plain, x))
+    return value_at(SalemFunction(d.weights), x)[0]
 
 
 # --- textual function specs ----------------------------------------------

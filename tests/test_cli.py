@@ -1,9 +1,14 @@
+import contextlib
+import io
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorshift.cli import main
 from cantorshift.verify import SUITES
@@ -21,7 +26,8 @@ def run_cli(*args):
     )
 
 
-# A reading order of 20 positions; series_depth asks for 18 digits here.
+# A reading order of 20 positions; the weights read multiply to 1e-12 after
+# at most 18 digits.
 LONG_ORDER_SPEC = (
     "q=10; p=0.21,0.09,0.09,0.09,0.09,0.09,0.09,0.09,0.09,0.07; "
     "seq=perm(20 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 1)"
@@ -33,7 +39,7 @@ class TestEval:
         out = run_cli("eval", "q=2;p=0.5,0.5", "1/3")
         assert out.returncode == 0
         assert out.stdout.strip() == "0.333333333333"
-        assert "truncation depth" in out.stderr
+        assert out.stderr.strip() == "exact"  # the period 01 closes after 2 digits
 
     def test_digit_notation_input(self):
         out = run_cli("eval", "q=2;p=0.3,0.7", "q2:[1]:zeros")
@@ -75,6 +81,7 @@ class TestEval:
         out = run_cli("eval", LONG_ORDER_SPEC, "1/3")
         assert out.returncode == 0
         assert out.stdout.strip() == "0.428571428571"  # 3/7
+        assert out.stderr.strip() == "exact"
 
 
 class TestCurve:
@@ -125,7 +132,94 @@ class TestCurve:
         order = (20,) + tuple(range(2, 20)) + (1,)
         for i, (_, g) in enumerate(rows):
             exact = salem_value_exact(beta, p, order, i, 3, 10)
-            assert abs(float(g) - float(exact)) <= 5e-13 + 1e-12
+            assert g == f"{float(exact):.12f}".rstrip("0").rstrip(".")
+
+
+def run_main(*argv):
+    """Run ``main`` in-process: (exit code, stdout, stderr, seconds)."""
+    out, err = io.StringIO(), io.StringIO()
+    started = time.monotonic()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), time.monotonic() - started
+
+
+SPEC_315 = "q=3; p=1/5,2/5,2/5"
+
+
+class TestRationalValues:
+    """g at a rational is exact once its digits repeat, and cut within 1e-12
+    when the weights read multiply to 1e-12 first."""
+
+    def test_period_closes_before_the_cut(self):
+        # g(5/8) = 11/21; a cut at 31 digits printed 0.523809523809
+        code, out, err, seconds = run_main("eval", SPEC_315, "5/8")
+        assert (code, out, err) == (0, "0.52380952381\n", "exact\n")
+        assert seconds < 1.0
+
+    def test_curve_row_at_five_eighths(self, tmp_path):
+        out_path = tmp_path / "curve.csv"
+        code, _, _, seconds = run_main("curve", SPEC_315, "--grid", "256", "--out", str(out_path))
+        assert code == 0 and seconds < 1.0
+        assert "0.625,0.52380952381" in out_path.read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "spec, printed",
+        [
+            ("q=2; p=9999/10000,1/10000", "0.99989999"),  # 99980001/99990001
+            ("q=2; p=99999/100000,1/100000", "0.9999899999"),  # 9999800001/9999900001
+        ],
+    )
+    def test_weights_near_one(self, spec, printed):
+        code, out, err, seconds = run_main("eval", spec, "1/3")
+        assert (code, out, err) == (0, printed + "\n", "exact\n")
+        assert seconds < 1.0
+
+    def test_long_period_is_cut(self):
+        # the base-3 period of 0.123456789012 is 195,312,500 digits long
+        code, out, err, seconds = run_main("eval", SPEC_315, "0.123456789012")
+        assert code == 0 and out.strip()
+        assert re.fullmatch(r"truncation depth: \d+\n", err)
+        assert seconds < 1.0
+
+
+# near 0 and near 1: runs of one digit in a/b, b <= 10^15, are short, so the
+# weights read fall to 1e-12 within a few hundred digits
+FUZZ_SPECS = [
+    *(f"q=2; p={1 - Fraction(1, 10**k)},{Fraction(1, 10**k)}" for k in (1, 3, 6)),
+    *(f"q=2; p={Fraction(1, 10**k)},{1 - Fraction(1, 10**k)}" for k in (1, 3, 6)),
+    "q=3; p=1/1000000,999998/1000000,1/1000000",
+    "q=10; p=" + ",".join(["1/1000000"] * 9 + ["999991/1000000"]),
+    "q=3; p=1/5,2/5,2/5; seq=perm(3 1 2)",
+]
+PRIMES = [2147483647, 999999000001, 999999999937, 999999999959, 999999999961, 999999999989]
+
+
+@st.composite
+def rational_texts(draw):
+    if draw(st.booleans()):
+        places = draw(st.integers(1, 15))
+        n = draw(st.integers(0, 10**places + 10**places // 8))
+        return f"{n // 10**places}.{n % 10**places:0{places}d}"
+    den = draw(st.one_of(st.integers(1, 10**12), st.sampled_from(PRIMES)))
+    return f"{draw(st.integers(0, den + den // 8))}/{den}"
+
+
+class TestEvalFuzz:
+    @given(st.sampled_from(FUZZ_SPECS), rational_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_rational_argument(self, spec, text):
+        code, out, err, _ = run_main("eval", spec, text)
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            assert re.fullmatch(r"(exact|truncation depth: \d+)\n", err)
+            assert 0 <= float(out) <= 1
+        else:
+            assert err.startswith("error:")
 
 
 ALL_CHECKS = [

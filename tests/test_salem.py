@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorshift import (
     BaseSpec,
@@ -29,9 +30,8 @@ from cantorshift import (
     increment_via_evaluate,
     integral_closed_form,
     parse_function_spec,
-    rational_expansion,
     residual,
-    series_depth,
+    value_at,
     value_of,
 )
 from cantorshift.verify import midpoint_quadrature, random_positive_weights, random_terminating
@@ -225,33 +225,95 @@ class TestEvaluateKernel:
 
 
 class TestRationalExpansion:
-    # perm(20 2 .. 19 1) is longer than the 18 digits series_depth asks for.
+    """``value_at`` reads a rational's digits until the period closes (exact)
+    or the weights read multiply to at most 1e-12 (cut)."""
+
+    # perm(20 2 .. 19 1); the weights read multiply to 1e-12 before 20 digits.
     LONG = SalemFunction(
         WeightSet(10, (Fraction(21, 100),) + (Fraction(9, 100),) * 8 + (Fraction(7, 100),)),
         IndexSequence((20,) + tuple(range(2, 20)) + (1,)),
     )
 
     def test_depth_covers_the_reading_order(self):
-        assert series_depth(self.LONG.weights, 1e-12) < self.LONG.seq.size
-        e = rational_expansion(self.LONG, Fraction(1, 3))
-        assert e.prefix == (3,) * 20 and e.tail is Tail.ZEROS
-        assert len(rational_expansion(IDENT37, Fraction(1, 3)).prefix) == series_depth(W37, 1e-12)
+        w = self.LONG.weights
+        # periods of 1, 6 and 16 digits, all closing inside the reading order
+        for num, den in ((1, 3), (1, 7), (1, 17)):
+            exact = salem_value_exact(w.beta, w.p, self.LONG.seq.prefix, num, den, 10)
+            assert value_at(self.LONG, Fraction(num, den)) == (exact, None)
+        # 1/47 has a period of 46 digits: the cut waits for the 20 read ones
+        value, cut = value_at(self.LONG, Fraction(1, 47))
+        assert cut == 20
+        exact = salem_value_exact(w.beta, w.p, self.LONG.seq.prefix, 1, 47, 10)
+        assert abs(value - exact) <= Fraction(1, 10**12)
 
     def test_terminating_points_are_exact(self):
-        e = rational_expansion(IDENT37, Fraction(3, 8))
-        assert value_of(e) == Fraction(3, 8) and e.tail is Tail.ZEROS
-        assert evaluate(IDENT37, e) == evaluate(IDENT37, DigitExpansion(B2, (0, 1, 1)))
-        assert rational_expansion(IDENT37, 1) == DigitExpansion(B2, (), Tail.MAX)
+        assert value_at(IDENT37, Fraction(3, 8)) == (evaluate(IDENT37, DigitExpansion(B2, (0, 1, 1))), None)
+        assert value_at(IDENT37, 0) == (0, None)
+        assert value_at(IDENT37, 1) == (1, None)
+        assert value_at(SalemFunction(W37, EXAMPLE_ORDER), Fraction(1, 2)) == (Fraction(3, 10), None)
 
     def test_values_within_accuracy_of_exact(self):
         rng = random.Random(59)
         cases = [(self.LONG, 1, 3), (self.LONG, 2, 3), (SalemFunction(W37, EXAMPLE_ORDER), 5, 7)]
         cases += [(IDENT37, rng.randrange(0, 13), 13) for _ in range(10)]
+        # a cut at max|p|^K <= 1e-12 read 31 digits at 5/8 (g = 11/21, printed
+        # 0.523809523809) and 276297 at 1/3; both periods are short
+        cases += [(parse_function_spec("q=3; p=1/5,2/5,2/5"), 5, 8)]
+        cases += [(parse_function_spec("q=2; p=9999/10000,1/10000"), 1, 3)]
         for f, num, den in cases:
             w = f.weights
             exact = salem_value_exact(w.beta, w.p, f.seq.prefix, num, den, w.q)
-            got = evaluate(f, rational_expansion(f, Fraction(num, den)))
-            assert abs(got - exact) <= 1e-12
+            assert value_at(f, Fraction(num, den)) == (exact, None)
+
+    def test_long_period_is_cut(self):
+        # 0.123456789012 has a base-3 period of 195,312,500 digits
+        f = parse_function_spec("q=3; p=1/5,2/5,2/5")
+        x = Fraction("0.123456789012")
+        value, cut = value_at(f, x)
+        assert cut is not None and cut < 60
+        deeper = evaluate(f, expansion_of(x, BaseSpec.constant(3), 120))
+        assert abs(value - deeper) <= Fraction(1, 10**12)
+
+    def test_rejects_points_outside_the_unit_interval(self):
+        for x in (Fraction(-1, 3), Fraction(4, 3)):
+            with pytest.raises(ValueError):
+                value_at(IDENT37, x)
+
+
+# q in {2, 3, 4, 10}, with zero and negative weights
+WEIGHT_SETS = [
+    W37,
+    WeightSet(2, (Fraction(1, 2), Fraction(1, 2))),
+    WeightSet(2, (Fraction(39, 40), Fraction(1, 40))),
+    WeightSet(3, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5))),
+    WeightSet(3, (Fraction(1, 2), Fraction(0), Fraction(1, 2))),
+    WeightSet(3, (Fraction(7, 10), Fraction(-1, 5), Fraction(1, 2))),
+    WeightSet(3, (Fraction(9, 10), Fraction(-4, 5), Fraction(9, 10))),
+    WeightSet(4, (Fraction(1, 4), Fraction(1, 8), Fraction(3, 8), Fraction(1, 4))),
+    WeightSet(4, (Fraction(2, 5), Fraction(0), Fraction(-1, 10), Fraction(7, 10))),
+    WeightSet(10, (Fraction(21, 100),) + (Fraction(9, 100),) * 8 + (Fraction(7, 100),)),
+]
+
+
+@st.composite
+def unit_rationals(draw):
+    den = draw(st.integers(1, 400))
+    return Fraction(draw(st.integers(0, den)), den)
+
+
+class TestValueAtAgainstOracle:
+    @given(st.sampled_from(WEIGHT_SETS), st.permutations(range(1, 9)), st.integers(0, 8), unit_rationals())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_or_cut_within_accuracy(self, w, perm, size, x):
+        # the entries <= size of a permutation of 1..8 permute 1..size
+        f = SalemFunction(w, IndexSequence(tuple(n for n in perm if n <= size)))
+        value, cut = value_at(f, x)
+        exact = salem_value_exact(w.beta, w.p, f.seq.prefix, x.numerator, x.denominator, w.q)
+        if cut is None:
+            assert value == exact
+        else:
+            assert abs(value - exact) <= Fraction(1, 10**12)
+            assert cut >= f.seq.size
 
 
 class TestFunctionalEquations:
@@ -373,13 +435,13 @@ class TestIntegral:
 
     def test_midpoint_quadrature(self):
         closed = float(integral_closed_form(IDENT37))
-        est = midpoint_quadrature(IDENT37, 20000, 45)
+        est = midpoint_quadrature(IDENT37, 20000)
         assert abs(est - closed) < 5e-3
 
     def test_rearranged_midpoint_quadrature(self):
         f = SalemFunction(W37, EXAMPLE_ORDER)
         closed = float(integral_closed_form(f))
-        est = midpoint_quadrature(f, 20000, 45)
+        est = midpoint_quadrature(f, 20000)
         assert abs(est - closed) < 5e-3
 
 
@@ -460,14 +522,14 @@ class TestDistribution:
 
     def test_uniform_case(self):
         d = DistributionSpec(WeightSet(2, (Fraction(1, 2), Fraction(1, 2))))
-        got = distribution_function(d, Fraction(1, 3))
-        assert abs(got - Fraction(1, 3)) < Fraction(1, 10**12)
+        assert distribution_function(d, Fraction(1, 3)) == Fraction(1, 3)
 
     def test_within_accuracy_of_exact(self):
+        # periods of 2, 3 and 10 digits: the values are exact
         d = DistributionSpec(W37, EXAMPLE_ORDER)
         for num, den in ((1, 3), (2, 7), (5, 11)):
             exact = salem_value_exact(W37.beta, W37.p, (), num, den, 2)
-            assert abs(distribution_function(d, Fraction(num, den)) - exact) <= 1e-12
+            assert distribution_function(d, Fraction(num, den)) == exact
 
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
@@ -508,8 +570,3 @@ class TestFunctionSpecs:
         for text in ("q=2", "p=0.5,0.5", "q=2; p=0.4,0.7", "q=2; p=0.5,0.5; seq=perm(1 3)", "q=2; p=0.5,0.5; flip=1"):
             with pytest.raises(ValueError):
                 parse_function_spec(text)
-
-    def test_series_depth_guard(self):
-        with pytest.raises(ValueError):
-            series_depth(W37, 0.0)
-        assert series_depth(W37, 1e-12) >= 40
