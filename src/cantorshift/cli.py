@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import measure as me
@@ -114,24 +115,92 @@ def _parse_int_list(text: str) -> list[int]:
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
-_SHARED_KEYS = {"family", "q", "samples", "seed", "budget", "iter_limit", "fallback", "out"}
-# The keys each family reads besides the shared ones.  A key the chosen
-# family never reads is an error rather than silently ignored.
-_THRESHOLD_KEYS = {"x", "threshold_point", "threshold_iter"}
-_FAMILY_KEYS = {
-    "itershift": {"n"} | _THRESHOLD_KEYS,
-    "genchain": {"indices", "psi", "count"} | _THRESHOLD_KEYS,
-    "schedulechain": {"indices", "psi", "count"} | _THRESHOLD_KEYS,
-    "compareiter": {"a", "b", "psi", "phi"},
+
+@dataclass(frozen=True)
+class MeasureConfig:
+    """A parsed measure config: the sets to scan, their thresholds and the scan settings."""
+
+    specs: tuple[me.SetFamilySpec, ...]
+    x_grid: tuple[Fraction, ...]
+    samples: int
+    seed: int
+    budget: int
+    iter_limit: int
+    fallback: bool
+    out: str
+
+    def __post_init__(self) -> None:
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
+        if self.iter_limit < 1:
+            raise ValueError("iter_limit must be >= 1")
+        if self.fallback and self.samples < 1:
+            raise ValueError("samples must be >= 1 when fallback is on")
+        if not all(0 <= x <= 1 for x in self.x_grid):
+            raise ValueError("thresholds x must lie in [0, 1]")
+
+
+# each set key's line number and value text
+_Keys = dict[str, tuple[int, str]]
+
+
+def _take(keys: _Keys, key: str, default: str | None = None) -> str:
+    """Pop the value of ``key``; a key without a default must be set."""
+    if key in keys:
+        return keys.pop(key)[1]
+    if default is None:
+        raise ValueError(f"config needs {key} = ...")
+    return default
+
+
+def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
+    """The ``x`` list, or the value of ``threshold_point`` after ``threshold_iter`` digit drops."""
+    if "x" in keys or "threshold_point" not in keys:
+        xs = tuple(parse_rational(tok) for tok in _take(keys, "x", "").split(",") if tok.strip())
+        if not xs:
+            raise ValueError(f"{family} needs x = ... or threshold_point = ...")
+        return xs
+    point = parse_expansion(_take(keys, "threshold_point"))
+    return (value_of(sh.shift_n(point, int(_take(keys, "threshold_iter", "0")))),)
+
+
+def _read_itershift(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
+    return [me.SetFamilySpec.iter_shift(q, n) for n in _parse_range(_take(keys, "n"))]
+
+
+def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
+    table = _parse_int_list(_take(keys, "indices" if "indices" in keys else "psi", ""))
+    if not table:
+        raise ValueError(f"{family} needs indices= (or psi=)")
+    counts = _parse_range(_take(keys, "count", str(len(table))))
+    if not all(1 <= c <= len(table) for c in counts):
+        raise ValueError(f"count must lie in 1..{len(table)}, the lookup table length")
+    if family == "genchain":
+        return [me.SetFamilySpec.gen_chain(q, table[:c]) for c in counts]
+    return [me.SetFamilySpec.schedule_chain(q, table, c) for c in counts]
+
+
+def _read_compareiter(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
+    if "psi" not in keys and "phi" not in keys:
+        return [me.SetFamilySpec.compare_iter(q, int(_take(keys, "a")), int(_take(keys, "b")))]
+    psi, phi = _parse_int_list(_take(keys, "psi")), _parse_int_list(_take(keys, "phi"))
+    if not psi or len(psi) != len(phi):
+        raise ValueError("psi and phi tables must be nonempty and of equal length")
+    return [me.SetFamilySpec.compare_iter(q, a, b) for a, b in zip(psi, phi)]
+
+
+_READERS = {
+    "itershift": _read_itershift,
+    "genchain": _read_chain,
+    "schedulechain": _read_chain,
+    "compareiter": _read_compareiter,
 }
-_CONFIG_KEYS = _SHARED_KEYS.union(*_FAMILY_KEYS.values())
-# key groups that one config may not mix
-_EXCLUSIVE = ((("x",), ("threshold_point",)), (("indices",), ("psi",)), (("a", "b"), ("psi", "phi")))
 
 
-def parse_config(text: str) -> dict:
-    """Plain ``key = value`` lines; '#' starts a comment."""
-    raw: dict[str, str] = {}
+def parse_config(text: str) -> MeasureConfig:
+    """Plain ``key = value`` lines; '#' starts a comment.  The family's reader
+    and the scan settings take the keys they read; any key left is an error."""
+    keys: _Keys = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -140,99 +209,32 @@ def parse_config(text: str) -> dict:
             raise ValueError(f"line {lineno}: expected key = value")
         key, value = line.split("=", 1)
         key = key.strip().lower()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value.strip()
-    if "family" not in raw or "q" not in raw:
-        raise ValueError("config needs at least family= and q=")
-    family = raw["family"].lower()
-    if family not in _FAMILY_KEYS:
+        if key in keys:
+            raise ValueError(f"line {lineno}: key {key} set twice")
+        keys[key] = (lineno, value.strip())
+    family = _take(keys, "family").lower()
+    if family not in _READERS:
         raise ValueError(f"unknown family {family!r}")
-    unread = sorted(raw.keys() - _SHARED_KEYS - _FAMILY_KEYS[family])
-    if unread:
-        raise ValueError(f"{family} does not read {', '.join(unread)}")
-    for left, right in _EXCLUSIVE:
-        if raw.keys() & left and raw.keys() & right:
-            raise ValueError(f"set either {'/'.join(left)} or {'/'.join(right)}, not both")
-    if "threshold_iter" in raw and "threshold_point" not in raw:
-        raise ValueError("threshold_iter needs threshold_point")
-    cfg: dict = {
-        "family": family,
-        "q": int(raw["q"]),
-        "samples": int(raw.get("samples", "100000")),
-        "seed": int(raw.get("seed", "0")),
-        "budget": int(raw.get("budget", str(me.DEFAULT_BRANCH_BUDGET))),
-        "iter_limit": int(raw.get("iter_limit", str(me.DEFAULT_ITER_LIMIT))),
-        "fallback": _BOOL.get(raw.get("fallback", "true").lower()),
-        "out": raw.get("out", "measures.csv"),
-    }
-    if cfg["fallback"] is None:
+    q = int(_take(keys, "q"))
+    specs = tuple(_READERS[family](family, q, keys))
+    x_grid = () if family == "compareiter" else _read_thresholds(family, keys)
+    fallback = _BOOL.get(_take(keys, "fallback", "true").lower())
+    if fallback is None:
         raise ValueError("fallback must be true or false")
-    if cfg["budget"] < 1:
-        raise ValueError("budget must be >= 1")
-    if cfg["iter_limit"] < 1:
-        raise ValueError("iter_limit must be >= 1")
-    if cfg["fallback"] and cfg["samples"] < 1:
-        raise ValueError("samples must be >= 1 when fallback is on")
-    if "x" in raw:
-        cfg["x"] = [parse_rational(tok) for tok in raw["x"].split(",") if tok.strip()]
-        if not all(0 <= x <= 1 for x in cfg["x"]):
-            raise ValueError("thresholds x must lie in [0, 1]")
-    else:
-        cfg["x"] = []
-    for key in ("n", "count"):
-        if key in raw:
-            cfg[key] = _parse_range(raw[key])
-    for key in ("indices", "psi", "phi"):
-        if key in raw:
-            cfg[key] = _parse_int_list(raw[key])
-    for key in ("a", "b", "threshold_iter"):
-        if key in raw:
-            cfg[key] = int(raw[key])
-    if "threshold_point" in raw:
-        cfg["threshold_point"] = parse_expansion(raw["threshold_point"])
+    cfg = MeasureConfig(
+        specs,
+        x_grid,
+        samples=int(_take(keys, "samples", "100000")),
+        seed=int(_take(keys, "seed", "0")),
+        budget=int(_take(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET))),
+        iter_limit=int(_take(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT))),
+        fallback=fallback,
+        out=_take(keys, "out", "measures.csv"),
+    )
+    if keys:
+        key, (lineno, _) = next(iter(keys.items()))
+        raise ValueError(f"line {lineno}: {family} does not read {key}")
     return cfg
-
-
-def _build_specs(cfg: dict) -> list[me.SetFamilySpec]:
-    family = cfg["family"]
-    q = cfg["q"]
-    if family == "itershift":
-        if "n" not in cfg:
-            raise ValueError("itershift needs n = a..b")
-        return [me.SetFamilySpec.iter_shift(q, n) for n in cfg["n"]]
-    if family in ("genchain", "schedulechain"):
-        table = cfg.get("indices") or cfg.get("psi")
-        if not table:
-            raise ValueError(f"{family} needs indices= (or psi=)")
-        counts = cfg.get("count", [len(table)])
-        if max(counts) > len(table):
-            raise ValueError("count exceeds the lookup table length")
-        maker = (
-            me.SetFamilySpec.gen_chain
-            if family == "genchain"
-            else lambda q_, idx: me.SetFamilySpec.schedule_chain(q_, table, len(idx))
-        )
-        return [maker(q, tuple(table[:c])) for c in counts]
-    # compareiter, the one family left after parse_config
-    if "psi" in cfg and "phi" in cfg:
-        psi, phi = cfg["psi"], cfg["phi"]
-        if len(psi) != len(phi):
-            raise ValueError("psi and phi tables must have equal length")
-        return [me.SetFamilySpec.compare_iter(q, a, b) for a, b in zip(psi, phi)]
-    if "a" in cfg and "b" in cfg:
-        return [me.SetFamilySpec.compare_iter(q, cfg["a"], cfg["b"])]
-    raise ValueError("compareiter needs a= and b= (or psi= and phi= tables)")
-
-
-def _threshold_grid(cfg: dict) -> list[Fraction]:
-    if "threshold_point" in cfg:
-        point = cfg["threshold_point"]
-        iterate = cfg.get("threshold_iter", 0)
-        return [value_of(sh.shift_n(point, iterate))]
-    if not cfg["x"] and cfg["family"] != "compareiter":
-        raise ValueError(f"{cfg['family']} needs x = ... or threshold_point = ...")
-    return cfg["x"]
 
 
 def cmd_measure(args) -> int:
@@ -241,38 +243,33 @@ def cmd_measure(args) -> int:
             text = handle.read()
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
+    except UnicodeDecodeError as exc:
+        return _fail(f"config is not ASCII: {exc}", EXIT_USAGE)
+    # an empty --out keeps the config's path
+    flags = {"budget": args.budget, "seed": args.seed, "out": args.out or None}
     try:
-        cfg = parse_config(text)
-        specs = _build_specs(cfg)
-        x_grid = _threshold_grid(cfg)
+        cfg = replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if args.budget is not None:
-        if args.budget < 1:
-            return _fail("budget must be >= 1", EXIT_USAGE)
-        cfg["budget"] = args.budget
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    out_path = args.out or cfg["out"]
     try:
         rows = me.gk_scan(
-            specs,
-            x_grid,
-            budget=cfg["budget"],
-            iter_limit=cfg["iter_limit"],
-            samples=cfg["samples"],
-            seed=cfg["seed"],
-            allow_fallback=cfg["fallback"],
+            cfg.specs,
+            cfg.x_grid,
+            budget=cfg.budget,
+            iter_limit=cfg.iter_limit,
+            samples=cfg.samples,
+            seed=cfg.seed,
+            allow_fallback=cfg.fallback,
             log=lambda msg: print(msg, file=sys.stderr),
         )
     except me.BudgetExceededError as exc:
         return _fail(str(exc), EXIT_BUDGET)
     try:
-        with open(out_path, "w", encoding="ascii") as handle:
+        with open(cfg.out, "w", encoding="ascii") as handle:
             handle.write(me.rows_to_csv(rows))
     except OSError as exc:
         return _fail(str(exc), EXIT_IO)
-    print(f"wrote {len(rows)} rows to {out_path}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "comparison_measure",
     "monte_carlo_measure",
     "gk_scan",
+    "rows_to_csv",
     "DEFAULT_BRANCH_BUDGET",
     "DEFAULT_ITER_LIMIT",
 ]

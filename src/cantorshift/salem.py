@@ -159,10 +159,6 @@ class IndexSequence:
             return self._steps[k - 1]
         return 1
 
-    def displaced(self) -> tuple[int, ...]:
-        """Positions k with n_k != k (always finitely many here)."""
-        return tuple(k for k, n in enumerate(self.prefix, start=1) if n != k)
-
     def induced_after(self, k: int) -> "IndexSequence":
         """Reading order of the remaining digits once the first k are deleted.
 

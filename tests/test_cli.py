@@ -1,8 +1,10 @@
 import contextlib
+import dataclasses
 import io
 import re
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +12,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorshift.cli import main
+from cantorshift.cli import main, parse_config
+from cantorshift.measure import SetFamilySpec
 from cantorshift.verify import SUITES
 from oracles import salem_value_exact
 
@@ -363,13 +366,16 @@ class TestMeasure:
 
 
 def _measure_usage_error(tmp_path, capsys, body, *flags):
+    """Run a config that must exit 2 and write nothing; returns stderr."""
     cfg = tmp_path / "exp.cfg"
     out_csv = tmp_path / "rows.csv"
     cfg.write_text(body + "out = %s\n" % out_csv)
     code = main(["measure", str(cfg), *flags])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
     assert not out_csv.exists()
+    return err
 
 
 class TestMeasureInputs:
@@ -431,6 +437,166 @@ class TestMeasureInputs:
     )
     def test_key_the_family_does_not_read(self, tmp_path, capsys, family_lines):
         _measure_usage_error(tmp_path, capsys, family_lines + "q = 2\n")
+
+    @pytest.mark.parametrize(
+        "family_lines",
+        ["family = genchain\nindices = 2,3,1\n", "family = schedulechain\npsi = 2,3,1\n"],
+        ids=["genchain", "schedulechain"],
+    )
+    @pytest.mark.parametrize("count", ["-1", "0", "4", "2..4"])
+    def test_count_outside_the_table(self, tmp_path, capsys, family_lines, count):
+        # unchecked, count = -1 would slice table[:-1], a two-index chain
+        err = _measure_usage_error(tmp_path, capsys, family_lines + f"q = 2\ncount = {count}\nx = 1/3\n")
+        assert "count must lie in 1..3" in err
+
+    def test_repeated_key(self, tmp_path, capsys):
+        err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nn = 2\nx = 1/3\n")
+        assert err == "error: line 4: key n set twice\n"
+
+    def test_unread_key_names_its_line(self, tmp_path, capsys):
+        err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..3\nbogus = 1\nx = 1/3\n")
+        assert err == "error: line 4: itershift does not read bogus\n"
+
+    @pytest.mark.parametrize("tables", ["psi =\nphi =\n", "psi = ,\nphi = ,\n"], ids=["empty", "commas"])
+    def test_empty_compare_tables(self, tmp_path, capsys, tables):
+        _measure_usage_error(tmp_path, capsys, "family = compareiter\nq = 2\n" + tables)
+
+    @pytest.mark.parametrize("x_line", ["x =\n", "x = ,\n"], ids=["empty", "comma"])
+    def test_empty_threshold_list(self, tmp_path, capsys, x_line):
+        _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\n" + x_line)
+
+    def test_non_ascii_config(self, tmp_path, capsys):
+        err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nx = 1/3 \u00e9\n")
+        assert "not ASCII" in err
+
+
+class TestMeasureConfig:
+    def test_parse_builds_specs_and_grid(self):
+        cfg = parse_config("family = schedulechain\nq = 3\npsi = 2,3,1\ncount = 2..3\nx = 1/3, 1/2\n")
+        assert cfg.specs == (
+            SetFamilySpec.schedule_chain(3, [2, 3, 1], 2),
+            SetFamilySpec.schedule_chain(3, [2, 3, 1], 3),
+        )
+        assert cfg.x_grid == (Fraction(1, 3), Fraction(1, 2))
+        assert (cfg.samples, cfg.seed, cfg.fallback, cfg.out) == (100000, 0, True, "measures.csv")
+
+    def test_threshold_from_shifted_point(self):
+        cfg = parse_config("family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1,0,1]:zeros\nthreshold_iter = 1\n")
+        assert cfg.x_grid == (Fraction(1, 4),)
+
+    def test_frozen_and_checked_on_replace(self):
+        cfg = parse_config("family = compareiter\nq = 2\na = 2\nb = 1\n")
+        assert cfg.x_grid == ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.budget = 5
+        assert dataclasses.replace(cfg, budget=5).budget == 5
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            dataclasses.replace(cfg, budget=0)
+
+
+# Config text from bounded pieces: every integer, range end and count is at
+# most 8 in absolute value, q is 2 or 3 (or not a base at all) and samples at
+# most 50, so no draw builds a large range, grid, sample count or exponent.
+small = st.integers(-8, 8)
+
+
+def int_lists(min_size, max_size):
+    return st.lists(st.integers(1, 8), min_size=min_size, max_size=max_size).map(lambda v: ",".join(map(str, v)))
+
+
+PLAUSIBLE = {
+    "q": st.sampled_from(["2", "3"]),
+    "n": st.builds("{}..{}".format, st.integers(1, 4), st.integers(4, 8)) | st.integers(1, 8).map(str),
+    "x": st.lists(
+        st.integers(1, 8).flatmap(lambda d: st.builds("{}/{}".format, st.integers(0, d), st.just(d))),
+        min_size=1,
+        max_size=3,
+    ).map(", ".join),
+    "indices": int_lists(2, 3),
+    "psi": int_lists(2, 2),
+    "phi": int_lists(2, 2),
+    "count": st.sampled_from(["1", "2", "1..2"]),
+    "a": st.integers(1, 8).map(str),
+    "b": st.integers(1, 8).map(str),
+    "threshold_point": st.builds(
+        "q{}:[{}]:{}".format,
+        st.sampled_from([2, 3]),
+        st.lists(st.integers(0, 1), max_size=4).map(lambda v: ",".join(map(str, v))),
+        st.sampled_from(["zeros", "max"]),
+    ),
+    "threshold_iter": st.integers(0, 8).map(str),
+    "seed": small.map(str),
+    "budget": st.integers(1, 8).map(str),
+    "iter_limit": st.integers(1, 8).map(str),
+    "fallback": st.sampled_from(["true", "false", "yes", "no"]),
+    "out": st.just("unused.csv"),
+}
+# the keys a family reads, in each of its shapes
+SHAPES = {
+    "itershift": [["n", "x"], ["n", "threshold_point", "threshold_iter"]],
+    "genchain": [["indices", "count", "x"]],
+    "schedulechain": [["psi", "count", "x"]],
+    "compareiter": [["a", "b"], ["psi", "phi"]],
+}
+SETTINGS = ["seed", "budget", "iter_limit", "fallback", "out"]
+# negative numbers, reversed or empty ranges, bad fractions and expansions, garbage
+BAD_VALUES = st.one_of(
+    small.map(str),
+    st.builds("{}..{}".format, small, small),
+    st.lists(small, max_size=3).map(lambda v: ",".join(map(str, v))),
+    st.lists(st.builds("{}/{}".format, small, small), max_size=3).map(", ".join),
+    st.builds("q2:[{}]:{}".format, small, st.sampled_from(["zeros", "ones"])),
+    st.sampled_from([*SHAPES, "bogus", "maybe"]),
+    st.text(alphabet="abxyz_/.,:-[] #=\u00e9", max_size=6),
+)
+
+
+@st.composite
+def measure_configs(draw):
+    family = draw(st.sampled_from(sorted(SHAPES) + ["bogus"]))
+    keys = ["family", "q", *draw(st.sampled_from(SHAPES.get(family, [[]])))]
+    keys += draw(st.lists(st.sampled_from(SETTINGS), unique=True))
+    if draw(st.integers(0, 3)) == 0:  # an unread, unknown or repeated key
+        keys.append(draw(st.sampled_from([*PLAUSIBLE.keys() - {"q"}, "samples", "bogus", ""])))
+    lines = []
+    for key in keys:
+        if draw(st.integers(0, 15)) == 0:
+            continue  # a missing line
+        if key == "family":
+            value = family
+        elif draw(st.integers(0, 11)) == 0:
+            value = draw(st.sampled_from(["1", "-2", "", "two"]) if key == "q" else BAD_VALUES)
+        else:
+            value = draw(PLAUSIBLE.get(key, BAD_VALUES))
+        lines.append(f"{key} = {value}")
+    if draw(st.integers(0, 3)) == 0:
+        lines.append(draw(st.sampled_from(["garbage", "= 1", "# comment", ""])))
+    lines = draw(st.permutations(lines))
+    # without a samples line each Monte Carlo row would draw 100000 samples
+    lines.append(f"samples = {draw(st.integers(-8, 50))}")
+    return "\n".join(lines) + "\n"
+
+
+flag_values = st.none() | small.map(str) | st.just("two")
+
+
+class TestMeasureFuzz:
+    @given(measure_configs(), flag_values, flag_values)
+    @settings(max_examples=200, deadline=None)
+    def test_config_and_flags(self, text, budget, seed):
+        with tempfile.TemporaryDirectory() as work:
+            cfg, out_csv = Path(work) / "exp.cfg", Path(work) / "rows.csv"
+            cfg.write_text(text, encoding="utf-8")
+            argv = ["measure", str(cfg), "--out", str(out_csv)]
+            argv += ["--budget", budget] if budget is not None else []
+            argv += ["--seed", seed] if seed is not None else []
+            code, _, err, _ = run_main(*argv)  # any other exception fails the test
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                assert out_csv.read_text().startswith("family,param,")
+            else:
+                assert err.startswith(("error:", "usage:"))
+                assert not out_csv.exists()
 
 
 class TestMainEntry:

@@ -1,0 +1,63 @@
+"""Every exported name has a home in ``__all__`` and a caller or a test."""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cantorshift"
+TESTS = Path(__file__).resolve().parent
+MODULES = ("expansions", "shifts", "salem", "measure")
+
+
+def _package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    return [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def _src_uses():
+    """Names read anywhere in ``src``, outside the top-level definition of the same name."""
+    used = set()
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                if name != owner:
+                    used.add(name)
+    return used
+
+
+def test_package_imports_are_exported():
+    missing = [
+        f"{module}.{name}"
+        for module, name in _package_imports()
+        if name not in importlib.import_module(f"cantorshift.{module}").__all__
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exports_have_a_caller_or_a_test(module):
+    used = _src_uses()
+    tests_text = "\n".join(path.read_text() for path in TESTS.glob("*.py") if path.name != "test_exports.py")
+    unused = [
+        name
+        for name in importlib.import_module(f"cantorshift.{module}").__all__
+        if name not in used and not re.search(rf"\b{re.escape(name)}\b", tests_text)
+    ]
+    assert unused == []
