@@ -64,7 +64,6 @@ from .measure import (
     BudgetExceededError,
     Branch,
     FamilyKind,
-    IntervalUnion,
     MonteCarloResult,
     PiecewiseLinearMap,
     ScanRow,
@@ -73,7 +72,6 @@ from .measure import (
     gk_scan,
     monte_carlo_measure,
     plm_generalized_chain,
-    plm_identity,
     plm_iter_shift,
     plm_single_deletion,
     rows_to_csv,

@@ -98,19 +98,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_int(text: str, key: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {key} must be an integer, got {text.strip()!r}") from None
+
+
+def _parse_range(text: str, key: str, lineno: int) -> list[int]:
     text = text.strip()
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = (_parse_int(end, key, lineno) for end in text.split("..", 1))
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [_parse_int(text, key, lineno)]
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _parse_int_list(text: str, key: str, lineno: int) -> list[int]:
+    return [_parse_int(tok, f"{key} entry", lineno) for tok in text.split(",") if tok.strip()]
 
 
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
@@ -153,6 +159,12 @@ def _take(keys: _Keys, key: str, default: str | None = None) -> str:
     return default
 
 
+def _take_int(keys: _Keys, key: str, default: str | None = None, parse=_parse_int) -> int | list[int]:
+    """Pop ``key`` and read its value with ``parse``, whose errors name the key and its line."""
+    lineno = keys[key][0] if key in keys else 0
+    return parse(_take(keys, key, default), key, lineno)
+
+
 def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
     """The ``x`` list, or the value of ``threshold_point`` after ``threshold_iter`` digit drops."""
     if "x" in keys or "threshold_point" not in keys:
@@ -161,18 +173,18 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
             raise ValueError(f"{family} needs x = ... or threshold_point = ...")
         return xs
     point = parse_expansion(_take(keys, "threshold_point"))
-    return (value_of(sh.shift_n(point, int(_take(keys, "threshold_iter", "0")))),)
+    return (value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0"))),)
 
 
 def _read_itershift(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
-    return [me.SetFamilySpec.iter_shift(q, n) for n in _parse_range(_take(keys, "n"))]
+    return [me.SetFamilySpec.iter_shift(q, n) for n in _take_int(keys, "n", parse=_parse_range)]
 
 
 def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
-    table = _parse_int_list(_take(keys, "indices" if "indices" in keys else "psi", ""))
+    table = _take_int(keys, "indices" if "indices" in keys else "psi", "", _parse_int_list)
     if not table:
         raise ValueError(f"{family} needs indices= (or psi=)")
-    counts = _parse_range(_take(keys, "count", str(len(table))))
+    counts = _take_int(keys, "count", str(len(table)), _parse_range)
     if not all(1 <= c <= len(table) for c in counts):
         raise ValueError(f"count must lie in 1..{len(table)}, the lookup table length")
     if family == "genchain":
@@ -182,8 +194,8 @@ def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
 
 def _read_compareiter(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
     if "psi" not in keys and "phi" not in keys:
-        return [me.SetFamilySpec.compare_iter(q, int(_take(keys, "a")), int(_take(keys, "b")))]
-    psi, phi = _parse_int_list(_take(keys, "psi")), _parse_int_list(_take(keys, "phi"))
+        return [me.SetFamilySpec.compare_iter(q, _take_int(keys, "a"), _take_int(keys, "b"))]
+    psi, phi = _take_int(keys, "psi", parse=_parse_int_list), _take_int(keys, "phi", parse=_parse_int_list)
     if not psi or len(psi) != len(phi):
         raise ValueError("psi and phi tables must be nonempty and of equal length")
     return [me.SetFamilySpec.compare_iter(q, a, b) for a, b in zip(psi, phi)]
@@ -215,7 +227,7 @@ def parse_config(text: str) -> MeasureConfig:
     family = _take(keys, "family").lower()
     if family not in _READERS:
         raise ValueError(f"unknown family {family!r}")
-    q = int(_take(keys, "q"))
+    q = _take_int(keys, "q")
     specs = tuple(_READERS[family](family, q, keys))
     x_grid = () if family == "compareiter" else _read_thresholds(family, keys)
     fallback = _BOOL.get(_take(keys, "fallback", "true").lower())
@@ -224,10 +236,10 @@ def parse_config(text: str) -> MeasureConfig:
     cfg = MeasureConfig(
         specs,
         x_grid,
-        samples=int(_take(keys, "samples", "100000")),
-        seed=int(_take(keys, "seed", "0")),
-        budget=int(_take(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET))),
-        iter_limit=int(_take(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT))),
+        samples=_take_int(keys, "samples", "100000"),
+        seed=_take_int(keys, "seed", "0"),
+        budget=_take_int(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET)),
+        iter_limit=_take_int(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT)),
         fallback=fallback,
         out=_take(keys, "out", "measures.csv"),
     )

@@ -13,9 +13,10 @@ The set {z : map(z) < x} is a disjoint union of one piece per branch, so its
 measure is the sum of the piece lengths; ``sublevel_measure`` adds them up
 in an integer kernel, and the measure of {z : A(z) < B(z)} is the same sum
 for the affine difference A - B on a common refinement.  ``sublevel_set``
-returns the pieces as an interval union; it is the set form of the same
+returns the pieces themselves, in order; it is the set form of the same
 computation and the reference the kernel is tested against.  A seeded
-digit-sampling Monte Carlo estimator provides an independent stochastic
+digit-sampling Monte Carlo estimator, which draws the digits up to 16 past
+the last deleted position at once, provides an independent stochastic
 cross-check.
 
 The builders check the branch count q^M against the budget before they
@@ -39,15 +40,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 __all__ = [
     "BudgetExceededError",
-    "IntervalUnion",
     "Branch",
     "PiecewiseLinearMap",
     "FamilyKind",
     "SetFamilySpec",
     "MonteCarloResult",
     "ScanRow",
-    "plm_identity",
-    "plm_constant",
     "plm_single_deletion",
     "plm_iter_shift",
     "plm_generalized_chain",
@@ -65,75 +63,11 @@ DEFAULT_BRANCH_BUDGET = 10**6
 DEFAULT_ITER_LIMIT = 8
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+_GUARD = 16  # digits a threshold draw reads past the last deleted position
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exact computation would exceed the branch budget."""
-
-
-class IntervalUnion:
-    """A finite union of disjoint half-open rational intervals in [0, 1)."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: Iterable[tuple[Fraction, Fraction]]):
-        self.pairs = self._normalize(pairs)
-
-    @staticmethod
-    def _normalize(pairs) -> tuple[tuple[Fraction, Fraction], ...]:
-        cleaned = []
-        for a, b in pairs:
-            a, b = Fraction(a), Fraction(b)
-            if not (0 <= a and b <= 1):
-                raise ValueError("intervals must lie within [0, 1]")
-            if a < b:
-                cleaned.append((a, b))
-        cleaned.sort()
-        merged: list[list[Fraction]] = []
-        for a, b in cleaned:
-            if merged and a <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], b)
-            else:
-                merged.append([a, b])
-        return tuple((a, b) for a, b in merged)
-
-    @property
-    def measure(self) -> Fraction:
-        return sum((b - a for a, b in self.pairs), Fraction(0))
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self.pairs + other.pairs)
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a, b in self.pairs:
-            for c, d in other.pairs:
-                lo, hi = max(a, c), min(b, d)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion(out)
-
-    def complement(self) -> "IntervalUnion":
-        """Complement within [0, 1)."""
-        out = []
-        cursor = Fraction(0)
-        for a, b in self.pairs:
-            if cursor < a:
-                out.append((cursor, a))
-            cursor = b
-        if cursor < 1:
-            out.append((cursor, Fraction(1)))
-        return IntervalUnion(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalUnion) and self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"[{a}, {b})" for a, b in self.pairs)
-        return f"IntervalUnion({inner})"
 
 
 @dataclass(frozen=True)
@@ -228,14 +162,6 @@ class PiecewiseLinearMap:
                 b = next(theirs)
 
 
-def plm_identity() -> PiecewiseLinearMap:
-    return PiecewiseLinearMap([Branch(Fraction(0), Fraction(1), Fraction(1), Fraction(0))])
-
-
-def plm_constant(c) -> PiecewiseLinearMap:
-    return PiecewiseLinearMap([Branch(Fraction(0), Fraction(1), Fraction(0), Fraction(c))])
-
-
 def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int, int]]:
     """(q^(top - last position), q^length) of each run of surviving positions
     before the last deleted one: with u holding the digits of 1..top, folding
@@ -303,13 +229,13 @@ def plm_generalized_chain(
     ``SetFamilySpec``, so it is built in one pass as that deletion; it has
     q^M branches, M the largest of them.
     """
-    if not indices:
-        return plm_identity()
     return _plm_deleting(q, SetFamilySpec.gen_chain(q, indices).deleted_positions(), budget)
 
 
-def sublevel_set(plm: PiecewiseLinearMap, x) -> IntervalUnion:
-    """{z : plm(z) < x} as an exact interval union.
+def sublevel_set(plm: PiecewiseLinearMap, x) -> tuple[tuple[Fraction, Fraction], ...]:
+    """{z : plm(z) < x} as its half-open pieces [lo, hi), one per branch that
+    meets the set, in order; they are disjoint because the branch domains tile
+    [0, 1) in order.
 
     ``sublevel_measure`` returns the measure of this set without building it.
 
@@ -332,7 +258,7 @@ def sublevel_set(plm: PiecewiseLinearMap, x) -> IntervalUnion:
             lo = max(br.lo, t)
             if lo < br.hi:
                 pairs.append((lo, br.hi))
-    return IntervalUnion(pairs)
+    return tuple(pairs)
 
 
 def _sublevel_kernel(branches: Iterable[Branch], x: Fraction) -> Fraction:
@@ -477,10 +403,6 @@ class MonteCarloResult:
     hits: int
     indeterminate: int
 
-    def __iter__(self):
-        yield self.estimate
-        yield self.halfwidth
-
 
 def _halfwidth(hits: int, samples: int) -> float:
     phat = hits / samples
@@ -492,13 +414,12 @@ def monte_carlo_measure(
     x,
     samples: int,
     seed: int,
-    guard: int = 16,
 ) -> MonteCarloResult:
     """Seeded uniform digit-sampling estimate of the set's measure.
 
     Digits of z are drawn uniformly.  For a threshold family one draw
     u = randrange(q^top) holds the digits at positions 1..top, where top is
-    the last deleted position plus ``guard``.  The surviving digits are read
+    the last deleted position plus ``_GUARD``.  The surviving digits are read
     from u as whole runs between the deleted positions; the integer they form
     brackets the composed value, which is compared against the threshold
     exactly, one more digit per round, until the comparison decides or the
@@ -535,8 +456,8 @@ def monte_carlo_measure(
     deleted = spec.deleted_positions()
     # the draw reaches past the last deletion so that every later
     # refinement digit belongs to a surviving position
-    top = deleted[-1] + guard
-    span, q_tail = q**top, q**guard
+    top = deleted[-1] + _GUARD
+    span, q_tail = q**top, q**_GUARD
     runs = _surviving_runs(q, deleted, top)
     block_len = top - len(deleted)
     q_block, cap = q**block_len, 128

@@ -190,7 +190,6 @@ class DistributionSpec:
     """A Salem function whose weights are nonnegative, so it is a CDF."""
 
     weights: WeightSet
-    seq: IndexSequence = IndexSequence()
 
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.weights.p):
@@ -392,7 +391,6 @@ class Monotonicity:
     """Verdicts for the monotonicity classifier."""
 
     STRICTLY_INCREASING = "strictly_increasing"
-    NON_DECREASING = "non_decreasing"
     CONSTANT_AE = "constant_ae"
     NO_MONOTONICITY_INTERVALS = "no_monotonicity_intervals"
     HAS_MONOTONICITY_INTERVAL = "has_monotonicity_interval"
@@ -417,9 +415,7 @@ def classify_monotonicity(f: SalemFunction) -> str:
     if any(v < 0 for v in w.p):
         return Monotonicity.NO_MONOTONICITY_INTERVALS
     if f.seq.is_identity:
-        if all(v > 0 for v in w.p):
-            return Monotonicity.STRICTLY_INCREASING
-        return Monotonicity.NON_DECREASING
+        return Monotonicity.STRICTLY_INCREASING
     return Monotonicity.HAS_MONOTONICITY_INTERVAL
 
 
@@ -477,8 +473,8 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
     digit value i with probability p_i.
 
     Reassigning which draw lands in which position (the reading order) does
-    not change the law, so the CDF pairs the k-th series slot with the k-th
-    digit of x regardless of the order stored in the spec.  The value is
+    not change the law, so the spec holds no order and the CDF pairs the k-th
+    series slot with the k-th digit of x.  The value is
     :func:`value_at`'s: exact when the digits of x repeat before the weights
     read multiply to 1e-12, and within 1e-12 otherwise.
     """
@@ -495,13 +491,14 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
 #   q=2; p=0.3,0.7
 #   q=2; p=3/10,7/10; seq=perm(2 1)
 #
-# ``seq`` omitted means the identity reading order.
+# ``seq`` omitted means the identity reading order; each key is set at most once.
 
 
 def parse_function_spec(text: str) -> SalemFunction:
     q: Optional[int] = None
     p: Optional[list[Fraction]] = None
     seq = IndexSequence()
+    seen: set[str] = set()
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -511,6 +508,9 @@ def parse_function_spec(text: str) -> SalemFunction:
         value = value.strip()
         if not value:
             raise ValueError(f"missing value in spec fragment {part!r}")
+        if key in seen:
+            raise ValueError(f"spec key {key} set twice")
+        seen.add(key)
         if key == "q":
             q = int(value)
         elif key == "p":

@@ -18,7 +18,6 @@ from cantorshift.measure import (
     Branch,
     BudgetExceededError,
     PiecewiseLinearMap,
-    plm_identity,
 )
 
 
@@ -179,9 +178,14 @@ def single_deletion(q: int, m: int, budget: int):
     return PiecewiseLinearMap(out)
 
 
+def constant_slope_map(slope, intercept):
+    """The one-branch map z -> slope * z + intercept on [0, 1)."""
+    return PiecewiseLinearMap([Branch(Fraction(0), Fraction(1), Fraction(slope), Fraction(intercept))])
+
+
 def chain_all_pairs(q: int, indices, budget: int):
     """Sequential single deletions composed with ``compose_all_pairs``."""
-    current = plm_identity()
+    current = constant_slope_map(1, 0)
     for m in indices:
         current = compose_all_pairs(current, single_deletion(q, m, budget), budget)
     return current

@@ -211,6 +211,59 @@ def rational_texts(draw):
     return f"{draw(st.integers(0, den + den // 8))}/{den}"
 
 
+# Function specs and points from bounded pieces: weights are small fractions
+# and two-place decimals, so the weights read fall to 1e-12 within a few
+# thousand digits; orders have at most 8 entries, exponents at most two digits
+# and digit lists at most 12 entries.
+def weight_tokens(q):
+    # c_i / sum(c): sums to 1 unless the sum is 0; zeros and negatives included
+    summing = st.lists(st.sampled_from([*range(1, 10), 0, -1]), min_size=q, max_size=q).map(
+        lambda c: [f"{v}/{sum(c) or 1}" for v in c]
+    )
+    token = st.one_of(
+        st.builds("{}/{}".format, st.integers(-20, 20), st.integers(0, 20)),
+        st.builds("{}.{:02d}".format, st.sampled_from(["0", "-0", "1"]), st.integers(0, 99)),
+        st.sampled_from(["0", "1", "-1", "1e-1", "5E-01", "2.5e-2", "x", ""]),
+    )
+    loose = st.sampled_from([q - 1, q, q + 1]).flatmap(lambda n: st.lists(token, min_size=n, max_size=n))
+    return st.one_of(summing, loose)
+
+
+ORDERS = st.one_of(
+    st.integers(1, 8).flatmap(lambda n: st.permutations(range(1, n + 1))),
+    st.lists(st.integers(0, 9), max_size=8),
+)
+JUNK_PARTS = ["", " ", "r=1", "p=", "q", "=2", "seq=2 1", "seq=perm(", "p=1/2,1/2=3", "q=two"]
+
+
+@st.composite
+def eval_arguments(draw):
+    q = draw(st.sampled_from([2, 3, 4, 10]))
+    parts = [f"q={q}", "p=" + ",".join(draw(weight_tokens(q)))]
+    if draw(st.booleans()):
+        parts.append("seq=perm(" + " ".join(map(str, draw(ORDERS))) + ")")
+    rarely = st.sampled_from([False, False, False, True])
+    if draw(rarely):  # a repeated key
+        parts.append(draw(st.sampled_from(parts)))
+    if draw(rarely):  # an unknown key, an empty value or junk
+        parts.append(draw(st.sampled_from(JUNK_PARTS)))
+    spec = draw(st.sampled_from([";", "; "])).join(draw(st.permutations(parts)))
+    kind = draw(st.sampled_from(["rational", "decimal", "digits"]))
+    if kind == "rational":
+        den = draw(st.integers(0, 10**6))
+        x = f"{draw(st.integers(-den // 8, den + den // 8))}/{den}"
+    elif kind == "decimal":
+        places = draw(st.integers(1, 6))
+        x = f"{draw(st.sampled_from(['', '', '', '-']))}0.{draw(st.integers(0, 10**places - 1)):0{places}d}"
+        x += draw(st.sampled_from(["", "e1", "e-2", "E+01"]))
+    else:
+        base = draw(st.sampled_from([f"q{q}", f"q{q}", "q2", "q0", "q1", "qx", "Q(2,3|2)", ""]))
+        digits = draw(st.lists(st.integers(-1, q) | st.just("a"), max_size=12))
+        tail = draw(st.sampled_from(["zeros", "max", "ones", ""]))
+        x = f"{base}:[{','.join(map(str, digits))}]:{tail}"
+    return spec, x
+
+
 class TestEvalFuzz:
     @given(st.sampled_from(FUZZ_SPECS), rational_texts())
     @settings(max_examples=300, deadline=None)
@@ -223,6 +276,17 @@ class TestEvalFuzz:
             assert 0 <= float(out) <= 1
         else:
             assert err.startswith("error:")
+
+    @given(eval_arguments())
+    @settings(max_examples=300, deadline=None)
+    def test_spec_and_point(self, arguments):
+        code, out, err, _ = run_main("eval", *arguments)  # any other exception fails the test
+        assert code in (0, 2)
+        if code == 0:
+            assert len(out.splitlines()) == 1
+            assert re.fullmatch(r"(exact|truncation depth: \d+)\n", err)
+        else:
+            assert out == "" and err.startswith(("error:", "usage:"))
 
 
 ALL_CHECKS = [
@@ -250,6 +314,23 @@ ALL_CHECKS = [
     "Monte Carlo agrees with the exact measure",
     "iterate comparison agrees with Monte Carlo",
 ]
+
+
+REPEATED_KEY_SPEC = "q=2; p=0.3,0.7; p=0.6,0.4"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", REPEATED_KEY_SPEC, "1/3"],
+        ["curve", REPEATED_KEY_SPEC, "--grid", "4", "--out", "unused.csv"],
+        ["verify", "integral", "--spec", REPEATED_KEY_SPEC],
+    ],
+    ids=["eval", "curve", "verify"],
+)
+def test_repeated_spec_key_is_a_usage_error(argv):
+    code, out, err, _ = run_main(*argv)
+    assert (code, out, err) == (2, "", "error: spec key p set twice\n")
 
 
 class TestVerify:
@@ -464,6 +545,29 @@ class TestMeasureInputs:
     @pytest.mark.parametrize("x_line", ["x =\n", "x = ,\n"], ids=["empty", "comma"])
     def test_empty_threshold_list(self, tmp_path, capsys, x_line):
         _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\n" + x_line)
+
+    @pytest.mark.parametrize(
+        "body, line, key",
+        [
+            pytest.param("family = itershift\nq = two\nn = 1\nx = 1/3\n", 2, "q", id="q"),
+            pytest.param("family = itershift\nq = 2\nn = two\nx = 1/3\n", 3, "n", id="n"),
+            pytest.param("family = itershift\nq = 2\nn = 1..two\nx = 1/3\n", 3, "n", id="n-range"),
+            pytest.param("family = genchain\nq = 2\nindices = 2,two\nx = 1/3\n", 3, "indices entry", id="indices"),
+            pytest.param("family = schedulechain\nq = 2\npsi = two,1\nx = 1/3\n", 3, "psi entry", id="psi"),
+            pytest.param("family = genchain\nq = 2\nindices = 2,1\ncount = two..2\nx = 1/3\n", 4, "count", id="count"),
+            pytest.param("family = compareiter\nq = 2\na = two\nb = 1\n", 3, "a", id="a"),
+            pytest.param("family = compareiter\nq = 2\na = 2\nb = two\n", 4, "b", id="b"),
+            pytest.param("family = compareiter\nq = 2\npsi = 2\nphi = two\n", 4, "phi entry", id="phi"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nsamples = two\n", 5, "samples", id="samples"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nseed = two\n", 5, "seed", id="seed"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nbudget = two\n", 5, "budget", id="budget"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\niter_limit = two\n", 5, "iter_limit", id="iter_limit"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1]:zeros\nthreshold_iter = two\n", 5, "threshold_iter", id="threshold_iter"),
+        ],
+    )
+    def test_non_integer_value_names_key_and_line(self, tmp_path, capsys, body, line, key):
+        err = _measure_usage_error(tmp_path, capsys, body)
+        assert err == f"error: line {line}: {key} must be an integer, got 'two'\n"
 
     def test_non_ascii_config(self, tmp_path, capsys):
         err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nx = 1/3 \u00e9\n")

@@ -1,4 +1,5 @@
-"""Every exported name has a home in ``__all__`` and a caller or a test."""
+"""Every exported name has a home in ``__all__`` and a caller or a test;
+``measure`` exports need a caller in ``src`` or a traced name in the benchmark."""
 
 import ast
 import importlib
@@ -6,6 +7,7 @@ import re
 from pathlib import Path
 
 import pytest
+from test_bench_targets import tracing
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cantorshift"
 TESTS = Path(__file__).resolve().parent
@@ -61,3 +63,11 @@ def test_exports_have_a_caller_or_a_test(module):
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", tests_text)
     ]
     assert unused == []
+
+
+def test_measure_exports_have_a_caller_or_a_traced_name():
+    # a test alone does not keep a measure export alive
+    used = _src_uses()
+    traced = {attr for module, attr, _, _ in tracing.TARGETS if module == "measure"}
+    unused = [name for name in importlib.import_module("cantorshift.measure").__all__ if name not in used | traced]
+    assert not unused, f"measure exports with no caller in src and no bench/tracing.py target: {unused}"

@@ -8,7 +8,6 @@ from cantorshift import (
     BudgetExceededError,
     DigitExpansion,
     FamilyKind,
-    IntervalUnion,
     SetFamilySpec,
     comparison_measure,
     delete_positions,
@@ -17,7 +16,6 @@ from cantorshift import (
     make_schedule,
     monte_carlo_measure,
     plm_generalized_chain,
-    plm_identity,
     plm_iter_shift,
     plm_single_deletion,
     rows_to_csv,
@@ -27,8 +25,7 @@ from cantorshift import (
     value_of,
 )
 from cantorshift import measure
-from cantorshift.measure import plm_constant
-from oracles import chain_deleted_positions, threshold_mc_counts
+from oracles import chain_deleted_positions, constant_slope_map, threshold_mc_counts
 
 THIRDS = (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5))
 
@@ -37,33 +34,6 @@ def random_point(rng, q, length=10):
     digits = tuple(rng.randrange(q) for _ in range(length))
     e = DigitExpansion(BaseSpec.constant(q), digits)
     return e, value_of(e)
-
-
-class TestIntervalUnion:
-    def test_normalization_merges_and_sorts(self):
-        u = IntervalUnion([(Fraction(1, 2), Fraction(3, 4)), (Fraction(0), Fraction(1, 2))])
-        assert u.pairs == ((Fraction(0), Fraction(3, 4)),)
-        assert IntervalUnion(u.pairs) == u  # idempotent
-
-    def test_measure(self):
-        u = IntervalUnion([(Fraction(0), Fraction(1, 4)), (Fraction(1, 2), Fraction(3, 4))])
-        assert u.measure == Fraction(1, 2)
-
-    def test_set_algebra_preserves_measure(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            cuts = sorted(Fraction(rng.randrange(0, 33), 32) for _ in range(6))
-            a = IntervalUnion([(cuts[0], cuts[1]), (cuts[2], cuts[3])])
-            b = IntervalUnion([(cuts[4], cuts[5])])
-            union = a.union(b)
-            inter = a.intersect(b)
-            assert union.measure + inter.measure == a.measure + b.measure
-            assert a.complement().measure == 1 - a.measure
-            assert a.complement().complement() == a
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            IntervalUnion([(Fraction(-1, 2), Fraction(1, 2))])
 
 
 class TestPiecewiseMaps:
@@ -117,9 +87,10 @@ class TestPiecewiseMaps:
                 continue
             assert chain.apply(z) == value_of(delete_positions(e, schedule))
 
-    def test_empty_chain_is_identity(self):
-        plm = plm_generalized_chain(3, ())
-        assert len(plm) == 1 and plm.apply(Fraction(1, 3)) == Fraction(1, 3)
+    def test_empty_chain_is_rejected(self):
+        # like every other way of building an empty chain
+        with pytest.raises(ValueError, match="chain indices must be >= 1 and nonempty"):
+            plm_generalized_chain(3, ())
 
     def test_chain_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -128,7 +99,7 @@ class TestPiecewiseMaps:
 
 class TestSublevelMeasure:
     def test_identity_map(self):
-        assert sublevel_measure(plm_identity(), Fraction(1, 3)) == Fraction(1, 3)
+        assert sublevel_measure(constant_slope_map(1, 0), Fraction(1, 3)) == Fraction(1, 3)
 
     def test_boundary_thresholds(self):
         for plm in (plm_iter_shift(2, 2), plm_single_deletion(3, 2)):
@@ -153,8 +124,11 @@ class TestSublevelMeasure:
         assert values == sorted(values)
 
     def test_sublevel_set_is_within_unit(self):
-        u = sublevel_set(plm_iter_shift(2, 2), Fraction(1, 3))
-        assert all(0 <= a < b <= 1 for a, b in u.pairs)
+        pieces = sublevel_set(plm_iter_shift(2, 2), Fraction(1, 3))
+        assert all(0 <= a < b <= 1 for a, b in pieces)
+        # one piece per branch, in order, so disjoint
+        assert len(pieces) == 4
+        assert all(b <= c for (_, b), (c, _) in zip(pieces, pieces[1:]))
 
 
 class TestComparison:
@@ -163,7 +137,7 @@ class TestComparison:
         assert comparison_measure(plm, plm) == 0
 
     def test_identity_below_constant(self):
-        assert comparison_measure(plm_identity(), plm_constant(Fraction(1, 2))) == Fraction(1, 2)
+        assert comparison_measure(constant_slope_map(1, 0), constant_slope_map(0, Fraction(1, 2))) == Fraction(1, 2)
 
     def test_second_iterate_below_first(self):
         got = comparison_measure(plm_iter_shift(2, 2), plm_iter_shift(2, 1))

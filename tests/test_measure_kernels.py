@@ -4,7 +4,7 @@
 the builders must give the branches of the all-pairs chain without composing,
 and a chain must have q^M branches (M its largest deleted position) and trip
 the branch budget where the all-pairs chain does; ``sublevel_measure`` and
-``comparison_measure`` must equal the measure of the interval set that
+``comparison_measure`` must equal the summed lengths of the pieces that
 ``sublevel_set`` builds.
 """
 
@@ -18,18 +18,18 @@ from cantorshift import (
     SetFamilySpec,
     comparison_measure,
     plm_generalized_chain,
-    plm_identity,
     plm_iter_shift,
     plm_single_deletion,
     sublevel_measure,
     sublevel_set,
 )
 from cantorshift import measure
-from cantorshift.measure import _sublevel_kernel, plm_constant
+from cantorshift.measure import _sublevel_kernel
 from oracles import (
     chain_all_pairs,
     chain_deleted_positions,
     compose_all_pairs,
+    constant_slope_map,
     single_deletion,
     subtract_on_refinement,
 )
@@ -60,6 +60,13 @@ def subtracted_maps(maps):
         if q == r:
             out += [a.subtract(b), b.subtract(a), a.subtract(a)]
     return out
+
+
+def piece_measure(pieces):
+    """Total length of disjoint half-open pieces, each checked to lie in order inside [0, 1]."""
+    ends = [e for piece in pieces for e in piece]
+    assert ends == sorted(ends) and all(0 <= e <= 1 for e in ends)
+    return sum((hi - lo for lo, hi in pieces), Fraction(0))
 
 
 def thresholds(rng, plm, k=10):
@@ -94,11 +101,11 @@ class TestCompose:
     def test_constant_source(self):
         target = plm_generalized_chain(2, (2, 3))
         for c in (Fraction(0), Fraction(1, 3), Fraction(5, 8)):
-            source = plm_constant(c)
+            source = constant_slope_map(0, c)
             assert source.compose(target).branches == compose_all_pairs(source, target, 10**6).branches
 
     def test_negative_slope_rejected_like_oracle(self):
-        source = plm_identity().subtract(plm_iter_shift(2, 2))
+        source = constant_slope_map(1, 0).subtract(plm_iter_shift(2, 2))
         target = plm_iter_shift(2, 1)
         with pytest.raises(ValueError):
             compose_all_pairs(source, target, 10**6)
@@ -110,7 +117,7 @@ class TestCompose:
         rng = random.Random(300 + q)
         for _ in range(6):
             indices = random_chain(rng, q)
-            current, critical = plm_identity(), set()
+            current, critical = constant_slope_map(1, 0), set()
             for m in indices:
                 current = current.compose(plm_single_deletion(q, m))
                 critical |= {len(current), q**m}
@@ -190,7 +197,7 @@ class TestSublevelKernel:
         maps = random_maps(500)
         for plm in [m for _, m in maps] + subtracted_maps(maps):
             for x in thresholds(rng, plm):
-                expected = sublevel_set(plm, x).measure
+                expected = piece_measure(sublevel_set(plm, x))
                 assert _sublevel_kernel(plm.branches, x) == expected
                 if 0 <= x <= 1:
                     assert sublevel_measure(plm, x) == expected
@@ -199,12 +206,12 @@ class TestSublevelKernel:
         maps = random_maps(600)
         for (q, a), (r, b) in zip(maps, maps[1:] + maps[:1]):
             if q == r:
-                assert comparison_measure(a, b) == sublevel_set(a.subtract(b), 0).measure
-                assert comparison_measure(b, a) == sublevel_set(b.subtract(a), 0).measure
+                assert comparison_measure(a, b) == piece_measure(sublevel_set(a.subtract(b), 0))
+                assert comparison_measure(b, a) == piece_measure(sublevel_set(b.subtract(a), 0))
                 assert comparison_measure(a, a) == 0
 
     def test_threshold_range_guard(self):
         with pytest.raises(ValueError):
-            sublevel_measure(plm_identity(), Fraction(3, 2))
+            sublevel_measure(constant_slope_map(1, 0), Fraction(3, 2))
         with pytest.raises(ValueError):
-            sublevel_measure(plm_identity(), Fraction(-1, 3))
+            sublevel_measure(constant_slope_map(1, 0), Fraction(-1, 3))
