@@ -31,6 +31,7 @@ from .shifts import (
     generalized_shift,
     generalized_shift_value,
     make_schedule,
+    original_positions,
     partial_sums,
     prefix_sum,
     shift,

@@ -172,8 +172,15 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
         if not xs:
             raise ValueError(f"{family} needs x = ... or threshold_point = ...")
         return xs
+    lineno = keys["threshold_point"][0]
     point = parse_expansion(_take(keys, "threshold_point"))
-    return (value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0"))),)
+    x = value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0")))
+    try:
+        str(x.denominator)  # the CSV prints it; x <= 1 keeps the numerator shorter
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"line {lineno}: threshold_point value has more than {limit} digits") from None
+    return (x,)
 
 
 def _read_itershift(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:

@@ -15,9 +15,9 @@ in an integer kernel, and the measure of {z : A(z) < B(z)} is the same sum
 for the affine difference A - B on a common refinement.  ``sublevel_set``
 returns the pieces themselves, in order; it is the set form of the same
 computation and the reference the kernel is tested against.  A seeded
-digit-sampling Monte Carlo estimator, which draws the digits up to 16 past
-the last deleted position at once, provides an independent stochastic
-cross-check.
+digit-sampling Monte Carlo estimator, which reads each sample's digits from
+one integer draw as whole-integer runs and windows, provides an independent
+stochastic cross-check.
 
 The builders check the branch count q^M against the budget before they
 build anything, and ``gk_scan`` decides once per set, from the same count and
@@ -37,6 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
+
+from . import shifts as sh
 
 __all__ = [
     "BudgetExceededError",
@@ -63,7 +65,7 @@ DEFAULT_BRANCH_BUDGET = 10**6
 DEFAULT_ITER_LIMIT = 8
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-_GUARD = 16  # digits a threshold draw reads past the last deleted position
+_GUARD = 16  # digits a draw reads past the last deleted position, and a comparison window's width
 
 
 class BudgetExceededError(RuntimeError):
@@ -390,9 +392,7 @@ class SetFamilySpec:
             return list(range(1, self.n + 1))
         if self.kind is FamilyKind.COMPARE_ITER:
             return list(range(1, max(self.a, self.b) + 1))
-        # each earlier deletion moves an index at most one position further
-        remaining = list(range(1, max(self.indices) + len(self.indices)))
-        return sorted(remaining.pop(j - 1) for j in self.indices)
+        return sorted(sh.original_positions(self.indices))
 
 
 @dataclass(frozen=True)
@@ -423,8 +423,11 @@ def monte_carlo_measure(
     from u as whole runs between the deleted positions; the integer they form
     brackets the composed value, which is compared against the threshold
     exactly, one more digit per round, until the comparison decides or the
-    depth cap marks the sample indeterminate.  Deterministic for a fixed
-    seed; indeterminate samples are counted separately.
+    depth cap marks the sample indeterminate.  A comparison draws positions
+    min(a, b) + 1 .. max(a, b) + ``_GUARD`` and compares the iterates' top and
+    bottom ``_GUARD``-digit windows as integers; a tie keeps the last |a - b|
+    digits and appends ``_GUARD`` fresh ones, up to 256 compared digits.
+    Deterministic for a fixed seed; indeterminate samples are counted separately.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -432,23 +435,19 @@ def monte_carlo_measure(
     q = spec.q
 
     if spec.kind is FamilyKind.COMPARE_ITER:
+        lag, window, a_leads = q ** abs(spec.a - spec.b), q**_GUARD, spec.a < spec.b
         hits = indet = 0
-        a, b, cap = spec.a, spec.b, 256
         for _ in range(samples):
-            digits: list[int] = []
-            i = 1
-            while True:
-                need = max(a, b) + i
-                while len(digits) < need:
-                    digits.append(rng.randrange(q))
-                da, db = digits[a + i - 1], digits[b + i - 1]
-                if da != db:
-                    hits += da < db
+            u = rng.randrange(lag * window)
+            for _ in range(256 // _GUARD - 1):
+                if u // lag != u % window:
                     break
-                i += 1
-                if i > cap:
-                    indet += 1
-                    break
+                u = u % lag * window + rng.randrange(window)
+            shallow, deep = u // lag, u % window
+            if shallow == deep:
+                indet += 1
+            else:
+                hits += (shallow < deep) == a_leads
         return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
     x = Fraction(x)

@@ -494,6 +494,14 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
 # ``seq`` omitted means the identity reading order; each key is set at most once.
 
 
+def _read_token(parse, text: str, message: str):
+    """``parse(text)``, or a ValueError with ``message`` when the token does not parse."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(message) from None
+
+
 def parse_function_spec(text: str) -> SalemFunction:
     q: Optional[int] = None
     p: Optional[list[Fraction]] = None
@@ -512,13 +520,15 @@ def parse_function_spec(text: str) -> SalemFunction:
             raise ValueError(f"spec key {key} set twice")
         seen.add(key)
         if key == "q":
-            q = int(value)
+            q = _read_token(int, value, f"spec key q must be an integer, got {value!r}")
         elif key == "p":
-            p = [Fraction(tok.strip()) for tok in value.split(",") if tok.strip()]
+            tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
+            p = [_read_token(Fraction, tok, f"p entry {tok!r} is not a rational") for tok in tokens]
         elif key == "seq":
             if not (value.startswith("perm(") and value.endswith(")")):
                 raise ValueError(f"seq must look like perm(2 1), got {value!r}")
-            entries = [int(tok) for tok in value[5:-1].split()]
+            tokens = value[5:-1].split()
+            entries = [_read_token(int, tok, f"seq entry {tok!r} must be an integer") for tok in tokens]
             seq = IndexSequence(tuple(entries))
         else:
             raise ValueError(f"unknown spec key {key!r}")

@@ -34,6 +34,7 @@ __all__ = [
     "generalized_shift_value",
     "compose_two",
     "make_schedule",
+    "original_positions",
     "delete_positions",
     "alternating_value",
     "alternating_shift_value",
@@ -135,19 +136,12 @@ def _delete_original_positions(e: DigitExpansion, positions) -> DigitExpansion:
 def compose_two(e: DigitExpansion, n1: int, n2: int) -> DigitExpansion:
     """Apply the deletion at n1, then the deletion at n2, in one step.
 
-    The pair of original positions removed is {n1, n2} when n1 > n2,
-    {n1, n2 + 1} when n1 < n2, and {n1, n1 + 1} when they coincide; the
-    result equals two sequential :func:`generalized_shift` calls.
+    The pair of original positions removed is ``original_positions((n1, n2))``;
+    the result equals two sequential :func:`generalized_shift` calls.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("positions must be >= 1")
-    if n1 > n2:
-        positions = (n2, n1)
-    elif n1 < n2:
-        positions = (n1, n2 + 1)
-    else:
-        positions = (n1, n1 + 1)
-    return _delete_original_positions(e, positions)
+    return _delete_original_positions(e, original_positions((n1, n2)))
 
 
 @dataclass(frozen=True)
@@ -174,6 +168,16 @@ def make_schedule(n_list: Sequence[int]) -> DeletionSchedule:
         smaller = sum(1 for prev in positions[: i + 1] if prev < n)
         steps.append(n - smaller)
     return DeletionSchedule(positions, tuple(steps))
+
+
+def original_positions(steps: Sequence[int]) -> tuple[int, ...]:
+    """The original positions that single deletions at ``steps``, in order,
+    remove, in the same order; the inverse of :func:`make_schedule`."""
+    if any(j < 1 for j in steps):
+        raise ValueError("steps must be >= 1")
+    # each earlier deletion moves a step at most one position further
+    remaining = list(range(1, max(steps, default=0) + len(steps)))
+    return tuple(remaining.pop(j - 1) for j in steps)
 
 
 def delete_positions(e: DigitExpansion, schedule: DeletionSchedule) -> DigitExpansion:

@@ -241,6 +241,38 @@ def threshold_mc_counts(q: int, deleted, x: Fraction, samples: int, seed: int, g
     return hits, indet
 
 
+def compare_mc_counts(q: int, a: int, b: int, samples: int, seed: int, guard: int = 16, cap: int = 256):
+    """(hits, indeterminate) of ``monte_carlo_measure`` on {z : shift^a z < shift^b z},
+    read and compared one digit at a time.
+
+    The first draw, randrange(q^(k + guard)) with k = |a - b|, holds the
+    digits of positions min(a, b) + 1 .. max(a, b) + guard; each later draw,
+    randrange(q^guard), appends the next ``guard`` positions, and is made
+    only when the comparison reaches a position not yet drawn.  Position
+    pairs (a + i, b + i) are compared for i = 1..cap.
+    """
+    rng = random.Random(seed)
+    lo, hi = min(a, b), max(a, b)
+
+    def digits_of(u: int, count: int) -> list[int]:
+        return [(u // q ** (count - 1 - j)) % q for j in range(count)]
+
+    hits = indet = 0
+    for _ in range(samples):
+        width = hi - lo + guard
+        digits = digits_of(rng.randrange(q**width), width)  # digits[j] is position lo + 1 + j
+        for i in range(1, cap + 1):
+            if len(digits) < hi + i - lo:
+                digits += digits_of(rng.randrange(q**guard), guard)
+            da, db = digits[a + i - lo - 1], digits[b + i - lo - 1]
+            if da != db:
+                hits += da < db
+                break
+        else:
+            indet += 1
+    return hits, indet
+
+
 def subtract_on_refinement(a, b):
     """a - b on the sorted union of both maps' breakpoints, each piece's
     branches found by a search over the whole map."""

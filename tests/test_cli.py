@@ -333,6 +333,31 @@ def test_repeated_spec_key_is_a_usage_error(argv):
     assert (code, out, err) == (2, "", "error: spec key p set twice\n")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("q=two; p=0.5,0.5", "spec key q must be an integer, got 'two'"),
+        ("q=2; p=1/0,1", "p entry '1/0' is not a rational"),
+        ("q=2; p=x,1", "p entry 'x' is not a rational"),
+        ("q=2; p=0.5,0.5; seq=perm(a)", "seq entry 'a' must be an integer"),
+    ],
+    ids=["q", "p-zero-denominator", "p-junk", "seq"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["eval", "{}", "1/3"], ["curve", "{}", "--grid", "4", "--out", "unused.csv"], ["verify", "integral", "--spec", "{}"]],
+    ids=["eval", "curve", "verify"],
+)
+def test_bad_spec_token_names_its_key(spec, message, command):
+    code, out, err, _ = run_main(*(arg.format(spec) for arg in command))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_negative_point_after_double_dash_reaches_the_range_check():
+    code, out, err, _ = run_main("eval", "q=2; p=0.3,0.7", "--", "-1/3")
+    assert (code, out, err) == (2, "", "error: x must lie in [0, 1]\n")
+
+
 class TestVerify:
     def test_known_suite_passes(self):
         out = run_cli("verify", "schedule")
@@ -568,6 +593,12 @@ class TestMeasureInputs:
     def test_non_integer_value_names_key_and_line(self, tmp_path, capsys, body, line, key):
         err = _measure_usage_error(tmp_path, capsys, body)
         assert err == f"error: line {line}: {key} must be an integer, got 'two'\n"
+
+    def test_threshold_point_past_the_int_string_limit(self, tmp_path, capsys):
+        # 4400 decimal ones: the value's denominator 10^4400 has too many digits to print
+        point = "q10:[" + ",".join(["1"] * 4400) + "]:zeros"
+        err = _measure_usage_error(tmp_path, capsys, f"family = itershift\nq = 10\nn = 1\nthreshold_point = {point}\n")
+        assert err == f"error: line 4: threshold_point value has more than {sys.get_int_max_str_digits()} digits\n"
 
     def test_non_ascii_config(self, tmp_path, capsys):
         err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nx = 1/3 \u00e9\n")

@@ -25,7 +25,7 @@ from cantorshift import (
     value_of,
 )
 from cantorshift import measure
-from oracles import chain_deleted_positions, constant_slope_map, threshold_mc_counts
+from oracles import chain_deleted_positions, compare_mc_counts, constant_slope_map, threshold_mc_counts
 
 THIRDS = (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5))
 
@@ -223,6 +223,21 @@ class TestMonteCarlo:
             for seed in (4, 19):
                 mc = monte_carlo_measure(spec, x, 600, seed)
                 assert (mc.hits, mc.indeterminate) == threshold_mc_counts(spec.q, deleted, x, 600, seed)
+
+    @pytest.mark.parametrize("q", [2, 3, 10])
+    @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 20])
+    def test_comparison_matches_digit_by_digit_reference(self, q, k):
+        for a, b in ((2 + k, 2), (2, 2 + k)):
+            for seed in (4, 19):
+                mc = monte_carlo_measure(SetFamilySpec.compare_iter(q, a, b), 0, 300, seed)
+                assert (mc.hits, mc.indeterminate) == compare_mc_counts(q, a, b, 300, seed)
+
+    # at these seeds one of the 300 samples ties on its first windows, so the
+    # round that keeps the last |a - b| digits and draws 16 more decides it
+    @pytest.mark.parametrize("a, b, seed", [(3, 2, 30), (2, 3, 30), (19, 2, 276), (2, 19, 276)])
+    def test_comparison_tie_keeps_the_lag_digits(self, a, b, seed):
+        mc = monte_carlo_measure(SetFamilySpec.compare_iter(2, a, b), 0, 300, seed)
+        assert (mc.hits, mc.indeterminate) == compare_mc_counts(2, a, b, 300, seed)
 
 
 class TestScan:

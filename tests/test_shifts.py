@@ -17,6 +17,7 @@ from cantorshift import (
     generalized_shift,
     generalized_shift_value,
     make_schedule,
+    original_positions,
     partial_sums,
     prefix_sum,
     same_stream,
@@ -25,7 +26,7 @@ from cantorshift import (
     value_of,
 )
 from cantorshift.verify import matches_stream, stream_after_deleting
-from oracles import alternating_full_value, alternating_series_direct
+from oracles import alternating_full_value, alternating_series_direct, chain_deleted_positions
 
 
 def random_expansion(rng, cantor=False, maxlen=12, force_zeros=False):
@@ -169,6 +170,12 @@ class TestSchedules:
         assert make_schedule((1,)).steps == (1,)
         assert make_schedule(()).steps == ()
 
+    def test_original_positions_worked_case(self):
+        assert original_positions((1, 4, 5, 2, 3)) == (1, 5, 7, 3, 6)
+        assert original_positions(()) == ()
+        with pytest.raises(ValueError):
+            original_positions((2, 0))
+
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
             make_schedule((2, 2))
@@ -293,6 +300,13 @@ class TestProperties:
         result = delete_positions(e, make_schedule(tuple(positions)))
         digits, bases = stream_after_deleting(e, positions, horizon=14)
         assert matches_stream(result, digits, bases)
+
+    @given(st.lists(st.integers(1, 12), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_original_positions_inverts_make_schedule(self, steps):
+        positions = original_positions(steps)
+        assert make_schedule(positions).steps == tuple(steps)
+        assert sorted(positions) == chain_deleted_positions(steps)
 
     @given(constant_base_expansions(max_len=10), st.integers(1, 8), st.integers(1, 8))
     @settings(max_examples=150, deadline=None)
