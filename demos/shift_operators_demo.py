@@ -36,11 +36,11 @@ print("affine formula gives:", generalized_shift_value(value_of(x), x, 2))
 nine = DigitExpansion(b10, (1, 2, 3, 4, 5, 6, 7, 8, 9))
 print("\ndelete at 2 then at 5 on digits 1..9:", compose_two(nine, 2, 5).prefix)
 
-# To delete a whole set of original positions, each deletion index is lowered
-# by the number of earlier deletions below it.
+# A whole set of original positions is deleted at once.  Deleting them one at
+# a time in the given order instead lowers each deletion index by the number
+# of earlier deletions below it: those are the re-indexed steps.
 positions = (1, 5, 7, 3, 6)
-schedule = make_schedule(positions)
 print("\ndeleting original positions", positions)
-print("re-indexed single-deletion steps:", schedule.steps)
+print("re-indexed single-deletion steps:", make_schedule(positions))
 ten = DigitExpansion(b10, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
-print("surviving digits:", delete_positions(ten, schedule).prefix)
+print("surviving digits:", delete_positions(ten, positions).prefix)

@@ -22,7 +22,6 @@ from .expansions import (
     value_of,
 )
 from .shifts import (
-    DeletionSchedule,
     PartialSums,
     alternating_shift_value,
     alternating_value,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import measure as me
 from . import salem as sm
 from . import shifts as sh
-from .expansions import parse_expansion, parse_rational, value_of
+from .expansions import parse_expansion, parse_rational, quote_token, value_of
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -102,7 +102,7 @@ def _parse_int(text: str, key: str, lineno: int) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValueError(f"line {lineno}: {key} must be an integer, got {text.strip()!r}") from None
+        raise ValueError(f"line {lineno}: {key} must be an integer, got {quote_token(text.strip())}") from None
 
 
 def _parse_range(text: str, key: str, lineno: int) -> list[int]:
@@ -110,7 +110,7 @@ def _parse_range(text: str, key: str, lineno: int) -> list[int]:
     if ".." in text:
         lo, hi = (_parse_int(end, key, lineno) for end in text.split("..", 1))
         if hi < lo:
-            raise ValueError(f"empty range {text!r}")
+            raise ValueError(f"empty range {quote_token(text)}")
         return list(range(lo, hi + 1))
     return [_parse_int(text, key, lineno)]
 
@@ -233,7 +233,7 @@ def parse_config(text: str) -> MeasureConfig:
         keys[key] = (lineno, value.strip())
     family = _take(keys, "family").lower()
     if family not in _READERS:
-        raise ValueError(f"unknown family {family!r}")
+        raise ValueError(f"unknown family {quote_token(family)}")
     q = _take_int(keys, "q")
     specs = tuple(_READERS[family](family, q, keys))
     x_grid = () if family == "compareiter" else _read_thresholds(family, keys)

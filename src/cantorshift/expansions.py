@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -37,6 +38,7 @@ __all__ = [
     "parse_expansion",
     "format_expansion",
     "parse_rational",
+    "quote_token",
 ]
 
 RationalLike = Union[Fraction, int, str]
@@ -322,7 +324,7 @@ def parse_base(text: str) -> BaseSpec:
     if m:
         entries = [int(t) for t in m.group(1).split(",") if t.strip()]
         return BaseSpec.cantor(entries, int(m.group(2)))
-    raise ValueError(f"cannot parse base {text!r}")
+    raise ValueError(f"cannot parse base {quote_token(text)}")
 
 
 def format_expansion(e: DigitExpansion) -> str:
@@ -333,18 +335,18 @@ def format_expansion(e: DigitExpansion) -> str:
 def parse_expansion(text: str) -> DigitExpansion:
     parts = text.strip().split(":")
     if len(parts) != 3:
-        raise ValueError(f"expected base:[digits]:tail, got {text!r}")
+        raise ValueError(f"expected base:[digits]:tail, got {quote_token(text)}")
     base = parse_base(parts[0])
     digit_part = parts[1].strip()
     if not (digit_part.startswith("[") and digit_part.endswith("]")):
-        raise ValueError(f"digit list must be bracketed, got {digit_part!r}")
+        raise ValueError(f"digit list must be bracketed, got {quote_token(digit_part)}")
     inner = digit_part[1:-1].strip()
     digits = tuple(int(t) for t in inner.split(",") if t.strip()) if inner else ()
     tail_token = parts[2].strip().lower()
     try:
         tail = Tail(tail_token)
     except ValueError:
-        raise ValueError(f"tail must be 'zeros' or 'max', got {tail_token!r}") from None
+        raise ValueError(f"tail must be 'zeros' or 'max', got {quote_token(tail_token)}") from None
     return DigitExpansion(base, digits, tail)
 
 
@@ -353,4 +355,18 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {text!r}") from exc
+        raise ValueError(f"cannot parse rational {quote_token(text)}") from exc
+
+
+def quote_token(text: str) -> str:
+    """``text`` quoted for an error message.  A token over 40 characters is
+    clipped to its first 40 and its length, and one with more digits than the
+    interpreter's integer string limit (``sys.get_int_max_str_digits()``,
+    read here, never raised) names that limit."""
+    if len(text) <= 40:
+        return repr(text)
+    limit = sys.get_int_max_str_digits()
+    over = ""
+    if limit and sum(c.isdigit() for c in text) > limit:
+        over = f", more digits than the integer string limit of {limit}"
+    return f"{text[:40]!r}... ({len(text)} characters{over})"

@@ -183,7 +183,7 @@ def _plm_deleting(q: int, deleted: Sequence[int], budget: int) -> PiecewiseLinea
     top = deleted[-1]
     count = q**top
     if count > budget:
-        raise BudgetExceededError(f"{count} branches exceed budget {budget}")
+        raise BudgetExceededError(f"{q}^{top} branches exceed budget {budget}")
     runs = _surviving_runs(q, deleted, top)
     slope = Fraction(q ** len(deleted))
     scale = q ** (top - len(deleted))
@@ -517,7 +517,7 @@ def _exact_refusal(spec: SetFamilySpec, budget: int, iter_limit: int) -> Optiona
         if iterate and top > iter_limit:
             return f"iterate count {top} over limit {iter_limit}"
         if spec.q**top > budget:
-            return f"{spec.q**top} branches exceed budget {budget}"
+            return f"{spec.q}^{top} branches exceed budget {budget}"
     return None
 
 

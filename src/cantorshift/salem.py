@@ -34,8 +34,9 @@ from .expansions import (
     DigitExpansion,
     Tail,
     dual_representation,
+    quote_token,
 )
-from .shifts import generalized_shift, make_schedule
+from .shifts import delete_positions
 
 __all__ = [
     "WeightSet",
@@ -126,15 +127,10 @@ class IndexSequence:
         prefix = tuple(int(n) for n in self.prefix)
         if sorted(prefix) != list(range(1, len(prefix) + 1)):
             raise ValueError("prefix must be a permutation of 1..N")
-        while prefix and prefix[-1] == len(prefix):
-            prefix = prefix[:-1]
-        steps = make_schedule(prefix).steps if prefix else ()
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "_steps", steps)
-
-    @classmethod
-    def identity(cls) -> "IndexSequence":
-        return cls(())
+        size = len(prefix)
+        while size and prefix[size - 1] == size:
+            size -= 1
+        object.__setattr__(self, "prefix", prefix[:size])
 
     @property
     def size(self) -> int:
@@ -150,14 +146,6 @@ class IndexSequence:
         if k <= len(self.prefix):
             return self.prefix[k - 1]
         return k
-
-    def bar_at(self, k: int) -> int:
-        """Single-deletion index for the k-th reading position."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if k <= len(self.prefix):
-            return self._steps[k - 1]
-        return 1
 
     def induced_after(self, k: int) -> "IndexSequence":
         """Reading order of the remaining digits once the first k are deleted.
@@ -290,12 +278,12 @@ def first_terms(f: SalemFunction, e: DigitExpansion, count: int) -> list[Fractio
 
 
 def chain_expansion(f: SalemFunction, e: DigitExpansion, k: int) -> DigitExpansion:
-    """The expansion after the first k scheduled deletions."""
+    """The expansion with the original positions n_1 .. n_k of the first k
+    reading steps deleted: ``delete_positions`` of that list, which equals
+    single deletions at its ``make_schedule`` steps in order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    for j in range(1, k + 1):
-        e = generalized_shift(e, f.seq.bar_at(j))
-    return e
+    return delete_positions(e, [f.seq.n_at(j) for j in range(1, k + 1)])
 
 
 def chain_value(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:
@@ -495,11 +483,12 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
 
 
 def _read_token(parse, text: str, message: str):
-    """``parse(text)``, or a ValueError with ``message`` when the token does not parse."""
+    """``parse(text)``, or a ValueError with ``message``, its ``{}`` filled with
+    the quoted token, when the token does not parse."""
     try:
         return parse(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(message) from None
+        raise ValueError(message.format(quote_token(text))) from None
 
 
 def parse_function_spec(text: str) -> SalemFunction:
@@ -515,23 +504,23 @@ def parse_function_spec(text: str) -> SalemFunction:
         key = key.strip().lower()
         value = value.strip()
         if not value:
-            raise ValueError(f"missing value in spec fragment {part!r}")
+            raise ValueError(f"missing value in spec fragment {quote_token(part)}")
         if key in seen:
             raise ValueError(f"spec key {key} set twice")
         seen.add(key)
         if key == "q":
-            q = _read_token(int, value, f"spec key q must be an integer, got {value!r}")
+            q = _read_token(int, value, "spec key q must be an integer, got {}")
         elif key == "p":
             tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-            p = [_read_token(Fraction, tok, f"p entry {tok!r} is not a rational") for tok in tokens]
+            p = [_read_token(Fraction, tok, "p entry {} is not a rational") for tok in tokens]
         elif key == "seq":
             if not (value.startswith("perm(") and value.endswith(")")):
-                raise ValueError(f"seq must look like perm(2 1), got {value!r}")
+                raise ValueError(f"seq must look like perm(2 1), got {quote_token(value)}")
             tokens = value[5:-1].split()
-            entries = [_read_token(int, tok, f"seq entry {tok!r} must be an integer") for tok in tokens]
+            entries = [_read_token(int, tok, "seq entry {} must be an integer") for tok in tokens]
             seq = IndexSequence(tuple(entries))
         else:
-            raise ValueError(f"unknown spec key {key!r}")
+            raise ValueError(f"unknown spec key {quote_token(key)}")
     if q is None or p is None:
         raise ValueError("function spec needs both q= and p=")
     return SalemFunction(WeightSet(q, tuple(p)), seq)

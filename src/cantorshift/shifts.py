@@ -6,10 +6,13 @@ m; on each rank-m cylinder it acts as the affine map
 
     x  ->  q_m * x - (q_m - 1) * head(m-1) - d_m / (q_1 ... q_{m-1})
 
-where head(m-1) is the partial sum over the first m-1 digits.  Compositions
-of deletions are tracked through re-indexed deletion schedules: deleting
-original positions n_1, .., n_k in that order is achieved by single
-deletions at positions n_i - (number of earlier n_j below n_i).
+where head(m-1) is the partial sum over the first m-1 digits.  A composition
+of deletions is the set of original positions it removes:
+``delete_positions`` takes them and deletes them in descending order, which
+keeps every original index valid.  Deleting original positions n_1, .., n_k
+in that order one at a time instead takes the re-indexed single-deletion
+steps n_i - (number of earlier n_j below n_i), which ``make_schedule``
+returns.
 
 An alternating-series reading of the same digit data (position k weighted by
 (-1)^k) is supported for the value and single-deletion formula.
@@ -25,7 +28,6 @@ from .expansions import BaseSpec, DigitExpansion, Tail, value_of
 
 __all__ = [
     "PartialSums",
-    "DeletionSchedule",
     "prefix_sum",
     "partial_sums",
     "shift",
@@ -126,9 +128,19 @@ def generalized_shift_value(x: Fraction, e: DigitExpansion, m: int) -> Fraction:
     return q_m * x - (q_m - 1) * head - Fraction(d_m, e.base.block(m - 1))
 
 
-def _delete_original_positions(e: DigitExpansion, positions) -> DigitExpansion:
-    # Deleting in descending order keeps original indices valid.
-    for m in sorted(set(positions), reverse=True):
+def _distinct_positions(positions: Sequence[int]) -> tuple[int, ...]:
+    positions = tuple(map(int, positions))
+    if positions and min(positions) < 1:
+        raise ValueError("positions must be >= 1")
+    if len(set(positions)) != len(positions):
+        raise ValueError("positions must be distinct")
+    return positions
+
+
+def delete_positions(e: DigitExpansion, positions: Sequence[int]) -> DigitExpansion:
+    """Remove the distinct original positions (each >= 1) from the digit
+    stream and the base sequence at once, deleting in descending order."""
+    for m in sorted(_distinct_positions(positions), reverse=True):
         e = generalized_shift(e, m)
     return e
 
@@ -141,33 +153,15 @@ def compose_two(e: DigitExpansion, n1: int, n2: int) -> DigitExpansion:
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("positions must be >= 1")
-    return _delete_original_positions(e, original_positions((n1, n2)))
+    return delete_positions(e, original_positions((n1, n2)))
 
 
-@dataclass(frozen=True)
-class DeletionSchedule:
-    """Original positions to delete, with the re-indexed one-shot steps.
-
-    ``steps[i] = positions[i] - (number of earlier positions below it)``;
-    applying single deletions at ``steps`` in order removes exactly the
-    original positions.
-    """
-
-    positions: tuple[int, ...]
-    steps: tuple[int, ...]
-
-
-def make_schedule(n_list: Sequence[int]) -> DeletionSchedule:
-    positions = tuple(int(n) for n in n_list)
-    if any(n < 1 for n in positions):
-        raise ValueError("positions must be >= 1")
-    if len(set(positions)) != len(positions):
-        raise ValueError("positions must be distinct")
-    steps = []
-    for i, n in enumerate(positions):
-        smaller = sum(1 for prev in positions[: i + 1] if prev < n)
-        steps.append(n - smaller)
-    return DeletionSchedule(positions, tuple(steps))
+def make_schedule(positions: Sequence[int]) -> tuple[int, ...]:
+    """The single-deletion steps that remove the distinct original
+    ``positions`` in the given order: step i is positions[i] less the number
+    of earlier positions below it."""
+    positions = _distinct_positions(positions)
+    return tuple(n - sum(prev < n for prev in positions[:i]) for i, n in enumerate(positions))
 
 
 def original_positions(steps: Sequence[int]) -> tuple[int, ...]:
@@ -178,17 +172,6 @@ def original_positions(steps: Sequence[int]) -> tuple[int, ...]:
     # each earlier deletion moves a step at most one position further
     remaining = list(range(1, max(steps, default=0) + len(steps)))
     return tuple(remaining.pop(j - 1) for j in steps)
-
-
-def delete_positions(e: DigitExpansion, schedule: DeletionSchedule) -> DigitExpansion:
-    """Apply the schedule's single deletions in order.
-
-    Equivalent to removing the schedule's original positions from the digit
-    stream (and base sequence) all at once.
-    """
-    for m in schedule.steps:
-        e = generalized_shift(e, m)
-    return e
 
 
 def alternating_value(e: DigitExpansion) -> Fraction:

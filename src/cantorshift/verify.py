@@ -13,6 +13,7 @@ and tolerance is written once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -248,17 +249,18 @@ def check_two_deletions(cases: Iterable[tuple[xp.DigitExpansion, int, int]]) -> 
 
 def check_schedule_steps(order: tuple[int, ...], steps: tuple[int, ...]) -> Check:
     """``make_schedule(order)`` re-indexes the positions to these single-deletion steps."""
-    got = sh.make_schedule(order).steps
+    got = sh.make_schedule(order)
     name = f"re-indexed steps of ({','.join(map(str, order))}) are ({','.join(map(str, steps))})"
     return name, got == steps, str(got)
 
 
 def check_scheduled_deletions(cases: Iterable[tuple[xp.DigitExpansion, tuple[int, ...]]]) -> Check:
-    """Cases (e, positions): the scheduled deletion equals removing the
-    positions from the stream, compared up to four digits past the prefix."""
+    """Cases (e, positions): single deletions at the ``make_schedule`` steps,
+    in order, equal removing the positions from the stream, compared up to
+    four digits past the prefix."""
     name = "scheduled deletions equal direct position removal"
     for e, positions in cases:
-        result = sh.delete_positions(e, sh.make_schedule(positions))
+        result = functools.reduce(sh.generalized_shift, sh.make_schedule(positions), e)
         if not matches_stream(result, *stream_after_deleting(e, positions, horizon=len(e.prefix) + 3)):
             return name, False, str(positions)
     return name, True, ""

@@ -181,6 +181,12 @@ class TestRationalValues:
         assert (code, out, err) == (0, printed + "\n", "exact\n")
         assert seconds < 1.0
 
+    def test_long_reading_order(self):
+        order = " ".join(map(str, range(50000, 0, -1)))
+        code, out, err, seconds = run_main("eval", f"q=2; p=1/2,1/2; seq=perm({order})", "1/3")
+        assert (code, out, err) == (0, "0.666666666667\n", "exact\n")
+        assert seconds < 2.0
+
     def test_long_period_is_cut(self):
         # the base-3 period of 0.123456789012 is 195,312,500 digits long
         code, out, err, seconds = run_main("eval", SPEC_315, "0.123456789012")
@@ -353,6 +359,23 @@ def test_bad_spec_token_names_its_key(spec, message, command):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# 4400 digits, past the default integer string limit of 4300
+HUGE_TOKEN = "1" * 4400
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eval", "q=2; p=1/2,1/2", HUGE_TOKEN], ["eval", f"q=2; p={HUGE_TOKEN},1/2", "1/3"]],
+    ids=["point", "p-entry"],
+)
+def test_huge_token_is_clipped_and_names_the_limit(argv):
+    code, out, err, _ = run_main(*argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert "'" + "1" * 40 + "'... (4400 characters" in err
+    assert f"integer string limit of {sys.get_int_max_str_digits()}" in err
+
+
 def test_negative_point_after_double_dash_reaches_the_range_check():
     code, out, err, _ = run_main("eval", "q=2; p=0.3,0.7", "--", "-1/3")
     assert (code, out, err) == (2, "", "error: x must lie in [0, 1]\n")
@@ -439,7 +462,7 @@ class TestMeasure:
 
     @pytest.mark.parametrize(
         "n, budget, reason",
-        [(9, 10**6, "iterate count 9 over limit 8"), (3, 7, "8 branches exceed budget 7")],
+        [(9, 10**6, "iterate count 9 over limit 8"), (3, 7, "2^3 branches exceed budget 7")],
         ids=["iterate-limit", "budget"],
     )
     def test_fallback_log_names_the_refusal(self, tmp_path, capsys, n, budget, reason):
@@ -450,6 +473,29 @@ class TestMeasure:
         )
         assert main(["measure", str(cfg)]) == 0
         assert capsys.readouterr().err.splitlines()[0] == f"itershift {n}: {reason}, Monte Carlo fallback"
+
+    @pytest.mark.parametrize(
+        "setting, code",
+        [("samples = 10", 0), ("fallback = false", 4)],
+        ids=["fallback", "no-fallback"],
+    )
+    def test_branch_count_past_the_int_string_limit(self, tmp_path, setting, code):
+        # 2^20000 has 6021 decimal digits; the refusal names it as a power
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = genchain\nq = 2\nindices = 20000\nx = 1/3\n{setting}\nout = {out_csv}\n")
+        out = run_cli("measure", str(cfg))
+        assert out.returncode == code, out.stderr
+        lines = out.stderr.splitlines()
+        assert "Traceback" not in out.stderr and all(len(line) < 200 for line in lines)
+        refusal = "2^20000 branches exceed budget 1000000"
+        if code == 0:
+            # the refusal, then the count of rows written
+            assert lines == [f"genchain 1: {refusal}, Monte Carlo fallback", f"wrote 1 rows to {out_csv}"]
+            assert out_csv.read_text().splitlines()[1].split(",")[6] == "mc"
+        else:
+            assert lines == [f"error: {refusal}"]
+            assert not out_csv.exists()
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -599,6 +645,12 @@ class TestMeasureInputs:
         point = "q10:[" + ",".join(["1"] * 4400) + "]:zeros"
         err = _measure_usage_error(tmp_path, capsys, f"family = itershift\nq = 10\nn = 1\nthreshold_point = {point}\n")
         assert err == f"error: line 4: threshold_point value has more than {sys.get_int_max_str_digits()} digits\n"
+
+    def test_huge_integer_is_clipped_and_names_the_limit(self, tmp_path, capsys):
+        err = _measure_usage_error(tmp_path, capsys, f"family = itershift\nq = 2\nn = 1\nx = 1/3\nseed = {HUGE_TOKEN}\n")
+        assert err.count("\n") == 1 and len(err) < 200
+        assert err.startswith("error: line 5: seed must be an integer, got '" + "1" * 40 + "'... (4400 characters")
+        assert f"integer string limit of {sys.get_int_max_str_digits()}" in err
 
     def test_non_ascii_config(self, tmp_path, capsys):
         err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nx = 1/3 \u00e9\n")

@@ -1,5 +1,6 @@
-"""Every exported name has a home in ``__all__`` and a caller or a test;
-``measure`` exports need a caller in ``src`` or a traced name in the benchmark."""
+"""Every exported name has a home in ``__all__`` and a caller or a test, and so
+does every public method or property of an exported class; ``measure`` exports
+need a caller in ``src`` or a traced name in the benchmark."""
 
 import ast
 import importlib
@@ -53,14 +54,35 @@ def test_package_imports_are_exported():
     assert missing == []
 
 
+def _tests_text():
+    return "\n".join(path.read_text() for path in TESTS.glob("*.py") if path.name != "test_exports.py")
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_exports_have_a_caller_or_a_test(module):
     used = _src_uses()
-    tests_text = "\n".join(path.read_text() for path in TESTS.glob("*.py") if path.name != "test_exports.py")
+    tests_text = _tests_text()
     unused = [
         name
         for name in importlib.import_module(f"cantorshift.{module}").__all__
         if name not in used and not re.search(rf"\b{re.escape(name)}\b", tests_text)
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exported_class_methods_have_a_caller_or_a_test(module):
+    # a method is read as an attribute, so a test names it as ``.name``
+    exported = set(importlib.import_module(f"cantorshift.{module}").__all__)
+    used = _src_uses()
+    tests_text = _tests_text()
+    unused = [
+        f"{cls.name}.{node.name}"
+        for cls in ast.parse((SRC / f"{module}.py").read_text()).body
+        if isinstance(cls, ast.ClassDef) and cls.name in exported
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        if node.name not in used and not re.search(rf"\.{re.escape(node.name)}\b", tests_text)
     ]
     assert unused == []
 

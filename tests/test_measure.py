@@ -79,13 +79,13 @@ class TestPiecewiseMaps:
 
     def test_chain_matches_scheduled_deletions(self):
         rng = random.Random(13)
-        schedule = make_schedule((1, 5, 7, 3, 6))
-        chain = plm_generalized_chain(2, schedule.steps)
+        positions = (1, 5, 7, 3, 6)
+        chain = plm_generalized_chain(2, make_schedule(positions))
         for _ in range(100):
             e, z = random_point(rng, 2, length=14)
             if z == 1:
                 continue
-            assert chain.apply(z) == value_of(delete_positions(e, schedule))
+            assert chain.apply(z) == value_of(delete_positions(e, positions))
 
     def test_empty_chain_is_rejected(self):
         # like every other way of building an empty chain
@@ -176,11 +176,11 @@ class TestMonteCarlo:
         assert abs(mc.halfwidth - 0.0013) < 2e-4
 
     def test_matches_exact_chain(self):
-        schedule = make_schedule((1, 4, 2))
+        steps = make_schedule((1, 4, 2))
         exact = float(
-            sublevel_measure(plm_generalized_chain(2, schedule.steps), Fraction(1, 3))
+            sublevel_measure(plm_generalized_chain(2, steps), Fraction(1, 3))
         )
-        spec = SetFamilySpec.gen_chain(2, schedule.steps)
+        spec = SetFamilySpec.gen_chain(2, steps)
         mc = monte_carlo_measure(spec, Fraction(1, 3), 10**5, seed=21)
         assert abs(mc.estimate - exact) <= 4 * mc.halfwidth
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from cantorshift import (
     increment_product,
     increment_via_evaluate,
     integral_closed_form,
+    make_schedule,
     parse_function_spec,
     residual,
     value_at,
@@ -82,7 +84,13 @@ class TestIndexSequence:
     def test_reading_and_deletion_indices(self):
         seq = EXAMPLE_ORDER
         assert [seq.n_at(k) for k in range(1, 13)] == [1, 5, 7, 3, 6, 10, 2, 4, 8, 9, 11, 12]
-        assert [seq.bar_at(k) for k in range(1, 13)] == [1, 4, 5, 2, 3, 5, 1, 1, 1, 1, 1, 1]
+        assert make_schedule([seq.n_at(k) for k in range(1, 13)]) == (1, 4, 5, 2, 3, 5, 1, 1, 1, 1, 1, 1)
+
+    def test_long_order_builds_fast(self):
+        started = time.monotonic()
+        seq = IndexSequence(tuple(range(50000, 0, -1)))
+        assert time.monotonic() - started < 0.5
+        assert seq.size == 50000 and seq.n_at(1) == 50000
 
     def test_induced_order_is_a_permutation(self):
         for k in range(0, 12):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -39,6 +40,11 @@ def random_expansion(rng, cantor=False, maxlen=12, force_zeros=False):
     digits = tuple(rng.randrange(base.base_at(k)) for k in range(1, n + 1))
     tail = Tail.ZEROS if force_zeros else rng.choice([Tail.ZEROS, Tail.MAX])
     return DigitExpansion(base, digits, tail)
+
+
+def sequential_deletions(e, positions):
+    """Single deletions at the re-indexed ``make_schedule`` steps, in order."""
+    return functools.reduce(generalized_shift, make_schedule(positions), e)
 
 
 class TestShift:
@@ -163,12 +169,12 @@ class TestComposeTwo:
 
 class TestSchedules:
     def test_worked_re_indexings(self):
-        assert make_schedule((1, 5, 7, 3, 6)).steps == (1, 4, 5, 2, 3)
-        assert make_schedule((1, 5, 7, 3, 6, 10, 2, 4, 8, 9)).steps == (
+        assert make_schedule((1, 5, 7, 3, 6)) == (1, 4, 5, 2, 3)
+        assert make_schedule((1, 5, 7, 3, 6, 10, 2, 4, 8, 9)) == (
             1, 4, 5, 2, 3, 5, 1, 1, 1, 1,
         )
-        assert make_schedule((1,)).steps == (1,)
-        assert make_schedule(()).steps == ()
+        assert make_schedule((1,)) == (1,)
+        assert make_schedule(()) == ()
 
     def test_original_positions_worked_case(self):
         assert original_positions((1, 4, 5, 2, 3)) == (1, 5, 7, 3, 6)
@@ -177,20 +183,22 @@ class TestSchedules:
             original_positions((2, 0))
 
     def test_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            make_schedule((2, 2))
-        with pytest.raises(ValueError):
-            make_schedule((0, 1))
+        e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3))
+        for build in (make_schedule, lambda positions: delete_positions(e, positions)):
+            with pytest.raises(ValueError, match="distinct"):
+                build((2, 2))
+            with pytest.raises(ValueError, match=">= 1"):
+                build((0, 1))
 
     def test_deletion_matches_direct_removal(self):
         e = DigitExpansion(BaseSpec.constant(10), (0, 1, 2, 3, 4, 5, 6, 7, 8, 9))
-        out = delete_positions(e, make_schedule((1, 5, 7, 3, 6)))
-        assert out.prefix == (1, 3, 7, 8, 9)
+        assert delete_positions(e, (1, 5, 7, 3, 6)).prefix == (1, 3, 7, 8, 9)
+        assert sequential_deletions(e, (1, 5, 7, 3, 6)).prefix == (1, 3, 7, 8, 9)
 
     def test_empty_schedule_is_identity(self):
         e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3))
-        assert delete_positions(e, make_schedule(())) == e
-        assert delete_positions(e, make_schedule((2,))).prefix == (1, 3)
+        assert delete_positions(e, ()) == e
+        assert delete_positions(e, (2,)).prefix == (1, 3)
 
     def test_all_orderings_of_small_subsets(self):
         rng = random.Random(19)
@@ -199,17 +207,17 @@ class TestSchedules:
             for size in range(0, 4):
                 for subset in itertools.combinations(range(1, 6), size):
                     for perm in itertools.permutations(subset):
-                        result = delete_positions(e, make_schedule(perm))
                         digits, bases = stream_after_deleting(e, perm, horizon=12)
-                        assert matches_stream(result, digits, bases), perm
+                        assert matches_stream(delete_positions(e, perm), digits, bases), perm
+                        assert matches_stream(sequential_deletions(e, perm), digits, bases), perm
 
     def test_cantor_base_schedule(self):
         rng = random.Random(23)
         e = DigitExpansion(BaseSpec.cantor((2, 3, 4, 5, 2, 3), 4), (1, 2, 3, 4, 1, 2))
         for perm in itertools.permutations((1, 3, 5)):
-            result = delete_positions(e, make_schedule(perm))
             digits, bases = stream_after_deleting(e, perm, horizon=10)
-            assert matches_stream(result, digits, bases)
+            assert matches_stream(delete_positions(e, perm), digits, bases)
+            assert matches_stream(sequential_deletions(e, perm), digits, bases)
 
 
 class TestOperatorIdentities:
@@ -297,15 +305,15 @@ class TestProperties:
     )
     @settings(max_examples=150, deadline=None)
     def test_schedule_matches_stream_oracle(self, e, positions):
-        result = delete_positions(e, make_schedule(tuple(positions)))
         digits, bases = stream_after_deleting(e, positions, horizon=14)
-        assert matches_stream(result, digits, bases)
+        assert matches_stream(delete_positions(e, positions), digits, bases)
+        assert matches_stream(sequential_deletions(e, positions), digits, bases)
 
     @given(st.lists(st.integers(1, 12), max_size=8))
     @settings(max_examples=200, deadline=None)
     def test_original_positions_inverts_make_schedule(self, steps):
         positions = original_positions(steps)
-        assert make_schedule(positions).steps == tuple(steps)
+        assert make_schedule(positions) == tuple(steps)
         assert sorted(positions) == chain_deleted_positions(steps)
 
     @given(constant_base_expansions(max_len=10), st.integers(1, 8), st.integers(1, 8))
