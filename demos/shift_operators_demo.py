@@ -29,7 +29,7 @@ print("check: x = 0.12 + sigma^2(x)/100 ->", Fraction(12, 100) + value_of(shift_
 # cylinder containing x, and the closed formula matches digit deletion.
 deleted = generalized_shift(x, 2)
 print("\ndeleting digit 2:", deleted.prefix, "=", value_of(deleted))
-print("affine formula gives:", generalized_shift_value(value_of(x), x, 2))
+print("affine formula gives:", generalized_shift_value(x, 2))
 
 # Two deletions compose with a position shift: deleting at 2 then at 5
 # removes original positions 2 and 6.

@@ -292,6 +292,15 @@ def cmd_measure(args) -> int:
     return EXIT_OK
 
 
+def _int_flag(text: str) -> int:
+    """argparse type of the integer flags: ``int``, with a bad value quoted
+    through ``quote_token`` so a huge one is clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {quote_token(text)}") from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -307,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="write a CSV curve of the function")
     p_curve.add_argument("spec")
-    p_curve.add_argument("--grid", type=int, default=256, help="number of grid cells (>= 2)")
+    p_curve.add_argument("--grid", type=_int_flag, default=256, help="number of grid cells (>= 2)")
     p_curve.add_argument("--out", required=True)
     p_curve.set_defaults(func=cmd_curve)
 
@@ -319,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_measure = sub.add_parser("measure", help="run a measure experiment from a config file")
     p_measure.add_argument("config")
     p_measure.add_argument("--out", default=None, help="override the config output path")
-    p_measure.add_argument("--budget", type=int, default=None)
-    p_measure.add_argument("--seed", type=int, default=None)
+    p_measure.add_argument("--budget", type=_int_flag, default=None)
+    p_measure.add_argument("--seed", type=_int_flag, default=None)
     p_measure.set_defaults(func=cmd_measure)
     return parser
 

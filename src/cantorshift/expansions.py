@@ -104,20 +104,6 @@ class BaseSpec:
             out *= self.tail_value**extra
         return out
 
-    def drop_first(self) -> "BaseSpec":
-        return BaseSpec(self.prefix[1:], self.tail_value)
-
-    def delete_at(self, m: int) -> "BaseSpec":
-        """Base sequence with the entry at position m removed.
-
-        Deletions inside the constant tail leave the sequence unchanged.
-        """
-        if m < 1:
-            raise ValueError("positions are 1-indexed")
-        if m <= len(self.prefix):
-            return BaseSpec(self.prefix[: m - 1] + self.prefix[m:], self.tail_value)
-        return self
-
     def __str__(self) -> str:
         return format_base(self)
 
@@ -235,11 +221,10 @@ def expansion_of(
     for q in _bases(base, depth):
         d, n = divmod(n * q, m)
         digits.append(d)
-    if n == 0 and tail_pref is Tail.MAX and any(digits):
-        last = max(k for k, d in enumerate(digits, start=1) if d)
-        word = digits[: last - 1] + [digits[last - 1] - 1]
-        return DigitExpansion(base, tuple(word), Tail.MAX)
-    return DigitExpansion(base, tuple(digits), Tail.ZEROS)
+    e = DigitExpansion(base, tuple(digits), Tail.ZEROS)
+    if n == 0 and tail_pref is Tail.MAX:
+        return dual_representation(e) or e
+    return e
 
 
 def dual_representation(e: DigitExpansion) -> Optional[DigitExpansion]:

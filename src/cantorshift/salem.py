@@ -419,21 +419,13 @@ class ContinuityResult:
 
 
 def _dual_pair(e: DigitExpansion) -> tuple[DigitExpansion, DigitExpansion]:
-    """Canonical (zeros form, max form) pair of a two-representation point."""
-    if e.tail is Tail.ZEROS:
-        digits = list(e.prefix)
-        while digits and digits[-1] == 0:
-            digits.pop()
-        if not digits:
-            raise ValueError("0 has a unique expansion")
-        zeros_form = DigitExpansion(e.base, tuple(digits), Tail.ZEROS)
-    else:
-        zeros_form = dual_representation(e)
-        if zeros_form is None:
-            raise ValueError("1 has a unique expansion")
-    max_form = dual_representation(zeros_form)
-    assert max_form is not None
-    return zeros_form, max_form
+    """Canonical (zeros form, max form) pair of a two-representation point:
+    the dual of e, and the dual of that."""
+    other = dual_representation(e)
+    if other is None:
+        raise ValueError(f"{0 if e.tail is Tail.ZEROS else 1} has a unique expansion")
+    back = dual_representation(other)
+    return (back, other) if e.tail is Tail.ZEROS else (other, back)
 
 
 def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:

@@ -8,11 +8,11 @@ m; on each rank-m cylinder it acts as the affine map
 
 where head(m-1) is the partial sum over the first m-1 digits.  A composition
 of deletions is the set of original positions it removes:
-``delete_positions`` takes them and deletes them in descending order, which
-keeps every original index valid.  Deleting original positions n_1, .., n_k
-in that order one at a time instead takes the re-indexed single-deletion
-steps n_i - (number of earlier n_j below n_i), which ``make_schedule``
-returns.
+``delete_positions`` takes them and builds the result in one pass, keeping
+the digits and base entries at every other position.  Deleting original
+positions n_1, .., n_k in that order one at a time instead takes the
+re-indexed single-deletion steps n_i - (number of earlier n_j below n_i),
+which ``make_schedule`` returns.
 
 An alternating-series reading of the same digit data (position k weighted by
 (-1)^k) is supported for the value and single-deletion formula.
@@ -47,14 +47,7 @@ def prefix_sum(e: DigitExpansion, n: int) -> Fraction:
     """Partial value over the first n digit positions (tail digits included)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    total = Fraction(0)
-    den = 1
-    for k in range(1, n + 1):
-        den *= e.base.base_at(k)
-        d = e.digit_at(k)
-        if d:
-            total += Fraction(d, den)
-    return total
+    return value_of(DigitExpansion(e.base, tuple(map(e.digit_at, range(1, n + 1)))))
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ def partial_sums(e: DigitExpansion, m: int) -> PartialSums:
 
 def shift(e: DigitExpansion) -> DigitExpansion:
     """Drop the first digit and the first base entry."""
-    return DigitExpansion(e.base.drop_first(), e.prefix[1:], e.tail)
+    return shift_n(e, 1)
 
 
 def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
@@ -96,7 +89,8 @@ def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
 
 
 def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:
-    """Delete the digit at position m, and the base entry at position m.
+    """Delete the digit at position m, and the base entry at position m:
+    :func:`delete_positions` of the single position m.
 
     Beyond the stored prefix the deletion removes a symbolic tail digit,
     which leaves zeros tails untouched and keeps max tails aligned with the
@@ -104,24 +98,18 @@ def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m <= len(e.prefix):
-        prefix = e.prefix[: m - 1] + e.prefix[m:]
-    else:
-        prefix = e.prefix
-    return DigitExpansion(e.base.delete_at(m), prefix, e.tail)
+    return delete_positions(e, (m,))
 
 
-def generalized_shift_value(x: Fraction, e: DigitExpansion, m: int) -> Fraction:
-    """Value of the position-m deletion via the closed affine formula.
+def generalized_shift_value(e: DigitExpansion, m: int) -> Fraction:
+    """Value of the position-m deletion via the closed affine formula in
+    x = value_of(e); the digits of e fix the affine branch.
 
-    ``x`` must equal value_of(e); the digits of e fix the affine branch.
     Agrees exactly with value_of(generalized_shift(e, m)).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = Fraction(x)
-    if x != value_of(e):
-        raise ValueError("x does not match the expansion's value")
+    x = value_of(e)
     q_m = e.base.base_at(m)
     head = prefix_sum(e, m - 1)
     d_m = e.digit_at(m)
@@ -139,10 +127,28 @@ def _distinct_positions(positions: Sequence[int]) -> tuple[int, ...]:
 
 def delete_positions(e: DigitExpansion, positions: Sequence[int]) -> DigitExpansion:
     """Remove the distinct original positions (each >= 1) from the digit
-    stream and the base sequence at once, deleting in descending order."""
-    for m in sorted(_distinct_positions(positions), reverse=True):
-        e = generalized_shift(e, m)
-    return e
+    stream and the base sequence at once.
+
+    One pass keeps the stored digits and base-prefix entries at every other
+    position; a position past a prefix removes a symbolic tail entry, which
+    leaves the constant stream beyond it unchanged.
+    """
+    cuts = sorted(_distinct_positions(positions))
+    base = e.base
+    if cuts and cuts[0] <= len(base.prefix):
+        base = BaseSpec(_without(base.prefix, cuts), base.tail_value)
+    return DigitExpansion(base, _without(e.prefix, cuts), e.tail)
+
+
+def _without(seq: tuple[int, ...], cuts: list[int]) -> tuple[int, ...]:
+    """``seq`` less its entries at the ascending 1-indexed positions ``cuts``."""
+    out: list[int] = []
+    start = 0
+    for m in cuts:
+        out += seq[start : m - 1]
+        start = m
+    out += seq[start:]
+    return tuple(out)
 
 
 def compose_two(e: DigitExpansion, n1: int, n2: int) -> DigitExpansion:
@@ -200,27 +206,20 @@ def alternating_value(e: DigitExpansion) -> Fraction:
     return total
 
 
-def alternating_shift_value(x: Fraction, e: DigitExpansion, m: int) -> Fraction:
+def alternating_shift_value(e: DigitExpansion, m: int) -> Fraction:
     """Position-m deletion value under the alternating reading.
 
-    Closed form: -q_m * x + (1 + q_m) * head_alt(m-1) + (-1)^m d_m / block(m-1),
-    where head_alt is the alternating partial sum before m.  Equals
+    Closed form in x = alternating_value(e):
+    -q_m * x + (1 + q_m) * head_alt(m-1) + (-1)^m d_m / block(m-1), where
+    head_alt is the alternating value of the first m-1 digits.  Equals
     alternating_value(generalized_shift(e, m)): the digits after the deleted
     position carry the sign (-1)^(j-1) of their new slot.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = Fraction(x)
-    if x != alternating_value(e):
-        raise ValueError("x does not match the alternating value of the expansion")
+    x = alternating_value(e)
     q_m = e.base.base_at(m)
-    head = Fraction(0)
-    den = 1
-    for k in range(1, m):
-        den *= e.base.base_at(k)
-        d = e.digit_at(k)
-        if d:
-            head += Fraction(-d if k % 2 else d, den)
+    head = alternating_value(DigitExpansion(e.base, tuple(map(e.digit_at, range(1, m)))))
     d_m = e.digit_at(m)
     sign = -1 if m % 2 else 1
     return -q_m * x + (1 + q_m) * head + Fraction(sign * d_m, e.base.block(m - 1))

@@ -70,7 +70,8 @@ def stream_after_deleting(e: xp.DigitExpansion, positions, horizon: int):
     max(horizon, positions) + 1, with the given positions removed by plain
     list surgery."""
     top = max([horizon] + list(positions)) + 1
-    keep = [k for k in range(1, top + 1) if k not in set(positions)]
+    gone = set(positions)
+    keep = [k for k in range(1, top + 1) if k not in gone]
     digits = [e.digit_at(k) for k in keep]
     bases = [e.base.base_at(k) for k in keep]
     return digits, bases
@@ -173,15 +174,19 @@ def check_notation_round_trip(expansions: Iterable[xp.DigitExpansion]) -> Check:
     return name, True, ""
 
 
+def _chain_collapses(e: xp.DigitExpansion, steps: Iterable[int], t: int, n: int) -> bool:
+    """Single deletions at ``steps`` in turn, then the t-fold shift, give the
+    n-fold shift of e."""
+    cur = functools.reduce(sh.generalized_shift, steps, e)
+    return xp.same_stream(sh.shift_n(cur, t), sh.shift_n(e, n))
+
+
 def check_drop_after_deletions(cases: Iterable[tuple[xp.DigitExpansion, int]]) -> Check:
     """Cases (e, m): deleting position 2 m times, then the first digit, is
     the (m+1)-fold shift."""
     name = "drop-first after m deletions at 2 equals (m+1)-fold shift"
     for e, m in cases:
-        lhs = e
-        for _ in range(m):
-            lhs = sh.generalized_shift(lhs, 2)
-        if not xp.same_stream(sh.shift(lhs), sh.shift_n(e, m + 1)):
+        if not _chain_collapses(e, [2] * m, 1, m + 1):
             return name, False, f"{e} m={m}"
     return name, True, ""
 
@@ -191,10 +196,7 @@ def check_consecutive_chain(cases: Iterable[tuple[xp.DigitExpansion, int, int]])
     shifting k1+n-1 times is the (k1+2n-1)-fold shift."""
     name = "consecutive deletion chain collapses to an iterated shift"
     for e, k1, n in cases:
-        cur = e
-        for k in range(k1, k1 + n):
-            cur = sh.generalized_shift(cur, k)
-        if not xp.same_stream(sh.shift_n(cur, k1 + n - 1), sh.shift_n(e, k1 + 2 * n - 1)):
+        if not _chain_collapses(e, range(k1, k1 + n), k1 + n - 1, k1 + 2 * n - 1):
             return name, False, f"{e} k1={k1} n={n}"
     return name, True, ""
 
@@ -204,10 +206,7 @@ def check_descending_chain(cases: Iterable[tuple[xp.DigitExpansion, list[int]]])
     ks[0] - len(ks) times is the ks[0]-fold shift."""
     name = "descending deletion chain collapses to an iterated shift"
     for e, ks in cases:
-        cur = e
-        for k in ks:
-            cur = sh.generalized_shift(cur, k)
-        if not xp.same_stream(sh.shift_n(cur, ks[0] - len(ks)), sh.shift_n(e, ks[0])):
+        if not _chain_collapses(e, ks, ks[0] - len(ks), ks[0]):
             return name, False, f"{e} ks={ks}"
     return name, True, ""
 
@@ -257,7 +256,11 @@ def check_schedule_steps(order: tuple[int, ...], steps: tuple[int, ...]) -> Chec
 def check_scheduled_deletions(cases: Iterable[tuple[xp.DigitExpansion, tuple[int, ...]]]) -> Check:
     """Cases (e, positions): single deletions at the ``make_schedule`` steps,
     in order, equal removing the positions from the stream, compared up to
-    four digits past the prefix."""
+    four digits past the prefix.
+
+    Each single deletion runs through ``delete_positions``, the same kernel
+    as a whole-set deletion, so the reference here is the list surgery of
+    ``stream_after_deleting``, which shares no code with that kernel."""
     name = "scheduled deletions equal direct position removal"
     for e, positions in cases:
         result = functools.reduce(sh.generalized_shift, sh.make_schedule(positions), e)

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import random
 import re
 import subprocess
 import sys
@@ -195,6 +196,53 @@ class TestRationalValues:
         assert seconds < 1.0
 
 
+# weights whose denominator has 1200 digits
+HUGE_DEN = 10**1199 + 7
+HUGE_WEIGHTS = (Fraction(HUGE_DEN // 3, HUGE_DEN), Fraction(HUGE_DEN - HUGE_DEN // 3, HUGE_DEN))
+HUGE_WEIGHT_SPEC = f"q=2; p={HUGE_WEIGHTS[0]},{HUGE_WEIGHTS[1]}"
+
+
+class TestHeavyInputs:
+    """Inputs near the size limits stay fast: each command takes under 2 s."""
+
+    @pytest.mark.parametrize("num, den", [(1, 3), (5, 7)])
+    def test_huge_weight_denominators_at_periodic_points(self, num, den):
+        code, out, err, seconds = run_main("eval", HUGE_WEIGHT_SPEC, f"{num}/{den}")
+        exact = salem_value_exact([0, HUGE_WEIGHTS[0]], HUGE_WEIGHTS, (), num, den, 2)
+        assert (code, out, err) == (0, f"{float(exact):.12f}".rstrip("0").rstrip(".") + "\n", "exact\n")
+        assert seconds < 2.0
+
+    def test_huge_weight_denominators_at_a_long_period(self):
+        code, out, err, seconds = run_main("eval", HUGE_WEIGHT_SPEC, "0.123456789")
+        assert code == 0 and re.fullmatch(r"0\.\d+\n", out)
+        assert re.fullmatch(r"truncation depth: \d+\n", err)
+        assert seconds < 2.0
+
+    def test_huge_weight_denominators_curve(self, tmp_path):
+        out_path = tmp_path / "curve.csv"
+        code, _, _, seconds = run_main("curve", HUGE_WEIGHT_SPEC, "--grid", "64", "--out", str(out_path))
+        assert code == 0 and seconds < 2.0
+        rows = out_path.read_text().splitlines()[2:]
+        assert len(rows) == 65 and rows[32] == f"0.5,{float(HUGE_WEIGHTS[0]):.12f}"
+
+    def test_long_threshold_point(self, tmp_path):
+        rng = random.Random(4000)
+        digits = [rng.randrange(2) for _ in range(4000)]
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "family = itershift\nq = 2\nn = 1..8\n"
+            f"threshold_point = q2:[{','.join(map(str, digits))}]:zeros\nthreshold_iter = 3\nout = {out_csv}\n"
+        )
+        code, _, _, seconds = run_main("measure", str(cfg))
+        assert code == 0 and seconds < 2.0
+        x = Fraction(int("".join(map(str, digits[3:])), 2), 2**3997)
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["itershift", str(n)] for n in range(1, 9)]
+        # iterated shifts preserve Lebesgue measure, so each row's measure is x
+        assert all(Fraction(int(r[2]), int(r[3])) == x == Fraction(int(r[4]), int(r[5])) for r in rows)
+
+
 # near 0 and near 1: runs of one digit in a/b, b <= 10^15, are short, so the
 # weights read fall to 1e-12 within a few hundred digits
 FUZZ_SPECS = [
@@ -374,6 +422,30 @@ def test_huge_token_is_clipped_and_names_the_limit(argv):
     assert err.count("\n") == 1 and len(err) < 200
     assert "'" + "1" * 40 + "'... (4400 characters" in err
     assert f"integer string limit of {sys.get_int_max_str_digits()}" in err
+
+
+FLAG_COMMANDS = {
+    "grid": ["curve", "q=2; p=1/2,1/2", "--out", "unused.csv", "--grid"],
+    "budget": ["measure", "unused.cfg", "--budget"],
+    "seed": ["measure", "unused.cfg", "--seed"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_COMMANDS))
+def test_huge_flag_value_is_clipped_and_names_the_limit(flag):
+    # argparse rejects the value before the command runs
+    code, out, err, _ = run_main(*FLAG_COMMANDS[flag], HUGE_TOKEN)
+    assert (code, out) == (2, "")
+    assert len(err) < 400
+    assert f"argument --{flag}: invalid int value: '" + "1" * 40 + "'... (4400 characters" in err
+    assert f"integer string limit of {sys.get_int_max_str_digits()}" in err
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_COMMANDS))
+def test_short_bad_flag_value_keeps_the_argparse_text(flag):
+    code, out, err, _ = run_main(*FLAG_COMMANDS[flag], "two")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument --{flag}: invalid int value: 'two'\n")
 
 
 def test_negative_point_after_double_dash_reaches_the_range_check():

@@ -36,7 +36,7 @@ from cantorshift import (
     value_at,
     value_of,
 )
-from cantorshift.verify import midpoint_quadrature, random_positive_weights, random_terminating
+from cantorshift.verify import midpoint_quadrature, random_positive_weights, random_terminating, stream_after_deleting
 from oracles import riemann_bracket, salem_series_brute, salem_value_exact
 
 B2 = BaseSpec.constant(2)
@@ -353,6 +353,21 @@ class TestFunctionalEquations:
         e = DigitExpansion(B2, (1, 0, 0))
         naive = evaluate(f, chain_expansion(f, e, 1))
         assert chain_value(f, e, 1) != naive
+
+    def test_long_chain_takes_one_pass(self):
+        # the reversed order deletes positions 5000 down to 1001; the digits
+        # 1..1000 survive and are read in reverse
+        f = parse_function_spec("q=2; p=1/3,2/3; seq=perm(" + " ".join(map(str, range(5000, 0, -1))) + ")")
+        rng = random.Random(5000)
+        e = DigitExpansion(B2, tuple(rng.randrange(2) for _ in range(5000)))
+        started = time.monotonic()
+        value = chain_value(f, e, 4000)
+        assert time.monotonic() - started < 0.5
+        digits, _ = stream_after_deleting(e, range(5000, 1000, -1), horizon=1000)
+        survivor = value_of(DigitExpansion(B2, tuple(digits)))
+        beta, p = [0, Fraction(1, 3)], [Fraction(1, 3), Fraction(2, 3)]
+        order = tuple(range(1000, 0, -1))
+        assert value == salem_value_exact(beta, p, order, survivor.numerator, survivor.denominator, 2)
 
     def test_identity_chain_values_are_plain_evaluations(self):
         rng = random.Random(83)
