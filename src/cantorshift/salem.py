@@ -147,6 +147,10 @@ class IndexSequence:
             return self.prefix[k - 1]
         return k
 
+    def _steps(self, start: int, stop: int) -> tuple[int, ...]:
+        """n_{start+1} .. n_stop: a slice of the prefix, then the identity."""
+        return self.prefix[start:stop] + tuple(range(max(start, self.size) + 1, stop + 1))
+
     def induced_after(self, k: int) -> "IndexSequence":
         """Reading order of the remaining digits once the first k are deleted.
 
@@ -158,13 +162,8 @@ class IndexSequence:
             raise ValueError("k must be >= 0")
         if k == 0:
             return self
-        deleted = sorted(self.n_at(j) for j in range(1, k + 1))
-        bound = max(self.size, deleted[-1]) - k
-        values = []
-        for j in range(1, bound + 1):
-            n = self.n_at(k + j)
-            values.append(n - bisect_left(deleted, n))
-        return IndexSequence(tuple(values))
+        deleted = sorted(self._steps(0, k))
+        return IndexSequence(tuple(n - bisect_left(deleted, n) for n in self._steps(k, max(self.size, k))))
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,7 @@ def chain_expansion(f: SalemFunction, e: DigitExpansion, k: int) -> DigitExpansi
     single deletions at its ``make_schedule`` steps in order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return delete_positions(e, [f.seq.n_at(j) for j in range(1, k + 1)])
+    return delete_positions(e, f.seq._steps(0, k))
 
 
 def chain_value(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:

@@ -225,6 +225,12 @@ class TestHeavyInputs:
         rows = out_path.read_text().splitlines()[2:]
         assert len(rows) == 65 and rows[32] == f"0.5,{float(HUGE_WEIGHTS[0]):.12f}"
 
+    def test_verify_system_long_reading_order(self):
+        spec = "q=2; p=0.3,0.7; seq=perm(" + " ".join(map(str, range(3000, 0, -1))) + ")"
+        code, out, err, seconds = run_main("verify", "system", "--spec", spec)
+        assert (code, out, err) == (0, "PASS  peeling identities hold along deletion chains\n", "")
+        assert seconds < 2.0
+
     def test_long_threshold_point(self, tmp_path):
         rng = random.Random(4000)
         digits = [rng.randrange(2) for _ in range(4000)]

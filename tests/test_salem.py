@@ -21,6 +21,7 @@ from cantorshift import (
     classify_monotonicity,
     continuity_at,
     cylinder_increment,
+    delete_positions,
     distribution_function,
     dual_representation,
     evaluate,
@@ -35,8 +36,16 @@ from cantorshift import (
     residual,
     value_at,
     value_of,
+    verify,
 )
-from cantorshift.verify import midpoint_quadrature, random_positive_weights, random_terminating, stream_after_deleting
+from cantorshift.verify import (
+    check_peeling_identities,
+    grid_integral,
+    midpoint_quadrature,
+    random_positive_weights,
+    random_terminating,
+    stream_after_deleting,
+)
 from oracles import riemann_bracket, salem_series_brute, salem_value_exact
 
 B2 = BaseSpec.constant(2)
@@ -98,6 +107,26 @@ class TestIndexSequence:
             assert isinstance(induced, IndexSequence)
         assert EXAMPLE_ORDER.induced_after(11).is_identity
         assert IndexSequence(()).induced_after(5).is_identity
+
+    def test_reading_slices_match_per_index_reading(self):
+        # seeded permutations of 0..12 entries, some with trailing fixed
+        # points; the induced order is rebuilt from n_at alone: read the
+        # first M positions, drop the first k and rank the rest among the
+        # survivors
+        rng = random.Random(97)
+        for size in range(0, 13):
+            for fixed in (0, 0, 2):
+                perm = rng.sample(range(1, size + 1), size) + list(range(size + 1, size + fixed + 1))
+                f = SalemFunction(W37, IndexSequence(tuple(perm)))
+                seq = f.seq
+                e = random_terminating(rng, 2, 14)
+                for k in range(0, 21):
+                    top = max(seq.size, k) + 2
+                    order = [seq.n_at(j) for j in range(1, top + 1)]
+                    survivors = sorted(set(range(1, top + 1)) - set(order[:k]))
+                    rank = {n: i for i, n in enumerate(survivors, start=1)}
+                    assert seq.induced_after(k) == IndexSequence(tuple(rank[n] for n in order[k:]))
+                    assert chain_expansion(f, e, k) == delete_positions(e, order[:k])
 
 
 class TestEvaluate:
@@ -379,6 +408,34 @@ class TestFunctionalEquations:
                 )
 
 
+class TestPeelingCheck:
+    POINT = (SalemFunction(W37, EXAMPLE_ORDER), random_terminating(random.Random(89), 2, 12))
+
+    def test_a_wrong_chain_value_fails(self, monkeypatch):
+        # the check compares independently computed chain values, so one
+        # wrong value breaks the identity that reads it
+        real = verify.sm.chain_value
+
+        def off_at_5(f, e, k):
+            return real(f, e, k) + (Fraction(1, 7) if k == 5 else 0)
+
+        monkeypatch.setattr(verify.sm, "chain_value", off_at_5)
+        _, ok, detail = check_peeling_identities([(*self.POINT, range(1, 12))])
+        assert not ok and " k=5 " in detail
+
+    @pytest.mark.parametrize("ks, calls", [(range(1, 12), 12), ((1, 7, 20), 6)])
+    def test_each_chain_value_is_read_once(self, monkeypatch, ks, calls):
+        real, seen = verify.sm.chain_value, []
+
+        def counting(f, e, k):
+            seen.append(k)
+            return real(f, e, k)
+
+        monkeypatch.setattr(verify.sm, "chain_value", counting)
+        assert check_peeling_identities([(*self.POINT, ks)])[1]
+        assert len(seen) == len(set(seen)) == calls
+
+
 class TestSeriesTerms:
     def test_rearranged_second_term(self):
         f = SalemFunction(W37, EXAMPLE_ORDER)
@@ -455,6 +512,21 @@ class TestIntegral:
         lower, upper = riemann_bracket(IDENT37, 9)
         assert lower <= closed <= upper
         assert upper - lower == Fraction(1, 2**9)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            *(
+                f"q={q}; p=" + ",".join(map(str, random_positive_weights(random.Random(q), q)))
+                for q in (2, 3, 4, 5, 10)
+            ),
+            "q=3; p=0.6,-0.19,0.59",
+            "q=2; p=9999/10000,1/10000",
+        ],
+    )
+    def test_grid_integral_is_exact(self, spec):
+        f = parse_function_spec(spec)
+        assert grid_integral(f) == integral_closed_form(f)
 
     def test_midpoint_quadrature(self):
         closed = float(integral_closed_form(IDENT37))
