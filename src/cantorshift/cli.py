@@ -2,8 +2,9 @@
 suites, and drive measure experiments from config files.
 
 Exit codes: 0 success, 1 a verify check failed, 2 usage/parse error, 3 I/O
-error, 4 branch budget exceeded without fallback.  All outputs are
-deterministic for fixed inputs and seed.
+error, 4 branch budget exceeded without fallback.  The commands raise, and
+``main`` alone maps the exception to its exit code and an ``error:`` line.
+All outputs are deterministic for fixed inputs and seed.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from . import measure as me
 from . import salem as sm
 from . import shifts as sh
 from .expansions import parse_expansion, parse_rational, quote_token, value_of
-from .verify import SUITES, run_suite
+from .verify import DEFAULT_FUNCTION, SUITES
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -38,57 +39,44 @@ def _fail(message: str, code: int) -> int:
 
 
 def cmd_eval(args) -> int:
-    try:
-        f = sm.parse_function_spec(args.spec)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    f = sm.parse_function_spec(args.spec)
     q = f.weights.q
-    try:
-        if ":" in args.x:
-            e = parse_expansion(args.x)
-            if not (e.base.is_constant and e.base.tail_value == q):
-                return _fail(f"expansion base must be q{q}", EXIT_USAGE)
-            value, cut = sm.evaluate(f, e), None
-        else:
-            x = parse_rational(args.x)
-            if not 0 <= x <= 1:
-                return _fail("x must lie in [0, 1]", EXIT_USAGE)
-            value, cut = sm.value_at(f, x)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    if ":" in args.x:
+        e = parse_expansion(args.x)
+        if not (e.base.is_constant and e.base.tail_value == q):
+            raise ValueError(f"expansion base must be q{q}")
+        value, cut = sm.evaluate(f, e), None
+    else:
+        x = parse_rational(args.x)
+        if not 0 <= x <= 1:
+            raise ValueError("x must lie in [0, 1]")
+        value, cut = sm.value_at(f, x)
     print(_format_value(value))
     print("exact" if cut is None else f"truncation depth: {cut}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_curve(args) -> int:
-    try:
-        f = sm.parse_function_spec(args.spec)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    f = sm.parse_function_spec(args.spec)
     if args.grid < 2:
-        return _fail("grid must be >= 2", EXIT_USAGE)
+        raise ValueError("grid must be >= 2")
     lines = ["# q-rational grid points are evaluated in the terminating digit form", "x,g"]
     for i in range(args.grid + 1):
         x = Fraction(i, args.grid)
         g, _ = sm.value_at(f, x)
         lines.append(f"{_format_value(x)},{_format_value(g)}")
-    try:
-        with open(args.out, "w", encoding="ascii") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    with open(args.out, "w", encoding="ascii") as handle:
+        handle.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        checks = run_suite(args.suite, args)
-    except KeyError:
+    if args.suite != "all" and args.suite not in SUITES:
         known = ", ".join(sorted(SUITES) + ["all"])
-        return _fail(f"unknown suite {args.suite!r}; known: {known}", EXIT_USAGE)
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
+        raise ValueError(f"unknown suite {args.suite!r}; known: {known}")
+    f = sm.parse_function_spec(args.spec) if args.spec else DEFAULT_FUNCTION
+    names = SUITES if args.suite == "all" else [args.suite]
+    checks = [check for name in names for check in SUITES[name](f)]
     failed = 0
     for name, ok, detail in checks:
         tag = "PASS" if ok else "FAIL"
@@ -260,34 +248,23 @@ def cmd_measure(args) -> int:
     try:
         with open(args.config, "r", encoding="ascii") as handle:
             text = handle.read()
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
     except UnicodeDecodeError as exc:
-        return _fail(f"config is not ASCII: {exc}", EXIT_USAGE)
+        raise ValueError(f"config is not ASCII: {exc}") from None
     # an empty --out keeps the config's path
     flags = {"budget": args.budget, "seed": args.seed, "out": args.out or None}
-    try:
-        cfg = replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
-    except (ValueError, ZeroDivisionError) as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
-        rows = me.gk_scan(
-            cfg.specs,
-            cfg.x_grid,
-            budget=cfg.budget,
-            iter_limit=cfg.iter_limit,
-            samples=cfg.samples,
-            seed=cfg.seed,
-            allow_fallback=cfg.fallback,
-            log=lambda msg: print(msg, file=sys.stderr),
-        )
-    except me.BudgetExceededError as exc:
-        return _fail(str(exc), EXIT_BUDGET)
-    try:
-        with open(cfg.out, "w", encoding="ascii") as handle:
-            handle.write(me.rows_to_csv(rows))
-    except OSError as exc:
-        return _fail(str(exc), EXIT_IO)
+    cfg = replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
+    rows = me.gk_scan(
+        cfg.specs,
+        cfg.x_grid,
+        budget=cfg.budget,
+        iter_limit=cfg.iter_limit,
+        samples=cfg.samples,
+        seed=cfg.seed,
+        allow_fallback=cfg.fallback,
+        log=lambda msg: print(msg, file=sys.stderr),
+    )
+    with open(cfg.out, "w", encoding="ascii") as handle:
+        handle.write(me.rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -322,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help="suite name or 'all'")
-    p_verify.add_argument("--spec", default=None, help="optional function spec for applicable suites")
+    p_verify.add_argument(
+        "--spec",
+        default=None,
+        help="function spec read by the system, integral and continuity suites"
+        f' (default "{sm.format_function_spec(DEFAULT_FUNCTION)}")',
+    )
     p_verify.set_defaults(func=cmd_verify)
 
     p_measure = sub.add_parser("measure", help="run a measure experiment from a config file")
@@ -336,7 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except me.BudgetExceededError as exc:
+        return _fail(str(exc), EXIT_BUDGET)
+    except (ValueError, ZeroDivisionError) as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    except OSError as exc:
+        return _fail(str(exc), EXIT_IO)
 
 
 def entry() -> None:

@@ -230,7 +230,8 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
     reading order is read and the weights read multiply to at most 1e-12 in
     absolute value: the rest of the series is that product times a value in
     [0, 1].  The cut spares long periods (0.123456789012 in base 3 has one of
-    195,312,500 digits).
+    195,312,500 digits).  A cut after a digit of weight exactly 0 is exact,
+    since that weight multiplies every later term.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
@@ -245,7 +246,8 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
     prod = 1.0
     while num and num not in seen:
         if prod <= 1e-12 and len(digits) >= len(order):
-            return _series(w, _read(order, digits), (0,)), len(digits)
+            cut = None if 0 in (w.p_num[d] for d in digits) else len(digits)
+            return _series(w, _read(order, digits), (0,)), cut
         seen[num] = len(digits)
         d, num = divmod(num * w.q, den)
         digits.append(d)

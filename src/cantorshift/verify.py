@@ -6,9 +6,11 @@ and returns one (name, ok, detail) triple.  The detail names the first failing
 case; a check with a tolerance reports its measured gap there when it passes.
 
 The ``suite_*`` functions build interactive-size cases from fixed seeds and
-call the checks.  The acceptance tests (``tests/test_acceptance.py``) call the
-same checks with their own seeds and larger cases, so every identity, oracle
-and tolerance is written once.
+call the checks.  Each takes the function that ``cantorshift verify --spec``
+names, ``DEFAULT_FUNCTION`` without one: ``system``, ``integral`` and
+``continuity`` check it, and the other suites ignore it.  The acceptance
+tests (``tests/test_acceptance.py``) call the same checks with their own seeds
+and larger cases, so every identity, oracle and tolerance is written once.
 """
 
 from __future__ import annotations
@@ -440,14 +442,11 @@ def check_comparison_measure(cases: Iterable[tuple[int, int, int, int]], samples
 # --- suites ------------------------------------------------------------------
 
 
-def _default_function(args) -> sm.SalemFunction:
-    spec = getattr(args, "spec", None)
-    if spec:
-        return sm.parse_function_spec(spec)
-    return sm.SalemFunction(sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))))
+# the function ``cantorshift verify`` checks when --spec is absent or empty
+DEFAULT_FUNCTION = sm.SalemFunction(sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))))
 
 
-def suite_duality(_args) -> list[Check]:
+def suite_duality(_f: sm.SalemFunction) -> list[Check]:
     rng = random.Random(100)
     mixed = [_random_expansion(rng, cantor=rng.random() < 0.5) for _ in range(400)]
     constant = [_random_expansion(rng) for _ in range(300)]
@@ -455,7 +454,7 @@ def suite_duality(_args) -> list[Check]:
     return [check_dual_values(mixed), check_extraction_round_trip(constant), check_notation_round_trip(printed)]
 
 
-def suite_lemma1(_args) -> list[Check]:
+def suite_lemma1(_f: sm.SalemFunction) -> list[Check]:
     rng = random.Random(200)
 
     def point(maxlen: int = 12) -> xp.DigitExpansion:
@@ -476,13 +475,13 @@ def suite_lemma1(_args) -> list[Check]:
     ]
 
 
-def suite_compose(_args) -> list[Check]:
+def suite_compose(_f: sm.SalemFunction) -> list[Check]:
     rng = random.Random(300)
     points = [random_terminating(rng, q, 12) for q in (2, 10)]
     return [check_two_deletions((e, n1, n2) for e in points for n1 in range(1, 9) for n2 in range(1, 9))]
 
 
-def suite_schedule(_args) -> list[Check]:
+def suite_schedule(_f: sm.SalemFunction) -> list[Check]:
     rng = random.Random(400)
     e = random_terminating(rng, 10, 10)
     subsets = (s for size in range(0, 4) for s in itertools.combinations(range(1, 6), size))
@@ -493,36 +492,32 @@ def suite_schedule(_args) -> list[Check]:
     ]
 
 
-def suite_system(args) -> list[Check]:
+def suite_system(f: sm.SalemFunction) -> list[Check]:
     rng = random.Random(500)
     functions = [
-        _default_function(args),
-        sm.SalemFunction(
-            sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))),
-            sm.IndexSequence((1, 5, 7, 3, 6, 10, 2, 4, 8, 9)),
-        ),
+        f,
+        sm.SalemFunction(DEFAULT_FUNCTION.weights, sm.IndexSequence((1, 5, 7, 3, 6, 10, 2, 4, 8, 9))),
         sm.SalemFunction(sm.WeightSet(3, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))),
     ]
     points = [(f, random_terminating(rng, f.weights.q, 12)) for f in functions for _ in range(25)]
     return [check_peeling_identities((f, e, range(1, 12)) for f, e in points)]
 
 
-def suite_integral(args) -> list[Check]:
-    f = _default_function(args)
+def suite_integral(f: sm.SalemFunction) -> list[Check]:
     if not f.seq.is_identity:
         return [("integral check needs the identity reading order", False, sm.format_function_spec(f))]
     return [check_grid_integral([f]), check_midpoint_quadrature([f], 20000)]
 
 
-def suite_continuity(args) -> list[Check]:
-    weights = _default_function(args).weights
+def suite_continuity(f: sm.SalemFunction) -> list[Check]:
+    weights = f.weights
     rng = random.Random(600)
     ident = sm.SalemFunction(weights)
     points = [(ident, random_two_expansion_point(rng, weights.q, 8)) for _ in range(150)]
     return [check_continuous_at_two_expansion_points(points), check_swapped_order_jump(weights)]
 
 
-def suite_distribution(_args) -> list[Check]:
+def suite_distribution(_f: sm.SalemFunction) -> list[Check]:
     rng = random.Random(700)
     specs = []
     for _ in range(5):
@@ -531,16 +526,15 @@ def suite_distribution(_args) -> list[Check]:
     return [check_distribution_function(specs, 200)]
 
 
-def suite_increment(_args) -> list[Check]:
-    f = sm.SalemFunction(sm.WeightSet(2, (Fraction(3, 10), Fraction(7, 10))))
+def suite_increment(_f: sm.SalemFunction) -> list[Check]:
     words = (w for rank in range(1, 5) for w in itertools.product(range(2), repeat=rank))
     return [
-        check_cylinder_increments((f, w) for w in words),
-        check_increments_partition_unity((f, rank) for rank in (1, 2, 3)),
+        check_cylinder_increments((DEFAULT_FUNCTION, w) for w in words),
+        check_increments_partition_unity((DEFAULT_FUNCTION, rank) for rank in (1, 2, 3)),
     ]
 
 
-def suite_measure(_args) -> list[Check]:
+def suite_measure(_f: sm.SalemFunction) -> list[Check]:
     return [
         check_iter_shift_measure(
             [(q, n) for q in (2, 3) for n in range(1, 7)], (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5))
@@ -562,14 +556,3 @@ SUITES = {
     "increment": suite_increment,
     "measure": suite_measure,
 }
-
-
-def run_suite(name: str, args) -> list[Check]:
-    if name == "all":
-        out: list[Check] = []
-        for key in SUITES:
-            out.extend(SUITES[key](args))
-        return out
-    if name not in SUITES:
-        raise KeyError(name)
-    return SUITES[name](args)

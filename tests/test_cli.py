@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from cantorshift.cli import main, parse_config
 from cantorshift.measure import SetFamilySpec
-from cantorshift.verify import SUITES
+from cantorshift.salem import parse_function_spec
+from cantorshift.verify import DEFAULT_FUNCTION, SUITES
 from oracles import salem_value_exact
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -187,6 +188,22 @@ class TestRationalValues:
         code, out, err, seconds = run_main("eval", f"q=2; p=1/2,1/2; seq=perm({order})", "1/3")
         assert (code, out, err) == (0, "0.666666666667\n", "exact\n")
         assert seconds < 2.0
+
+    @pytest.mark.parametrize("seq", ["", "; seq=perm(3 2 1)"], ids=["identity", "perm"])
+    def test_cut_after_a_zero_weight_is_exact(self, seq):
+        # 1/7 = 0.(010212) in base 3; the digit 1 has weight 0, so every term
+        # after the second digit read is 0
+        code, out, err, _ = run_main("eval", f"q=3; p=1/2,0,1/2{seq}", "1/7")
+        half = Fraction(1, 2)
+        exact = salem_value_exact([0, half, half], [half, 0, half], (3, 2, 1) if seq else (), 1, 7, 3)
+        assert exact == Fraction(1, 4)
+        assert (code, out, err) == (0, "0.25\n", "exact\n")
+
+    def test_weight_that_underflows_to_zero_keeps_the_cut(self):
+        # 1/10^400 is 0.0 as a float, yet the weight is not 0
+        den = 10**400
+        code, out, err, _ = run_main("eval", f"q=2; p=1/{den},{den - 1}/{den}", "1/3")
+        assert (code, out, err) == (0, "0\n", "truncation depth: 1\n")
 
     def test_long_period_is_cut(self):
         # the base-3 period of 0.123456789012 is 195,312,500 digits long
@@ -468,6 +485,23 @@ class TestVerify:
     def test_unknown_suite(self):
         out = run_cli("verify", "nosuchsuite")
         assert out.returncode == 2
+        # the suite name is checked before the spec is read
+        known = ", ".join(sorted(SUITES) + ["all"])
+        for spec in ([], ["--spec", "q=two"]):
+            code, out, err, _ = run_main("verify", "nosuchsuite", *spec)
+            assert (code, out, err) == (2, "", f"error: unknown suite 'nosuchsuite'; known: {known}\n")
+
+    @pytest.mark.parametrize("suite", [*SUITES, "all"])
+    def test_malformed_spec_is_a_usage_error_for_every_suite(self, suite):
+        code, out, err, _ = run_main("verify", suite, "--spec", "q=two")
+        assert (code, out, err) == (2, "", "error: spec key q must be an integer, got 'two'\n")
+
+    @pytest.mark.parametrize("spec", ["", "q=3; p=1/5,2/5,2/5"], ids=["default", "q3"])
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_suite_passes_in_process(self, suite, spec):
+        f = parse_function_spec(spec) if spec else DEFAULT_FUNCTION
+        checks = SUITES[suite](f)
+        assert checks and [check for check in checks if not check[1]] == []
 
     def test_integral_with_spec(self):
         out = run_cli("verify", "integral", "--spec", "q=2;p=0.3,0.7")
@@ -593,6 +627,14 @@ class TestMeasure:
     def test_missing_config_is_io_error(self, tmp_path):
         out = run_cli("measure", str(tmp_path / "missing.cfg"))
         assert out.returncode == 3
+
+    def test_unwritable_out_is_io_error(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        out_csv = tmp_path / "missing" / "rows.csv"
+        cfg.write_text("family = itershift\nq = 2\nn = 1..2\nx = 1/3\nout = %s\n" % out_csv)
+        code, out, err, _ = run_main("measure", str(cfg))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def _measure_usage_error(tmp_path, capsys, body, *flags):
