@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import measure as me
 from . import salem as sm
 from . import shifts as sh
-from .expansions import parse_expansion, parse_rational, quote_token, value_of
+from .expansions import _read_token, parse_expansion, parse_rational, quote_token, value_of
 from .verify import DEFAULT_FUNCTION, SUITES
 
 EXIT_OK = 0
@@ -87,10 +87,7 @@ def cmd_verify(args) -> int:
 
 
 def _parse_int(text: str, key: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"line {lineno}: {key} must be an integer, got {quote_token(text.strip())}") from None
+    return _read_token(int, text.strip(), f"line {lineno}: {key} must be an integer, got {{}}")
 
 
 def _parse_range(text: str, key: str, lineno: int) -> list[int]:

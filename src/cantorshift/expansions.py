@@ -160,12 +160,9 @@ class Cylinder:
     word: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        word = tuple(int(d) for d in self.word)
+        word = DigitExpansion(self.base, self.word).prefix
         if not word:
             raise ValueError("cylinder rank must be >= 1")
-        for k, d in enumerate(word, start=1):
-            if not 0 <= d < self.base.base_at(k):
-                raise ValueError(f"digit {d} at position {k} outside alphabet")
         object.__setattr__(self, "word", word)
 
     @property
@@ -232,23 +229,27 @@ def dual_representation(e: DigitExpansion) -> Optional[DigitExpansion]:
 
     Terminating form  d_1 .. d_m 0 0 0 ...         (d_m >= 1)
     equals            d_1 .. [d_m - 1] max max ...
-    Only 0 (zeros form) and 1 (max form) have a single representation.
+    where d_1 .. d_m are the significant digits (:func:`_significant`): the
+    last one moves down for a zeros tail, up for a max tail.  Only 0 (zeros
+    form) and 1 (max form) have no significant digit and a single
+    representation.
     """
-    if e.tail is Tail.ZEROS:
-        digits = list(e.prefix)
-        while digits and digits[-1] == 0:
-            digits.pop()
-        if not digits:
-            return None
-        digits[-1] -= 1
-        return DigitExpansion(e.base, tuple(digits), Tail.MAX)
-    digits = list(e.prefix)
-    while digits and digits[-1] == e.base.base_at(len(digits)) - 1:
-        digits.pop()
+    digits = _significant(e)
     if not digits:
         return None
-    digits[-1] += 1
-    return DigitExpansion(e.base, tuple(digits), Tail.ZEROS)
+    step, tail = (-1, Tail.MAX) if e.tail is Tail.ZEROS else (1, Tail.ZEROS)
+    return DigitExpansion(e.base, digits[:-1] + (digits[-1] + step,), tail)
+
+
+def _significant(e: DigitExpansion) -> tuple[int, ...]:
+    """The stored digits of ``e`` less its trailing digits equal to the tail
+    digit (0 for a zeros tail, base - 1 for a max tail), which carry no
+    information."""
+    top = 0 if e.tail is Tail.ZEROS else 1
+    n = len(e.prefix)
+    while n and e.prefix[n - 1] == top * (e.base.base_at(n) - 1):
+        n -= 1
+    return e.prefix[:n]
 
 
 def cylinder_interval(c: Cylinder) -> tuple[Fraction, Fraction]:
@@ -264,24 +265,11 @@ def cylinder_interval(c: Cylinder) -> tuple[Fraction, Fraction]:
 def same_stream(e1: DigitExpansion, e2: DigitExpansion) -> bool:
     """True when two expansions have identical digit and base streams.
 
-    Decidable because beyond all stored prefixes both streams are constant:
-    digits are 0 (zeros tail) or base-1 (max tail) over the constant tail
-    base.
+    Past its significant digits (:func:`_significant`) a stream repeats its
+    tail digit, 0 or base - 1 >= 1, so two streams agree exactly when their
+    normalized base specs, their tails and their significant digits do.
     """
-    horizon = 1 + max(
-        len(e1.prefix),
-        len(e2.prefix),
-        len(e1.base.prefix),
-        len(e2.base.prefix),
-    )
-    if e1.base.tail_value != e2.base.tail_value or e1.tail is not e2.tail:
-        return False
-    for k in range(1, horizon + 1):
-        if e1.base.base_at(k) != e2.base.base_at(k):
-            return False
-        if e1.digit_at(k) != e2.digit_at(k):
-            return False
-    return True
+    return e1.base == e2.base and e1.tail is e2.tail and _significant(e1) == _significant(e2)
 
 
 # --- textual notation ---------------------------------------------------
@@ -291,6 +279,8 @@ def same_stream(e1: DigitExpansion, e2: DigitExpansion) -> bool:
 
 _CONSTANT_RE = re.compile(r"^q(\d+)$")
 _CANTOR_RE = re.compile(r"^Q\(([\d,\s]*)\|(\d+)\)$")
+_BASE_ENTRY = "base entry {} must be an integer"
+_DIGIT_ENTRY = "digit entry {} must be an integer"
 
 
 def format_base(b: BaseSpec) -> str:
@@ -304,11 +294,11 @@ def parse_base(text: str) -> BaseSpec:
     text = text.strip()
     m = _CONSTANT_RE.match(text)
     if m:
-        return BaseSpec.constant(int(m.group(1)))
+        return BaseSpec.constant(_read_token(int, m.group(1), _BASE_ENTRY))
     m = _CANTOR_RE.match(text)
     if m:
-        entries = [int(t) for t in m.group(1).split(",") if t.strip()]
-        return BaseSpec.cantor(entries, int(m.group(2)))
+        entries = [_read_token(int, t.strip(), _BASE_ENTRY) for t in m.group(1).split(",") if t.strip()]
+        return BaseSpec.cantor(entries, _read_token(int, m.group(2), _BASE_ENTRY))
     raise ValueError(f"cannot parse base {quote_token(text)}")
 
 
@@ -326,7 +316,7 @@ def parse_expansion(text: str) -> DigitExpansion:
     if not (digit_part.startswith("[") and digit_part.endswith("]")):
         raise ValueError(f"digit list must be bracketed, got {quote_token(digit_part)}")
     inner = digit_part[1:-1].strip()
-    digits = tuple(int(t) for t in inner.split(",") if t.strip()) if inner else ()
+    digits = tuple(_read_token(int, t.strip(), _DIGIT_ENTRY) for t in inner.split(",") if t.strip())
     tail_token = parts[2].strip().lower()
     try:
         tail = Tail(tail_token)
@@ -337,10 +327,16 @@ def parse_expansion(text: str) -> DigitExpansion:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b', an integer, or a decimal string as an exact rational."""
+    return _read_token(Fraction, text, "cannot parse rational {}")
+
+
+def _read_token(parse, text: str, message: str):
+    """``parse(text)``, or a ValueError with ``message``, its ``{}`` filled with
+    the quoted token, when the token does not parse."""
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"cannot parse rational {quote_token(text)}") from exc
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(message.format(quote_token(text))) from None
 
 
 def quote_token(text: str) -> str:

@@ -23,9 +23,9 @@ multiply to 1e-12.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional, Sequence, Union
 
 from .expansions import (
@@ -33,6 +33,7 @@ from .expansions import (
     Cylinder,
     DigitExpansion,
     Tail,
+    _read_token,
     dual_representation,
     quote_token,
 )
@@ -124,13 +125,10 @@ class IndexSequence:
     prefix: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        prefix = tuple(int(n) for n in self.prefix)
+        prefix = tuple(map(int, self.prefix))
         if sorted(prefix) != list(range(1, len(prefix) + 1)):
             raise ValueError("prefix must be a permutation of 1..N")
-        size = len(prefix)
-        while size and prefix[size - 1] == size:
-            size -= 1
-        object.__setattr__(self, "prefix", prefix[:size])
+        object.__setattr__(self, "prefix", _without_fixed_tail(prefix))
 
     @property
     def size(self) -> int:
@@ -156,14 +154,29 @@ class IndexSequence:
 
         Position n_{k+j} of the original stream sits at index
         n_{k+j} - #(deleted below it) among the survivors; the induced order
-        is again a finite rearrangement.
+        is again a finite rearrangement, and the identity once the prefix is
+        read.  That index is the running count of survivors up to n_{k+j},
+        and the result, a permutation by construction, is not checked again.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
         if k == 0:
             return self
-        deleted = sorted(self._steps(0, k))
-        return IndexSequence(tuple(n - bisect_left(deleted, n) for n in self._steps(k, max(self.size, k))))
+        kept = [0] + [1] * self.size
+        for n in self.prefix[:k]:
+            kept[n] = 0
+        induced = object.__new__(IndexSequence)
+        ranks = tuple(map(list(accumulate(kept)).__getitem__, self.prefix[k:]))
+        object.__setattr__(induced, "prefix", _without_fixed_tail(ranks))
+        return induced
+
+
+def _without_fixed_tail(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """A permutation of 1..N less its trailing fixed points."""
+    size = len(perm)
+    while size and perm[size - 1] == size:
+        size -= 1
+    return perm[:size]
 
 
 @dataclass(frozen=True)
@@ -364,7 +377,6 @@ def cylinder_increment(f: SalemFunction, c: Cylinder) -> Fraction:
     Reduces to :func:`increment_product` when the reading order is the
     identity; for rearranged orders the sign can be either way.
     """
-    _check_base(f.weights.q, DigitExpansion(c.base, c.word, Tail.ZEROS))
     lo = DigitExpansion(c.base, c.word, Tail.ZEROS)
     hi = DigitExpansion(c.base, c.word, Tail.MAX)
     return evaluate(f, hi) - evaluate(f, lo)
@@ -432,19 +444,16 @@ def _dual_pair(e: DigitExpansion) -> tuple[DigitExpansion, DigitExpansion]:
 def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     """Continuity at a point with two expansions (last nonzero digit at m).
 
-    Continuous exactly when the reading order exhausts positions 1..m before
-    ever reaching past m, finishing on m itself: with
-    k0 = max{k : n_k <= m}, require n_{k0} = m and n_j <= m - 1 for j < k0.
-    Otherwise the one-sided limits are the evaluations of the two dual
-    forms and their difference is returned.
+    Continuous exactly when the first m reading steps are a permutation of
+    1..m ending in m: the order exhausts positions 1..m before ever reaching
+    past m, finishing on m itself.  Otherwise the one-sided limits are the
+    evaluations of the two dual forms and their difference is returned.
     """
     _check_base(f.weights.q, e)
     zeros_form, max_form = _dual_pair(e)
     m = len(zeros_form.prefix)
-    seq = f.seq
-    k0 = max(k for k in range(1, max(seq.size, m) + 1) if seq.n_at(k) <= m)
-    ok = seq.n_at(k0) == m and all(seq.n_at(j) <= m - 1 for j in range(1, k0))
-    if ok:
+    steps = f.seq._steps(0, m)
+    if steps[-1] == m == max(steps):
         return ContinuityResult(None)
     return ContinuityResult(evaluate(f, zeros_form) - evaluate(f, max_form))
 
@@ -473,15 +482,6 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
 #   q=2; p=3/10,7/10; seq=perm(2 1)
 #
 # ``seq`` omitted means the identity reading order; each key is set at most once.
-
-
-def _read_token(parse, text: str, message: str):
-    """``parse(text)``, or a ValueError with ``message``, its ``{}`` filled with
-    the quoted token, when the token does not parse."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(message.format(quote_token(text))) from None
 
 
 def parse_function_spec(text: str) -> SalemFunction:

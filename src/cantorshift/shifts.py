@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .expansions import BaseSpec, DigitExpansion, Tail, value_of
+from .expansions import BaseSpec, DigitExpansion, Tail, _bases, value_of
 
 __all__ = [
     "PartialSums",
@@ -183,27 +183,24 @@ def original_positions(steps: Sequence[int]) -> tuple[int, ...]:
 def alternating_value(e: DigitExpansion) -> Fraction:
     """Value of the digit data read as an alternating series.
 
-    Position k contributes (-1)^k d_k / (q_1 ... q_k); a max tail is summed
-    in closed form once the base sequence is constant.
+    Position k contributes (-1)^k d_k / (q_1 ... q_k).  A max tail pads the
+    digits with q_k - 1 through the end of the base prefix; past the m digits
+    summed the base q is constant and the rest telescopes to
+    (-1)^(m+1) (q - 1) / (q_1 ... q_m (q + 1)).  The sum is one integer over
+    q_1 ... q_m (times q + 1 for a max tail), as in :func:`value_of`.
     """
-    total = Fraction(0)
-    den = 1
-    length = len(e.prefix)
-    for k, d in enumerate(e.prefix, start=1):
-        den *= e.base.base_at(k)
-        if d:
-            total += Fraction(-d if k % 2 else d, den)
+    digits = e.prefix
     if e.tail is Tail.MAX:
-        start = max(length, len(e.base.prefix)) + 1
-        for k in range(length + 1, start):
-            q = e.base.base_at(k)
-            den *= q
-            total += Fraction(-(q - 1) if k % 2 else q - 1, den)
+        digits += tuple(q - 1 for q in e.base.prefix[len(digits) :])
+    num, den = 0, 1
+    for k, (d, q) in enumerate(zip(digits, _bases(e.base, len(digits))), start=1):
+        num = num * q + (-d if k % 2 else d)
+        den *= q
+    if e.tail is Tail.MAX:
         q = e.base.tail_value
-        # sum_{k >= start} (-1)^k (q-1) / (den * q^(k-start+1))
-        sign = -1 if start % 2 else 1
-        total += Fraction(sign * (q - 1), den * (q + 1))
-    return total
+        num = num * (q + 1) + (q - 1 if len(digits) % 2 else 1 - q)
+        den *= q + 1
+    return Fraction(num, den)
 
 
 def alternating_shift_value(e: DigitExpansion, m: int) -> Fraction:

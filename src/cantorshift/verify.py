@@ -88,7 +88,8 @@ def matches_stream(result: xp.DigitExpansion, digits, bases) -> bool:
 
 def grid_integral(f: sm.SalemFunction) -> Fraction:
     """Exact lower Riemann sum of g over the deepest terminating base-q grid
-    of at most 30000 cells, times cells/(cells - 1).
+    of at most 30000 cells (for q > 30000, the one level of q cells), times
+    cells/(cells - 1).
 
     For the identity reading order the images of the grid cells are
     self-similar copies whose weights sum to one, so the corrected lower sum

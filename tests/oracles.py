@@ -112,6 +112,50 @@ def alternating_full_value(e: DigitExpansion, horizon: int = 40) -> Fraction:
     return total
 
 
+def alternating_termwise(e: DigitExpansion, depth: int) -> Fraction:
+    """Alternating sum (-1)^k d_k / (q_1 .. q_k) over positions 1..depth,
+    term by term, with the digits and bases read off the raw fields (stored
+    digits, then 0 or q_k - 1 per the tail).  The terms past ``depth`` add up
+    to at most 1/(q_1 .. q_depth) in absolute value."""
+    total = Fraction(0)
+    den = 1
+    for k in range(1, depth + 1):
+        q = e.base.prefix[k - 1] if k <= len(e.base.prefix) else e.base.tail_value
+        den *= q
+        if k <= len(e.prefix):
+            d = e.prefix[k - 1]
+        else:
+            d = 0 if e.tail is Tail.ZEROS else q - 1
+        total += Fraction(-d if k % 2 else d, den)
+    return total
+
+
+def same_stream_horizon(e1: DigitExpansion, e2: DigitExpansion) -> bool:
+    """Stream equality, position by position up to one past every stored
+    prefix: beyond that both streams are constant."""
+    horizon = 1 + max(len(e1.prefix), len(e2.prefix), len(e1.base.prefix), len(e2.base.prefix))
+    if e1.base.tail_value != e2.base.tail_value or e1.tail is not e2.tail:
+        return False
+    for k in range(1, horizon + 1):
+        if e1.base.base_at(k) != e2.base.base_at(k):
+            return False
+        if e1.digit_at(k) != e2.digit_at(k):
+            return False
+    return True
+
+
+def continuity_k0_rule(order, m: int) -> bool:
+    """The continuity rule at a point whose last nonzero digit sits at m, for
+    the reading order ``order`` (a permutation of 1..N) then the identity:
+    with k0 = max{k : n_k <= m}, n_{k0} = m and n_j <= m - 1 for j < k0."""
+
+    def n_at(k: int) -> int:
+        return order[k - 1] if k <= len(order) else k
+
+    k0 = max(k for k in range(1, max(len(order), m) + 1) if n_at(k) <= m)
+    return n_at(k0) == m and all(n_at(j) <= m - 1 for j in range(1, k0))
+
+
 def salem_series_brute(beta, p, digit_at, order, terms: int) -> Fraction:
     """Partial Salem series straight from its definition."""
     total = Fraction(0)

@@ -447,6 +447,28 @@ def test_huge_token_is_clipped_and_names_the_limit(argv):
     assert f"integer string limit of {sys.get_int_max_str_digits()}" in err
 
 
+BIG_ENTRY = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "point, entry",
+    [
+        ("q2:[a]:zeros", "digit entry 'a'"),
+        (f"q2:[{BIG_ENTRY}]:zeros", "digit entry '" + "1" * 40 + "'... (5000 characters"),
+        (f"q{BIG_ENTRY}:[1]:zeros", "base entry '" + "1" * 40 + "'... (5000 characters"),
+        (f"Q(2,{BIG_ENTRY}|2):[1]:zeros", "base entry '" + "1" * 40 + "'... (5000 characters"),
+        ("q2:[1," + "x" * 300 + "]:zeros", "digit entry '" + "x" * 40 + "'... (300 characters)"),
+    ],
+    ids=["letter", "long-digit", "long-constant-base", "long-cantor-base", "long-junk"],
+)
+def test_bad_digit_notation_entry_is_named(point, entry):
+    code, out, err, _ = run_main("eval", "q=2; p=0.3,0.7", point)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {entry}") and err.endswith(" must be an integer\n")
+    assert err.count("\n") == 1 and len(err) < 200
+    assert ("integer string limit" in err) == (BIG_ENTRY in point)
+
+
 FLAG_COMMANDS = {
     "grid": ["curve", "q=2; p=1/2,1/2", "--out", "unused.csv", "--grid"],
     "budget": ["measure", "unused.cfg", "--budget"],
@@ -765,6 +787,10 @@ class TestMeasureInputs:
         point = "q10:[" + ",".join(["1"] * 4400) + "]:zeros"
         err = _measure_usage_error(tmp_path, capsys, f"family = itershift\nq = 10\nn = 1\nthreshold_point = {point}\n")
         assert err == f"error: line 4: threshold_point value has more than {sys.get_int_max_str_digits()} digits\n"
+
+    def test_threshold_point_with_a_bad_digit_entry(self, tmp_path, capsys):
+        err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1,a]:zeros\n")
+        assert err == "error: digit entry 'a' must be an integer\n"
 
     def test_huge_integer_is_clipped_and_names_the_limit(self, tmp_path, capsys):
         err = _measure_usage_error(tmp_path, capsys, f"family = itershift\nq = 2\nn = 1\nx = 1/3\nseed = {HUGE_TOKEN}\n")

@@ -19,7 +19,7 @@ from cantorshift import (
     same_stream,
     value_of,
 )
-from oracles import long_division_digits
+from oracles import long_division_digits, same_stream_horizon
 
 
 def bases(draw_cantor=True):
@@ -312,8 +312,51 @@ class TestStreams:
         e = DigitExpansion(BaseSpec.constant(10), (2, 5))
         assert not same_stream(e, dual_representation(e))
 
+    def test_matches_the_horizon_scan_on_random_pairs(self):
+        # few bases and short prefixes, so that equal streams come up often
+        rng = random.Random(2001)
+        pool = [BaseSpec.constant(2), BaseSpec.constant(3), BaseSpec.cantor((3,), 2), BaseSpec.cantor((2, 3), 2)]
+
+        def draw():
+            base = rng.choice(pool)
+            digits = tuple(rng.randrange(base.base_at(k)) for k in range(1, rng.randrange(0, 5)))
+            return DigitExpansion(base, digits, rng.choice([Tail.ZEROS, Tail.MAX]))
+
+        def padded(e):
+            top = 0 if e.tail is Tail.ZEROS else 1
+            n = len(e.prefix)
+            more = tuple(top * (e.base.base_at(k) - 1) for k in range(n + 1, n + rng.randrange(2, 5)))
+            return DigitExpansion(e.base, e.prefix + more, e.tail)
+
+        def variant(e):
+            pick = rng.randrange(5)
+            if pick == 0:
+                return padded(e)
+            if pick == 1:
+                return dual_representation(e) or e
+            if pick == 2:
+                # the same base stream, written with tail entries in the prefix
+                base = BaseSpec(e.base.prefix + (e.base.tail_value,) * 2, e.base.tail_value)
+                return DigitExpansion(base, e.prefix, e.tail)
+            if pick == 3:
+                return DigitExpansion(e.base, e.prefix, Tail.MAX if e.tail is Tail.ZEROS else Tail.ZEROS)
+            return draw()
+
+        equal = 0
+        for _ in range(4000):
+            a = draw()
+            b = padded(variant(a)) if rng.random() < 0.5 else variant(a)
+            assert same_stream(a, b) == same_stream_horizon(a, b) == same_stream(b, a), (a, b)
+            equal += same_stream(a, b)
+        assert 1000 < equal < 3000
+
     def test_digit_guard(self):
         with pytest.raises(ValueError):
             DigitExpansion(BaseSpec.constant(2), (2,))
         with pytest.raises(ValueError):
             Cylinder(BaseSpec.constant(2), ())
+
+    def test_cylinder_alphabet_error_names_the_alphabet(self):
+        with pytest.raises(ValueError) as err:
+            Cylinder(BaseSpec.constant(2), (2,))
+        assert str(err.value) == "digit 2 at position 1 outside alphabet 0..1"

@@ -46,7 +46,7 @@ from cantorshift.verify import (
     random_terminating,
     stream_after_deleting,
 )
-from oracles import riemann_bracket, salem_series_brute, salem_value_exact
+from oracles import continuity_k0_rule, riemann_bracket, salem_series_brute, salem_value_exact
 
 B2 = BaseSpec.constant(2)
 W37 = WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))
@@ -602,6 +602,17 @@ class TestContinuity:
             continuity_at(IDENT37, DigitExpansion(B2, ()))
         with pytest.raises(ValueError):
             continuity_at(IDENT37, DigitExpansion(B2, (), Tail.MAX))
+
+    def test_rule_matches_the_k0_formula_on_every_short_order(self):
+        cases = 0
+        for size in range(7):
+            for order in itertools.permutations(range(1, size + 1)):
+                f = SalemFunction(W37, IndexSequence(order))
+                for m in range(1, 10):
+                    e = DigitExpansion(B2, (0,) * (m - 1) + (1,))
+                    assert continuity_at(f, e).is_continuous == continuity_k0_rule(order, m), (order, m)
+                    cases += 1
+        assert cases == 7866
 
     def test_max_form_input_accepted(self):
         e = DigitExpansion(B2, (0,), Tail.MAX)

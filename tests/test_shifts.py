@@ -28,7 +28,7 @@ from cantorshift import (
     value_of,
 )
 from cantorshift.verify import matches_stream, stream_after_deleting
-from oracles import alternating_full_value, alternating_series_direct, chain_deleted_positions
+from oracles import alternating_full_value, alternating_series_direct, alternating_termwise, chain_deleted_positions
 
 
 def random_expansion(rng, cantor=False, maxlen=12, force_zeros=False):
@@ -367,6 +367,17 @@ class TestAlternating:
             e = random_expansion(rng, cantor=rng.random() < 0.5, force_zeros=True)
             m = rng.randrange(1, 7)
             assert alternating_shift_value(e, m) == alternating_series_direct(e, m)
+
+    def test_max_tails_match_the_termwise_sum(self):
+        # Cantor prefixes up to 6 entries over up to 3 digits: the max tail
+        # runs through the rest of the base prefix before the constant part
+        rng = random.Random(61)
+        depth = 40
+        for _ in range(300):
+            base = BaseSpec.cantor([rng.randrange(2, 6) for _ in range(rng.randrange(0, 7))], rng.randrange(2, 6))
+            digits = tuple(rng.randrange(base.base_at(k)) for k in range(1, rng.randrange(0, 4)))
+            e = DigitExpansion(base, digits, Tail.MAX)
+            assert abs(alternating_value(e) - alternating_termwise(e, depth)) <= Fraction(1, base.block(depth))
 
     def test_formula_matches_deletion_with_max_tails(self):
         rng = random.Random(59)
