@@ -40,17 +40,10 @@ def _fail(message: str, code: int) -> int:
 
 def cmd_eval(args) -> int:
     f = sm.parse_function_spec(args.spec)
-    q = f.weights.q
     if ":" in args.x:
-        e = parse_expansion(args.x)
-        if not (e.base.is_constant and e.base.tail_value == q):
-            raise ValueError(f"expansion base must be q{q}")
-        value, cut = sm.evaluate(f, e), None
+        value, cut = sm.evaluate(f, parse_expansion(args.x)), None
     else:
-        x = parse_rational(args.x)
-        if not 0 <= x <= 1:
-            raise ValueError("x must lie in [0, 1]")
-        value, cut = sm.value_at(f, x)
+        value, cut = sm.value_at(f, parse_rational(args.x))
     print(_format_value(value))
     print("exact" if cut is None else f"truncation depth: {cut}", file=sys.stderr)
     return EXIT_OK
@@ -144,10 +137,16 @@ def _take(keys: _Keys, key: str, default: str | None = None) -> str:
     return default
 
 
-def _take_int(keys: _Keys, key: str, default: str | None = None, parse=_parse_int) -> int | list[int]:
-    """Pop ``key`` and read its value with ``parse``, whose errors name the key and its line."""
+def _take_int(
+    keys: _Keys, key: str, default: str | None = None, parse=_parse_int, least: int | None = None
+) -> int | list[int]:
+    """Pop ``key`` and read its value with ``parse``; its errors, and a value
+    below ``least``, name the key and its line."""
     lineno = keys[key][0] if key in keys else 0
-    return parse(_take(keys, key, default), key, lineno)
+    value = parse(_take(keys, key, default), key, lineno)
+    if least is not None and any(v < least for v in (value if isinstance(value, list) else [value])):
+        raise ValueError(f"line {lineno}: {key} must be >= {least}")
+    return value
 
 
 def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
@@ -159,7 +158,7 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
         return xs
     lineno = keys["threshold_point"][0]
     point = parse_expansion(_take(keys, "threshold_point"))
-    x = value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0")))
+    x = value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0", least=0)))
     try:
         str(x.denominator)  # the CSV prints it; x <= 1 keeps the numerator shorter
     except ValueError:
@@ -169,11 +168,11 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
 
 
 def _read_itershift(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
-    return [me.SetFamilySpec.iter_shift(q, n) for n in _take_int(keys, "n", parse=_parse_range)]
+    return [me.SetFamilySpec.iter_shift(q, n) for n in _take_int(keys, "n", parse=_parse_range, least=1)]
 
 
 def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
-    table = _take_int(keys, "indices" if "indices" in keys else "psi", "", _parse_int_list)
+    table = _take_int(keys, "indices" if "indices" in keys else "psi", "", _parse_int_list, least=1)
     if not table:
         raise ValueError(f"{family} needs indices= (or psi=)")
     counts = _take_int(keys, "count", str(len(table)), _parse_range)
@@ -186,8 +185,8 @@ def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
 
 def _read_compareiter(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
     if "psi" not in keys and "phi" not in keys:
-        return [me.SetFamilySpec.compare_iter(q, _take_int(keys, "a"), _take_int(keys, "b"))]
-    psi, phi = _take_int(keys, "psi", parse=_parse_int_list), _take_int(keys, "phi", parse=_parse_int_list)
+        return [me.SetFamilySpec.compare_iter(q, _take_int(keys, "a", least=1), _take_int(keys, "b", least=1))]
+    psi, phi = (_take_int(keys, key, parse=_parse_int_list, least=1) for key in ("psi", "phi"))
     if not psi or len(psi) != len(phi):
         raise ValueError("psi and phi tables must be nonempty and of equal length")
     return [me.SetFamilySpec.compare_iter(q, a, b) for a, b in zip(psi, phi)]
@@ -219,7 +218,7 @@ def parse_config(text: str) -> MeasureConfig:
     family = _take(keys, "family").lower()
     if family not in _READERS:
         raise ValueError(f"unknown family {quote_token(family)}")
-    q = _take_int(keys, "q")
+    q = _take_int(keys, "q", least=2)
     specs = tuple(_READERS[family](family, q, keys))
     x_grid = () if family == "compareiter" else _read_thresholds(family, keys)
     fallback = _BOOL.get(_take(keys, "fallback", "true").lower())

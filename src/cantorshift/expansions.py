@@ -16,6 +16,8 @@ Conventions:
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -64,14 +66,13 @@ class BaseSpec:
     tail_value: int
 
     def __post_init__(self) -> None:
-        prefix = tuple(int(q) for q in self.prefix)
-        if self.tail_value < 2:
+        prefix = tuple(map(int, self.prefix))
+        if min(prefix + (self.tail_value,)) < 2:
             raise ValueError("base entries must be >= 2")
-        if any(q < 2 for q in prefix):
-            raise ValueError("base entries must be >= 2")
-        while prefix and prefix[-1] == self.tail_value:
-            prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
+        n = len(prefix)
+        while n and prefix[n - 1] == self.tail_value:
+            n -= 1
+        object.__setattr__(self, "prefix", prefix[:n])
 
     @classmethod
     def constant(cls, q: int) -> "BaseSpec":
@@ -96,13 +97,7 @@ class BaseSpec:
         """Product of the first n bases (denominator of a rank-n cylinder)."""
         if n < 0:
             raise ValueError("n must be >= 0")
-        out = 1
-        for q in self.prefix[:n]:
-            out *= q
-        extra = n - len(self.prefix)
-        if extra > 0:
-            out *= self.tail_value**extra
-        return out
+        return math.prod(self.prefix[:n]) * self.tail_value ** max(n - len(self.prefix), 0)
 
     def __str__(self) -> str:
         return format_base(self)
@@ -123,19 +118,12 @@ class DigitExpansion:
 
     def __post_init__(self) -> None:
         prefix = tuple(map(int, self.prefix))
-        if prefix:
-            if self.base.is_constant:
-                q = self.base.tail_value
-                ok = min(prefix) >= 0 and max(prefix) < q
-            else:
-                ok = all(0 <= d < q for d, q in zip(prefix, _bases(self.base, len(prefix))))
-            if not ok:
-                k, d = next(
-                    (k, d) for k, d in enumerate(prefix, start=1) if not 0 <= d < self.base.base_at(k)
-                )
-                raise ValueError(
-                    f"digit {d} at position {k} outside alphabet 0..{self.base.base_at(k) - 1}"
-                )
+        bases = _bases(self.base, len(prefix))
+        if prefix and not (min(prefix) >= 0 and all(map(operator.lt, prefix, bases))):
+            k, d, q = next((k, d, q) for k, (d, q) in enumerate(zip(prefix, bases), 1) if not 0 <= d < q)
+            text = str(d)
+            shown = text if len(text) <= 40 else quote_token(text)
+            raise ValueError(f"digit {shown} at position {k} outside alphabet 0..{q - 1}")
         object.__setattr__(self, "prefix", prefix)
 
     def digit_at(self, k: int) -> int:

@@ -95,20 +95,15 @@ class WeightSet:
             raise ValueError(f"expected {self.q} weights, got {len(p)}")
         if any(not -1 < v < 1 for v in p):
             raise ValueError("weights must lie in (-1, 1)")
-        if sum(p) != 1:
-            raise ValueError("weights must sum to 1 exactly")
-        beta = [Fraction(0)]
-        for v in p[:-1]:
-            beta.append(beta[-1] + v)
-        if any(not 0 < b < 1 for b in beta[1:]):
-            raise ValueError("cumulative sums must lie strictly in (0, 1)")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "beta", tuple(beta))
         den = math.lcm(*(v.denominator for v in p))
         p_num = tuple(v.numerator * (den // v.denominator) for v in p)
-        beta_num = [0]
-        for v in p_num[:-1]:
-            beta_num.append(beta_num[-1] + v)
+        *beta_num, total = accumulate(p_num, initial=0)
+        if total != den:
+            raise ValueError("weights must sum to 1 exactly")
+        if any(not 0 < b < den for b in beta_num[1:]):
+            raise ValueError("cumulative sums must lie strictly in (0, 1)")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "beta", tuple(Fraction(b, den) for b in beta_num))
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "p_num", p_num)
         object.__setattr__(self, "beta_num", tuple(beta_num))
@@ -196,9 +191,12 @@ class DistributionSpec:
             raise ValueError("distribution weights must be >= 0")
 
 
-def _check_base(f_q: int, e: DigitExpansion) -> None:
-    if not (e.base.is_constant and e.base.tail_value == f_q):
-        raise ValueError(f"expansion must use constant base {f_q}")
+def _check_base(f: SalemFunction, e: DigitExpansion) -> None:
+    """Raise ValueError ``expansion base must be q{q}`` unless ``e`` is written
+    in the constant base q of f's weights."""
+    q = f.weights.q
+    if not (e.base.is_constant and e.base.tail_value == q):
+        raise ValueError(f"expansion base must be q{q}")
 
 
 def _fold(w: WeightSet, digits, num: int, den: int) -> tuple[int, int]:
@@ -227,7 +225,7 @@ def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
     """Exact value of the function at an expansion: past its digit prefix and
     reading prefix it reads the block (0), fixed point 0, or (q-1), fixed
     point 1."""
-    _check_base(f.weights.q, e)
+    _check_base(f, e)
     w, order = f.weights, f.seq.prefix
     tail = w.q - 1 if e.tail is Tail.MAX else 0
     digits = list(e.prefix) + [tail] * (len(order) - len(e.prefix))
@@ -244,11 +242,12 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
     absolute value: the rest of the series is that product times a value in
     [0, 1].  The cut spares long periods (0.123456789012 in base 3 has one of
     195,312,500 digits).  A cut after a digit of weight exactly 0 is exact,
-    since that weight multiplies every later term.
+    since that weight multiplies every later term.  An x outside [0, 1] raises
+    ValueError ``x must lie in [0, 1]``.
     """
     x = Fraction(x)
     if not 0 <= x <= 1:
-        raise ValueError("value must lie in [0, 1]")
+        raise ValueError("x must lie in [0, 1]")
     w, order = f.weights, f.seq.prefix
     if x == 1:
         return _series(w, [], (w.q - 1,)), None
@@ -280,7 +279,7 @@ def first_terms(f: SalemFunction, e: DigitExpansion, count: int) -> list[Fractio
     """The leading ``count`` series terms, for inspection."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    _check_base(f.weights.q, e)
+    _check_base(f, e)
     w = f.weights
     terms = []
     prod = Fraction(1)
@@ -318,11 +317,9 @@ def residual(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:
     chain_value(k-1) should equal beta_d + p_d * chain_value(k) with d the
     original digit at reading position k.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_base(f.weights.q, e)
-    w = f.weights
     d = e.digit_at(f.seq.n_at(k))
+    _check_base(f, e)
+    w = f.weights
     lhs = chain_value(f, e, k - 1)
     rhs = w.beta[d] + w.p[d] * chain_value(f, e, k)
     return abs(lhs - rhs)
@@ -449,7 +446,7 @@ def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     past m, finishing on m itself.  Otherwise the one-sided limits are the
     evaluations of the two dual forms and their difference is returned.
     """
-    _check_base(f.weights.q, e)
+    _check_base(f, e)
     zeros_form, max_form = _dual_pair(e)
     m = len(zeros_form.prefix)
     steps = f.seq._steps(0, m)

@@ -10,6 +10,7 @@ closed form from the deleted positions and its bisection.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -142,6 +143,34 @@ def same_stream_horizon(e1: DigitExpansion, e2: DigitExpansion) -> bool:
         if e1.digit_at(k) != e2.digit_at(k):
             return False
     return True
+
+
+def weight_set_plain(q: int, p) -> tuple:
+    """(beta, den, p_num, beta_num) of the weights ``p`` by a plain Fraction
+    running sum, or a ValueError with the first rule they break, checked in
+    the order q >= 2, q weights, each in (-1, 1), sum 1, each cumulative sum
+    beta_1 .. beta_{q-1} in (0, 1)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    p = [Fraction(v) for v in p]
+    if len(p) != q:
+        raise ValueError(f"expected {q} weights, got {len(p)}")
+    for v in p:
+        if v <= -1 or v >= 1:
+            raise ValueError("weights must lie in (-1, 1)")
+    running = [Fraction(0)]
+    for v in p:
+        running.append(running[-1] + v)
+    if running[-1] != 1:
+        raise ValueError("weights must sum to 1 exactly")
+    beta = running[:-1]
+    for b in beta[1:]:
+        if b <= 0 or b >= 1:
+            raise ValueError("cumulative sums must lie strictly in (0, 1)")
+    den = 1
+    for v in p:
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return tuple(beta), den, tuple(int(v * den) for v in p), tuple(int(b * den) for b in beta)
 
 
 def continuity_k0_rule(order, m: int) -> bool:

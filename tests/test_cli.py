@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from cantorshift.cli import main, parse_config
 from cantorshift.measure import SetFamilySpec
-from cantorshift.salem import parse_function_spec
+from cantorshift.expansions import parse_expansion
+from cantorshift.salem import evaluate, parse_function_spec
 from cantorshift.verify import DEFAULT_FUNCTION, SUITES
 from oracles import salem_value_exact
 
@@ -247,6 +248,13 @@ class TestHeavyInputs:
         code, out, err, seconds = run_main("verify", "system", "--spec", spec)
         assert (code, out, err) == (0, "PASS  peeling identities hold along deletion chains\n", "")
         assert seconds < 2.0
+
+    def test_long_cantor_base_prefix(self):
+        # 50,000 base entries equal to the tail base 2 normalize to q2
+        point = "Q(" + ",".join(["2"] * 50_000) + "|2):[1]:zeros"
+        code, out, err, seconds = run_main("eval", "q=2; p=0.3,0.7", point)
+        assert (code, out, err) == (0, "0.3\n", "exact\n")
+        assert seconds < 1.0
 
     def test_long_threshold_point(self, tmp_path):
         rng = random.Random(4000)
@@ -491,6 +499,33 @@ def test_short_bad_flag_value_keeps_the_argparse_text(flag):
     code, out, err, _ = run_main(*FLAG_COMMANDS[flag], "two")
     assert (code, out) == (2, "")
     assert err.endswith(f"argument --{flag}: invalid int value: 'two'\n")
+
+
+# 4000 ones parse as one integer, under the integer string limit
+LONG_DIGIT = "1" * 4000
+
+
+@pytest.mark.parametrize("command", ["eval", "threshold_point"])
+def test_long_out_of_alphabet_digit_is_clipped(tmp_path, command):
+    point = f"q2:[{LONG_DIGIT}]:zeros"
+    if command == "eval":
+        code, out, err, _ = run_main("eval", "q=2; p=0.3,0.7", point)
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = itershift\nq = 2\nn = 1\nthreshold_point = {point}\nout = {tmp_path / 'r.csv'}\n")
+        code, out, err, _ = run_main("measure", str(cfg))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: digit '" + "1" * 40 + "'... (4000 characters)")
+    assert err.endswith(" at position 1 outside alphabet 0..1\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_base_mismatch_names_the_base():
+    code, out, err, _ = run_main("eval", "q=2; p=0.3,0.7", "q3:[1]:zeros")
+    assert (code, out, err) == (2, "", "error: expansion base must be q2\n")
+    with pytest.raises(ValueError) as exc:
+        evaluate(parse_function_spec("q=2; p=0.3,0.7"), parse_expansion("q3:[1]:zeros"))
+    assert str(exc.value) == "expansion base must be q2"
 
 
 def test_negative_point_after_double_dash_reaches_the_range_check():
@@ -781,6 +816,27 @@ class TestMeasureInputs:
     def test_non_integer_value_names_key_and_line(self, tmp_path, capsys, body, line, key):
         err = _measure_usage_error(tmp_path, capsys, body)
         assert err == f"error: line {line}: {key} must be an integer, got 'two'\n"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param(
+                "family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1]:zeros\nthreshold_iter = -1\n",
+                "line 5: threshold_iter must be >= 0",
+                id="threshold_iter",
+            ),
+            pytest.param("family = itershift\nq = 1\nn = 1\nx = 1/3\n", "line 2: q must be >= 2", id="q"),
+            pytest.param("family = itershift\nq = 2\nn = 0..2\nx = 1/3\n", "line 3: n must be >= 1", id="n"),
+            pytest.param("family = genchain\nq = 2\nindices = 0,1\nx = 1/3\n", "line 3: indices must be >= 1", id="indices"),
+            pytest.param("family = schedulechain\nq = 2\npsi = 2,-1\nx = 1/3\n", "line 3: psi must be >= 1", id="psi"),
+            pytest.param("family = compareiter\nq = 2\na = 0\nb = 1\n", "line 3: a must be >= 1", id="a"),
+            pytest.param("family = compareiter\nq = 2\na = 2\nb = -3\n", "line 4: b must be >= 1", id="b"),
+            pytest.param("family = compareiter\nq = 2\npsi = 2,1\nphi = 1,0\n", "line 4: phi must be >= 1", id="phi"),
+        ],
+    )
+    def test_value_below_its_range_names_key_and_line(self, tmp_path, capsys, body, message):
+        err = _measure_usage_error(tmp_path, capsys, body)
+        assert err == f"error: {message}\n"
 
     def test_threshold_point_past_the_int_string_limit(self, tmp_path, capsys):
         # 4400 decimal ones: the value's denominator 10^4400 has too many digits to print

@@ -1,4 +1,6 @@
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -206,6 +208,62 @@ class TestLongDivisionKernel:
         with pytest.raises(ValueError) as exc:
             DigitExpansion(base, digits)
         assert str(exc.value) == message
+
+    def test_alphabet_check_matches_the_per_position_rule(self):
+        """Random digits against 0 <= d_k < q_k, with q_k read from the raw
+        base lists: accepted exactly when no position breaks it, and the
+        error names the first one that does."""
+        rng = random.Random(1818)
+        seen = Counter()
+        for _ in range(3000):
+            prefix = [rng.randint(2, 6) for _ in range(rng.choice([0, 0, 1, 3, 8]))]
+            tail = rng.randint(2, 10)
+            q_at = lambda k: prefix[k - 1] if k <= len(prefix) else tail  # noqa: E731
+            digits = [rng.randrange(q_at(k)) for k in range(1, rng.randint(0, 12) + 1)]
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                if digits:
+                    k = rng.randint(1, len(digits))
+                    digits[k - 1] = rng.choice([-1, -rng.randint(2, 9), q_at(k), q_at(k) + rng.randint(1, 9)])
+            bad = [k for k, d in enumerate(digits, start=1) if not 0 <= d < q_at(k)]
+            seen.update(
+                negative=any(d < 0 for d in digits),
+                at_base=any(d == q_at(k) for k, d in enumerate(digits, start=1)),
+                cantor=bool(prefix),
+                shorter=0 < len(prefix) < len(digits),
+                longer=len(prefix) > len(digits),
+                rejected=bool(bad),
+                accepted=not bad,
+            )
+            base = BaseSpec(tuple(prefix), tail)
+            if not bad:
+                assert DigitExpansion(base, tuple(digits)).prefix == tuple(digits)
+                continue
+            k = bad[0]
+            with pytest.raises(ValueError) as exc:
+                DigitExpansion(base, tuple(digits))
+            assert str(exc.value) == f"digit {digits[k - 1]} at position {k} outside alphabet 0..{q_at(k) - 1}"
+        assert len(seen) == 7 and min(seen.values()) >= 300, seen
+
+    def test_block_matches_a_loop_product(self):
+        rng = random.Random(1819)
+        for _ in range(300):
+            prefix = [rng.randint(2, 9) for _ in range(rng.randint(0, 8))]
+            tail = rng.randint(2, 9)
+            base = BaseSpec(tuple(prefix), tail)
+            product = 1
+            for n in range(len(prefix) + 6):
+                assert base.block(n) == product, (prefix, tail, n)
+                product *= prefix[n] if n < len(prefix) else tail
+
+    def test_long_blocks_and_base_prefixes_are_fast(self):
+        started = time.perf_counter()
+        block = BaseSpec.constant(10).block(100_000)
+        assert time.perf_counter() - started < 0.1
+        assert block == 10**100_000
+        started = time.perf_counter()
+        base = BaseSpec((3,) + (5,) * 50_000, 5)
+        assert time.perf_counter() - started < 0.1
+        assert base.prefix == (3,)
 
 
 class TestDuality:

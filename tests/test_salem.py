@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 import time
 from fractions import Fraction
 
@@ -46,7 +47,7 @@ from cantorshift.verify import (
     random_terminating,
     stream_after_deleting,
 )
-from oracles import continuity_k0_rule, riemann_bracket, salem_series_brute, salem_value_exact
+from oracles import continuity_k0_rule, riemann_bracket, salem_series_brute, salem_value_exact, weight_set_plain
 
 B2 = BaseSpec.constant(2)
 W37 = WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))
@@ -77,6 +78,45 @@ class TestWeightSet:
     def test_negative_weights_allowed_inside(self):
         w = WeightSet(3, (Fraction(7, 10), Fraction(-1, 5), Fraction(1, 2)))
         assert w.beta == (Fraction(0), Fraction(7, 10), Fraction(1, 2))
+
+    def test_fields_and_errors_match_a_plain_running_sum(self):
+        """Random weight sets, half of them broken in one of four ways, against
+        a Fraction running sum that checks the rules in order."""
+        rng = random.Random(1811)
+        huge = 10**1199 + 7  # a 1200-digit denominator
+        seen = Counter()
+        for _ in range(1500):
+            q = rng.randint(2, 10)
+            grains = [rng.randint(1, 12)] + [rng.randint(-4, 12) for _ in range(q - 2)] + [rng.randint(1, 12)]
+            scale = rng.choice([1, huge])
+            jitter = [rng.randint(-5, 5) * (scale > 1) for _ in range(q - 1)]
+            jitter.append(-sum(jitter))
+            den = max(sum(grains), 1) * scale
+            p = [Fraction(g * scale + j, den) for g, j in zip(grains, jitter)]
+            damage = rng.choice(["none", "none", "count", "range", "sum", "cumulative"])
+            if damage == "count":
+                p = p[:-1] if rng.random() < 0.5 else p + p[:1]
+            elif damage == "range":
+                p[rng.randrange(q)] = rng.choice([Fraction(-1), Fraction(1), Fraction(3, 2), Fraction(-7, 5)])
+            elif damage == "sum":
+                p[rng.randrange(q)] += Fraction(rng.choice([-1, 1]), den * rng.randint(1, 5))
+            elif damage == "cumulative":
+                k = rng.randrange(1, q)  # beta_1 = 0, or beta_k = 1 and zero weights after it
+                p[:k] = [Fraction(0)] * k if k == 1 or rng.random() < 0.5 else [Fraction(1, k)] * k
+                p[k:] = [(1 - sum(p[:k])) / (q - k)] * (q - k)
+            try:
+                expected = weight_set_plain(q, p)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    WeightSet(q, tuple(p))
+                assert str(got.value) == str(exc), (q, p)
+                rule = "count" if str(exc).startswith("expected") else str(exc)
+                seen[rule] += 1
+                continue
+            w = WeightSet(q, tuple(p))
+            assert (w.beta, w.den, w.p_num, w.beta_num) == expected
+            seen.update(ok=1, negative=any(v < 0 for v in p), huge=w.den >= huge)
+        assert min(seen.values()) >= 20 and len(seen) == 7, seen
 
 
 class TestIndexSequence:
@@ -185,8 +225,10 @@ class TestEvaluate:
             assert evaluate(f, ea) < evaluate(f, eb)
 
     def test_guards(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^expansion base must be q2$"):
             evaluate(IDENT37, DigitExpansion(BaseSpec.constant(3), (1,)))
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            residual(IDENT37, DigitExpansion(B2, (1,)), 0)
 
 
 def _signed_weights(rng: random.Random, q: int) -> tuple[Fraction, ...]:
@@ -313,7 +355,7 @@ class TestRationalExpansion:
 
     def test_rejects_points_outside_the_unit_interval(self):
         for x in (Fraction(-1, 3), Fraction(4, 3)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
                 value_at(IDENT37, x)
 
 
