@@ -20,6 +20,7 @@ from cantorshift import (
     expansion_of,
     first_terms,
     increment_product,
+    increment_via_evaluate,
     integral_closed_form,
     residual,
     value_at,
@@ -56,6 +57,10 @@ print("leading series terms at x =", float(sum(first_terms(g, e, 30))), ":")
 for k, term in enumerate(first_terms(g, e, 5), start=1):
     print(f"  term {k}: {term}")
 print("peeling residuals k=1..6:", [residual(g, e, k) for k in range(1, 7)])
+# Fixing the digits at the first two reading positions (1 and 5) still gives
+# the weight product as the increment.
+print(f"digits 1, 0 at positions {order.prefix[:2]}: increment =", increment_via_evaluate(g, (1, 0)),
+      " product =", increment_product(g, (1, 0)))
 
 swapped = SalemFunction(w, IndexSequence((2, 1)))
 half = DigitExpansion(b2, (1,))

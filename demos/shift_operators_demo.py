@@ -8,6 +8,8 @@ from fractions import Fraction
 from cantorshift import (
     BaseSpec,
     DigitExpansion,
+    alternating_shift_value,
+    alternating_value,
     compose_two,
     delete_positions,
     generalized_shift,
@@ -30,6 +32,11 @@ print("check: x = 0.12 + sigma^2(x)/100 ->", Fraction(12, 100) + value_of(shift_
 deleted = generalized_shift(x, 2)
 print("\ndeleting digit 2:", deleted.prefix, "=", value_of(deleted))
 print("affine formula gives:", generalized_shift_value(x, 2))
+
+# Read as an alternating series (position k weighted by (-1)^k), the same
+# deletion has its own affine formula.
+print("\nalternating reading of the deletion:", alternating_value(deleted))
+print("alternating affine formula gives:", alternating_shift_value(x, 2))
 
 # Two deletions compose with a position shift: deleting at 2 then at 5
 # removes original positions 2 and 6.

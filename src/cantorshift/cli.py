@@ -83,14 +83,20 @@ def _parse_int(text: str, key: str, lineno: int) -> int:
     return _read_token(int, text.strip(), f"line {lineno}: {key} must be an integer, got {{}}")
 
 
-def _parse_range(text: str, key: str, lineno: int) -> list[int]:
+def _parse_range(text: str, key: str, lineno: int) -> range:
+    """An integer, or ``lo..hi`` with both ends included, as a ``range`` that
+    is never listed; one longer than ``sys.maxsize``, which Python cannot
+    size, is refused."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = (_parse_int(end, key, lineno) for end in text.split("..", 1))
-        if hi < lo:
-            raise ValueError(f"empty range {quote_token(text)}")
-        return list(range(lo, hi + 1))
-    return [_parse_int(text, key, lineno)]
+    if ".." not in text:
+        value = _parse_int(text, key, lineno)
+        return range(value, value + 1)
+    lo, hi = (_parse_int(end, key, lineno) for end in text.split("..", 1))
+    if hi < lo:
+        raise ValueError(f"line {lineno}: {key} range {quote_token(text)} is empty")
+    if hi - lo >= sys.maxsize:
+        raise ValueError(f"line {lineno}: {key} range {quote_token(text)} has more than {sys.maxsize} entries")
+    return range(lo, hi + 1)
 
 
 def _parse_int_list(text: str, key: str, lineno: int) -> list[int]:
@@ -114,14 +120,10 @@ class MeasureConfig:
     out: str
 
     def __post_init__(self) -> None:
+        # the reader checks every key where its line is known; ``budget`` is
+        # checked again here because ``--budget`` replaces it
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.iter_limit < 1:
-            raise ValueError("iter_limit must be >= 1")
-        if self.fallback and self.samples < 1:
-            raise ValueError("samples must be >= 1 when fallback is on")
-        if not all(0 <= x <= 1 for x in self.x_grid):
-            raise ValueError("thresholds x must lie in [0, 1]")
 
 
 # each set key's line number and value text
@@ -137,14 +139,21 @@ def _take(keys: _Keys, key: str, default: str | None = None) -> str:
     return default
 
 
+def _line(keys: _Keys, key: str) -> int:
+    """The line of ``key``, or 0 for a key left to its default."""
+    return keys[key][0] if key in keys else 0
+
+
 def _take_int(
     keys: _Keys, key: str, default: str | None = None, parse=_parse_int, least: int | None = None
-) -> int | list[int]:
+) -> int | list[int] | range:
     """Pop ``key`` and read its value with ``parse``; its errors, and a value
-    below ``least``, name the key and its line."""
-    lineno = keys[key][0] if key in keys else 0
+    below ``least``, name the key and its line.  A range ascends, so only its
+    first entry is compared."""
+    lineno = _line(keys, key)
     value = parse(_take(keys, key, default), key, lineno)
-    if least is not None and any(v < least for v in (value if isinstance(value, list) else [value])):
+    entries = value[:1] if isinstance(value, range) else value if isinstance(value, list) else [value]
+    if least is not None and any(v < least for v in entries):
         raise ValueError(f"line {lineno}: {key} must be >= {least}")
     return value
 
@@ -152,11 +161,14 @@ def _take_int(
 def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
     """The ``x`` list, or the value of ``threshold_point`` after ``threshold_iter`` digit drops."""
     if "x" in keys or "threshold_point" not in keys:
+        lineno = _line(keys, "x")
         xs = tuple(parse_rational(tok) for tok in _take(keys, "x", "").split(",") if tok.strip())
         if not xs:
             raise ValueError(f"{family} needs x = ... or threshold_point = ...")
+        if not all(0 <= x <= 1 for x in xs):
+            raise ValueError(f"line {lineno}: x must lie in [0, 1]")
         return xs
-    lineno = keys["threshold_point"][0]
+    lineno = _line(keys, "threshold_point")
     point = parse_expansion(_take(keys, "threshold_point"))
     x = value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0", least=0)))
     try:
@@ -175,12 +187,11 @@ def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
     table = _take_int(keys, "indices" if "indices" in keys else "psi", "", _parse_int_list, least=1)
     if not table:
         raise ValueError(f"{family} needs indices= (or psi=)")
+    lineno = _line(keys, "count")
     counts = _take_int(keys, "count", str(len(table)), _parse_range)
-    if not all(1 <= c <= len(table) for c in counts):
-        raise ValueError(f"count must lie in 1..{len(table)}, the lookup table length")
-    if family == "genchain":
-        return [me.SetFamilySpec.gen_chain(q, table[:c]) for c in counts]
-    return [me.SetFamilySpec.schedule_chain(q, table, c) for c in counts]
+    if counts[0] < 1 or counts[-1] > len(table):
+        raise ValueError(f"line {lineno}: count must lie in 1..{len(table)}, the lookup table length")
+    return [me.SetFamilySpec(me.FamilyKind(family), q, indices=tuple(table[:c])) for c in counts]
 
 
 def _read_compareiter(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
@@ -221,16 +232,17 @@ def parse_config(text: str) -> MeasureConfig:
     q = _take_int(keys, "q", least=2)
     specs = tuple(_READERS[family](family, q, keys))
     x_grid = () if family == "compareiter" else _read_thresholds(family, keys)
+    lineno = _line(keys, "fallback")
     fallback = _BOOL.get(_take(keys, "fallback", "true").lower())
     if fallback is None:
-        raise ValueError("fallback must be true or false")
+        raise ValueError(f"line {lineno}: fallback must be true or false")
     cfg = MeasureConfig(
         specs,
         x_grid,
-        samples=_take_int(keys, "samples", "100000"),
+        samples=_take_int(keys, "samples", "100000", least=1 if fallback else None),
         seed=_take_int(keys, "seed", "0"),
-        budget=_take_int(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET)),
-        iter_limit=_take_int(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT)),
+        budget=_take_int(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET), least=1),
+        iter_limit=_take_int(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT), least=1),
         fallback=fallback,
         out=_take(keys, "out", "measures.csv"),
     )

@@ -121,9 +121,7 @@ class DigitExpansion:
         bases = _bases(self.base, len(prefix))
         if prefix and not (min(prefix) >= 0 and all(map(operator.lt, prefix, bases))):
             k, d, q = next((k, d, q) for k, (d, q) in enumerate(zip(prefix, bases), 1) if not 0 <= d < q)
-            text = str(d)
-            shown = text if len(text) <= 40 else quote_token(text)
-            raise ValueError(f"digit {shown} at position {k} outside alphabet 0..{q - 1}")
+            raise ValueError(f"digit {_quote_int(d)} at position {k} outside alphabet 0..{_quote_int(q - 1)}")
         object.__setattr__(self, "prefix", prefix)
 
     def digit_at(self, k: int) -> int:
@@ -339,3 +337,15 @@ def quote_token(text: str) -> str:
     if limit and sum(c.isdigit() for c in text) > limit:
         over = f", more digits than the integer string limit of {limit}"
     return f"{text[:40]!r}... ({len(text)} characters{over})"
+
+
+def _quote_int(n: int) -> str:
+    """A caller's integer for an error message: its decimal text, clipped by
+    :func:`quote_token` when over 40 characters.  Past the interpreter's
+    integer string limit, where ``str`` would raise, it names that limit and
+    never calls ``str``."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(n) >= 10**limit:
+        return f"{'-' if n < 0 else ''}<more digits than the integer string limit of {limit}>"
+    text = str(n)
+    return text if len(text) <= 40 else quote_token(text)

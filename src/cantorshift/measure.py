@@ -363,12 +363,6 @@ class SetFamilySpec:
         return cls(FamilyKind.GEN_CHAIN, q, indices=tuple(indices))
 
     @classmethod
-    def schedule_chain(cls, q: int, table: Sequence[int], count: int) -> "SetFamilySpec":
-        if count < 1 or count > len(table):
-            raise ValueError("count must address the lookup table")
-        return cls(FamilyKind.SCHEDULE_CHAIN, q, indices=tuple(table[:count]))
-
-    @classmethod
     def compare_iter(cls, q: int, a: int, b: int) -> "SetFamilySpec":
         return cls(FamilyKind.COMPARE_ITER, q, a=a, b=b)
 

@@ -33,6 +33,7 @@ from .expansions import (
     Cylinder,
     DigitExpansion,
     Tail,
+    _quote_int,
     _read_token,
     dual_representation,
     quote_token,
@@ -53,7 +54,6 @@ __all__ = [
     "chain_value",
     "residual",
     "increment_product",
-    "increment_endpoints",
     "increment_via_evaluate",
     "cylinder_increment",
     "integral_closed_form",
@@ -92,7 +92,7 @@ class WeightSet:
             raise ValueError("q must be >= 2")
         p = tuple(Fraction(v) for v in self.p)
         if len(p) != self.q:
-            raise ValueError(f"expected {self.q} weights, got {len(p)}")
+            raise ValueError(f"expected {_quote_int(self.q)} weights, got {len(p)}")
         if any(not -1 < v < 1 for v in p):
             raise ValueError("weights must lie in (-1, 1)")
         den = math.lcm(*(v.denominator for v in p))
@@ -333,39 +333,27 @@ def increment_product(f: SalemFunction, values: Sequence[int]) -> Fraction:
     prod = Fraction(1)
     for c in values:
         if not 0 <= c < w.q:
-            raise ValueError(f"digit {c} outside alphabet 0..{w.q - 1}")
+            raise ValueError(f"digit {_quote_int(c)} outside alphabet 0..{w.q - 1}")
         prod *= w.p[c]
     return prod
 
 
-def increment_endpoints(
-    f: SalemFunction, values: Sequence[int]
-) -> tuple[DigitExpansion, DigitExpansion]:
-    """Inf and sup of the set whose digits at positions n_1..n_r are fixed.
-
-    Free positions take 0 in the inf and q-1 in the sup.
-    """
+def increment_via_evaluate(f: SalemFunction, values: Sequence[int]) -> Fraction:
+    """g(sup) - g(inf) over the set whose digits at the first r reading
+    positions n_1..n_r are ``values``, by direct evaluation: the free
+    positions take 0 in the inf and q-1 in the sup."""
     if not values:
         raise ValueError("need at least one constrained digit")
     q = f.weights.q
-    base = BaseSpec.constant(q)
-    positions = [f.seq.n_at(j) for j in range(1, len(values) + 1)]
-    top = max(positions)
-    lo = [0] * top
-    hi = [q - 1] * top
+    positions = f.seq._steps(0, len(values))
+    lo = [0] * max(positions)
+    hi = [q - 1] * len(lo)
     for pos, c in zip(positions, values):
-        lo[pos - 1] = c
-        hi[pos - 1] = c
-    return (
-        DigitExpansion(base, tuple(lo), Tail.ZEROS),
-        DigitExpansion(base, tuple(hi), Tail.MAX),
-    )
-
-
-def increment_via_evaluate(f: SalemFunction, values: Sequence[int]) -> Fraction:
-    """g(sup) - g(inf) over the digit-fixing set, by direct evaluation."""
-    lo, hi = increment_endpoints(f, values)
-    return evaluate(f, hi) - evaluate(f, lo)
+        lo[pos - 1] = hi[pos - 1] = c
+    base = BaseSpec.constant(q)
+    inf = DigitExpansion(base, tuple(lo), Tail.ZEROS)
+    sup = DigitExpansion(base, tuple(hi), Tail.MAX)
+    return evaluate(f, sup) - evaluate(f, inf)
 
 
 def cylinder_increment(f: SalemFunction, c: Cylinder) -> Fraction:

@@ -1,8 +1,8 @@
 """Shift operators on digit expansions.
 
-The plain shift drops the first digit (and first base entry).  The
-generalized shift deletes the digit and base entry at an arbitrary position
-m; on each rank-m cylinder it acts as the affine map
+The plain shift ``shift_n(e, 1)`` drops the first digit (and first base
+entry).  The generalized shift deletes the digit and base entry at an
+arbitrary position m; on each rank-m cylinder it acts as the affine map
 
     x  ->  q_m * x - (q_m - 1) * head(m-1) - d_m / (q_1 ... q_{m-1})
 
@@ -20,17 +20,13 @@ An alternating-series reading of the same digit data (position k weighted by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .expansions import BaseSpec, DigitExpansion, Tail, _bases, value_of
 
 __all__ = [
-    "PartialSums",
     "prefix_sum",
-    "partial_sums",
-    "shift",
     "shift_n",
     "generalized_shift",
     "generalized_shift_value",
@@ -48,34 +44,6 @@ def prefix_sum(e: DigitExpansion, n: int) -> Fraction:
     if n < 0:
         raise ValueError("n must be >= 0")
     return value_of(DigitExpansion(e.base, tuple(map(e.digit_at, range(1, n + 1)))))
-
-
-@dataclass(frozen=True)
-class PartialSums:
-    """Split of a value around position m.
-
-    ``head`` sums positions < m; ``tail_rescaled`` sums positions > m with
-    the position-m base removed from the denominators, so that
-
-        tail_rescaled = q_m * (x - head - d_m / (q_1 .. q_m)).
-    """
-
-    head: Fraction
-    tail_rescaled: Fraction
-
-
-def partial_sums(e: DigitExpansion, m: int) -> PartialSums:
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    head = prefix_sum(e, m - 1)
-    q_m = e.base.base_at(m)
-    tail = q_m * (value_of(e) - prefix_sum(e, m))
-    return PartialSums(head, tail)
-
-
-def shift(e: DigitExpansion) -> DigitExpansion:
-    """Drop the first digit and the first base entry."""
-    return shift_n(e, 1)
 
 
 def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorshift.cli import main, parse_config
-from cantorshift.measure import SetFamilySpec
+from cantorshift.measure import FamilyKind, SetFamilySpec
 from cantorshift.expansions import parse_expansion
 from cantorshift.salem import evaluate, parse_function_spec
 from cantorshift.verify import DEFAULT_FUNCTION, SUITES
@@ -838,6 +838,47 @@ class TestMeasureInputs:
         err = _measure_usage_error(tmp_path, capsys, body)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3, 3/2\n", "line 4: x must lie in [0, 1]", id="x"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nbudget = 0\n", "line 5: budget must be >= 1", id="budget"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\niter_limit = 0\n", "line 5: iter_limit must be >= 1", id="iter_limit"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nsamples = 0\n", "line 5: samples must be >= 1", id="samples"),
+            pytest.param(
+                "family = genchain\nq = 2\nindices = 2,1\ncount = 3\nx = 1/3\n",
+                "line 4: count must lie in 1..2, the lookup table length",
+                id="count",
+            ),
+            pytest.param("family = itershift\nq = 2\nn = 5..3\nx = 1/3\n", "line 3: n range '5..3' is empty", id="empty-range"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nfallback = maybe\n", "line 5: fallback must be true or false", id="fallback"),
+        ],
+    )
+    def test_setting_out_of_range_names_its_line(self, tmp_path, capsys, body, message):
+        err = _measure_usage_error(tmp_path, capsys, body)
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "body, line, key",
+        [
+            pytest.param("family = itershift\nq = 2\nn = 1..100000000000000000000\nx = 1/3\n", 3, "n", id="n"),
+            pytest.param(
+                "family = genchain\nq = 2\nindices = 2,2\ncount = 1..100000000000000000000\nx = 1/3\n", 4, "count", id="count"
+            ),
+        ],
+    )
+    def test_range_python_cannot_size(self, tmp_path, capsys, body, line, key):
+        err = _measure_usage_error(tmp_path, capsys, body)
+        assert err == f"error: line {line}: {key} range '1..100000000000000000000' has more than {sys.maxsize} entries\n"
+
+    def test_count_range_is_checked_by_its_ends(self, tmp_path, capsys):
+        # listing this range would take 8 TB
+        body = "family = genchain\nq = 2\nindices = 2,2\ncount = 1..1000000000000\nx = 1/3\n"
+        start = time.perf_counter()
+        err = _measure_usage_error(tmp_path, capsys, body)
+        assert time.perf_counter() - start < 1
+        assert err == "error: line 4: count must lie in 1..2, the lookup table length\n"
+
     def test_threshold_point_past_the_int_string_limit(self, tmp_path, capsys):
         # 4400 decimal ones: the value's denominator 10^4400 has too many digits to print
         point = "q10:[" + ",".join(["1"] * 4400) + "]:zeros"
@@ -863,11 +904,15 @@ class TestMeasureConfig:
     def test_parse_builds_specs_and_grid(self):
         cfg = parse_config("family = schedulechain\nq = 3\npsi = 2,3,1\ncount = 2..3\nx = 1/3, 1/2\n")
         assert cfg.specs == (
-            SetFamilySpec.schedule_chain(3, [2, 3, 1], 2),
-            SetFamilySpec.schedule_chain(3, [2, 3, 1], 3),
+            SetFamilySpec(FamilyKind.SCHEDULE_CHAIN, 3, indices=(2, 3)),
+            SetFamilySpec(FamilyKind.SCHEDULE_CHAIN, 3, indices=(2, 3, 1)),
         )
         assert cfg.x_grid == (Fraction(1, 3), Fraction(1, 2))
         assert (cfg.samples, cfg.seed, cfg.fallback, cfg.out) == (100000, 0, True, "measures.csv")
+
+    def test_samples_unchecked_without_fallback(self):
+        cfg = parse_config("family = itershift\nq = 2\nn = 1\nx = 1/3\nsamples = 0\nfallback = false\n")
+        assert (cfg.samples, cfg.fallback) == (0, False)
 
     def test_threshold_from_shifted_point(self):
         cfg = parse_config("family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1,0,1]:zeros\nthreshold_iter = 1\n")

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -418,3 +419,17 @@ class TestStreams:
         with pytest.raises(ValueError) as err:
             Cylinder(BaseSpec.constant(2), (2,))
         assert str(err.value) == "digit 2 at position 1 outside alphabet 0..1"
+
+    @pytest.mark.parametrize("sign, shown", [(1, ""), (-1, "-")], ids=["positive", "negative"])
+    def test_digit_past_the_int_string_limit(self, sign, shown):
+        # str() of the digit would raise; the error names the limit instead
+        with pytest.raises(ValueError) as err:
+            DigitExpansion(BaseSpec.constant(2), (sign * 10**5000,))
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"digit {shown}<more digits than the integer string limit of {limit}> at position 1 outside alphabet 0..1"
+
+    def test_cylinder_digit_past_the_int_string_limit(self):
+        with pytest.raises(ValueError) as err:
+            Cylinder(BaseSpec.constant(2), (10**5000,))
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"digit <more digits than the integer string limit of {limit}> at position 1 outside alphabet 0..1"

@@ -1,28 +1,24 @@
-"""Every exported name has a home in ``__all__`` and a caller or a test, and so
-does every public method or property of an exported class; ``measure`` exports
-need a caller in ``src`` or a traced name in the benchmark."""
+"""The package exports exactly its modules' ``__all__`` lists.  Every name on
+them has a caller in ``src``, in a demo, or a span in the benchmark's
+tracing, and one without a caller in ``src`` also needs a test; ``measure``
+exports need a caller in ``src`` or a traced name.  Every public method or
+property of an exported class has a caller or a test."""
 
 import ast
 import importlib
 import re
+import types
 from pathlib import Path
 
 import pytest
 from test_bench_targets import tracing
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "cantorshift"
+import cantorshift
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cantorshift"
 TESTS = Path(__file__).resolve().parent
 MODULES = ("expansions", "shifts", "salem", "measure")
-
-
-def _package_imports():
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    return [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
 
 
 def _src_uses():
@@ -45,13 +41,23 @@ def _src_uses():
     return used
 
 
-def test_package_imports_are_exported():
-    missing = [
-        f"{module}.{name}"
-        for module, name in _package_imports()
-        if name not in importlib.import_module(f"cantorshift.{module}").__all__
-    ]
-    assert missing == []
+def _demo_uses():
+    """Names the demos read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in (ROOT / "demos").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+
+
+def test_package_exports_each_module_all():
+    public = {
+        name
+        for name, value in vars(cantorshift).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == {name for module in MODULES for name in importlib.import_module(f"cantorshift.{module}").__all__}
 
 
 def _tests_text():
@@ -59,7 +65,17 @@ def _tests_text():
 
 
 @pytest.mark.parametrize("module", MODULES)
+def test_exports_have_a_caller(module):
+    # a test alone does not keep an export alive
+    traced = {attr for owner, attr, _, _ in tracing.TARGETS if owner == module}
+    reached = _src_uses() | _demo_uses() | traced
+    unused = [name for name in importlib.import_module(f"cantorshift.{module}").__all__ if name not in reached]
+    assert not unused, f"{module} exports with no caller in src or a demo and no bench/tracing.py target: {unused}"
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_exports_have_a_caller_or_a_test(module):
+    # a demo or a traced name is not a test: an export they alone reach still needs one
     used = _src_uses()
     tests_text = _tests_text()
     unused = [
@@ -88,7 +104,7 @@ def test_exported_class_methods_have_a_caller_or_a_test(module):
 
 
 def test_measure_exports_have_a_caller_or_a_traced_name():
-    # a test alone does not keep a measure export alive
+    # the scan engine is not kept alive by a demo either
     used = _src_uses()
     traced = {attr for module, attr, _, _ in tracing.TARGETS if module == "measure"}
     unused = [name for name in importlib.import_module("cantorshift.measure").__all__ if name not in used | traced]

@@ -212,8 +212,8 @@ class TestMonteCarlo:
             SetFamilySpec.gen_chain(2, (20,)),
             SetFamilySpec.gen_chain(3, (3, 4, 1)),
             SetFamilySpec.gen_chain(4, (2, 2, 5)),
-            SetFamilySpec.schedule_chain(2, (5, 6, 4), 3),
-            SetFamilySpec.schedule_chain(2, (3, 1, 5, 2, 6), 5),
+            SetFamilySpec(FamilyKind.SCHEDULE_CHAIN, 2, indices=(5, 6, 4)),
+            SetFamilySpec(FamilyKind.SCHEDULE_CHAIN, 2, indices=(3, 1, 5, 2, 6)),
         ],
         ids=lambda spec: f"{spec.kind.value}-q{spec.q}-{spec.n or '.'.join(map(str, spec.indices))}",
     )
@@ -296,9 +296,3 @@ class TestScan:
         assert lines[0] == "family,param,x_num,x_den,measure_num,measure_den,method,samples,halfwidth"
         assert lines[1].split(",") == ["itershift", "1", "1", "3", "1", "3", "exact", "", ""]
         assert lines[2].split(",") == ["compareiter", "2:1", "", "", "1", "2", "exact", "", ""]
-
-    def test_schedule_chain_factory(self):
-        spec = SetFamilySpec.schedule_chain(2, (2, 4, 1), 2)
-        assert spec.kind is FamilyKind.SCHEDULE_CHAIN and spec.indices == (2, 4)
-        with pytest.raises(ValueError):
-            SetFamilySpec.schedule_chain(2, (2, 4, 1), 5)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 import time
 from fractions import Fraction
@@ -74,6 +75,13 @@ class TestWeightSet:
         # a leading zero weight pins a cumulative sum at 0
         with pytest.raises(ValueError):
             WeightSet(3, (Fraction(0), Fraction(1, 2), Fraction(1, 2)))
+
+    def test_weight_count_past_the_int_string_limit(self):
+        # str() of q would raise; the error names the limit instead
+        with pytest.raises(ValueError) as err:
+            WeightSet(10**5000, ())
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"expected <more digits than the integer string limit of {limit}> weights, got 0"
 
     def test_negative_weights_allowed_inside(self):
         w = WeightSet(3, (Fraction(7, 10), Fraction(-1, 5), Fraction(1, 2)))
@@ -512,6 +520,12 @@ class TestIncrements:
         f = SalemFunction(W37, EXAMPLE_ORDER)
         assert increment_product(f, (0,)) == Fraction(3, 10)
         assert increment_via_evaluate(f, (0,)) == Fraction(3, 10)
+
+    def test_digit_past_the_int_string_limit(self):
+        with pytest.raises(ValueError) as err:
+            increment_product(IDENT37, (10**5000,))
+        limit = sys.get_int_max_str_digits()
+        assert str(err.value) == f"digit <more digits than the integer string limit of {limit}> outside alphabet 0..1"
 
     def test_rank_two_partition(self):
         total = sum(increment_product(IDENT37, w) for w in itertools.product(range(2), repeat=2))

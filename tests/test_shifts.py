@@ -20,10 +20,8 @@ from cantorshift import (
     generalized_shift_value,
     make_schedule,
     original_positions,
-    partial_sums,
     prefix_sum,
     same_stream,
-    shift,
     shift_n,
     value_of,
 )
@@ -51,16 +49,16 @@ def sequential_deletions(e, positions):
 class TestShift:
     def test_drops_first_digit(self):
         e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3))
-        assert shift(e).prefix == (2, 3)
+        assert shift_n(e, 1).prefix == (2, 3)
 
     def test_cantor_base_advances(self):
         e = DigitExpansion(BaseSpec.cantor((2, 3, 4), 5), (1, 2, 3))
-        s = shift(e)
+        s = shift_n(e, 1)
         assert s.prefix == (2, 3) and s.base == BaseSpec.cantor((3, 4), 5)
 
     def test_one_is_fixed(self):
         e = DigitExpansion(BaseSpec.constant(2), (), Tail.MAX)
-        assert value_of(shift(e)) == 1
+        assert value_of(shift_n(e, 1)) == 1
 
     def test_iterates(self):
         e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3, 4))
@@ -120,18 +118,6 @@ class TestGeneralizedShift:
             e = random_expansion(rng, cantor=rng.random() < 0.5)
             m = rng.randrange(1, 8)
             assert generalized_shift_value(e, m) == value_of(generalized_shift(e, m))
-
-    def test_partial_sums_invariant(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            e = random_expansion(rng, cantor=rng.random() < 0.5)
-            m = rng.randrange(1, 7)
-            ps = partial_sums(e, m)
-            q_m = e.base.base_at(m)
-            x = value_of(e)
-            d_m = Fraction(e.digit_at(m), e.base.block(m))
-            assert ps.tail_rescaled == q_m * (x - ps.head - d_m)
-            assert ps.head + ps.tail_rescaled == value_of(generalized_shift(e, m))
 
 
 class TestComposeTwo:
@@ -234,7 +220,7 @@ class TestOperatorIdentities:
             lhs = e
             for _ in range(m):
                 lhs = generalized_shift(lhs, 2)
-            assert same_stream(shift(lhs), shift_n(e, m + 1))
+            assert same_stream(shift_n(lhs, 1), shift_n(e, m + 1))
 
     def test_consecutive_chain_collapses(self):
         rng = random.Random(31)
