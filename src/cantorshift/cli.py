@@ -120,10 +120,14 @@ class MeasureConfig:
     out: str
 
     def __post_init__(self) -> None:
-        # the reader checks every key where its line is known; ``budget`` is
-        # checked again here because ``--budget`` replaces it
+        # the reader checks every key where its line is known; ``budget`` and
+        # ``seed`` are checked again here because ``--budget`` and ``--seed``
+        # replace them.  Random(-s) is Random(s), so a negative base seed
+        # would give two rows of one scan the same stream.
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # each set key's line number and value text
@@ -240,7 +244,7 @@ def parse_config(text: str) -> MeasureConfig:
         specs,
         x_grid,
         samples=_take_int(keys, "samples", "100000", least=1 if fallback else None),
-        seed=_take_int(keys, "seed", "0"),
+        seed=_take_int(keys, "seed", "0", least=0),
         budget=_take_int(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET), least=1),
         iter_limit=_take_int(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT), least=1),
         fallback=fallback,

@@ -17,7 +17,12 @@ returns the pieces themselves, in order; it is the set form of the same
 computation and the reference the kernel is tested against.  A seeded
 digit-sampling Monte Carlo estimator, which reads each sample's digits from
 one integer draw as whole-integer runs and windows, provides an independent
-stochastic cross-check.
+stochastic cross-check.  Each draw is ``getrandbits`` of the range's bit
+length, drawn again while out of range, the rule ``randrange`` follows on
+Python 3.10-3.13, so seeded streams match a ``randrange`` loop.  A threshold
+sample compares the integer its surviving digits form once with
+floor(x * q^(M - L + 16)); only the one that holds x * q^(M - L + 16) reads
+further digits.
 
 The builders check the branch count q^M against the budget before they
 build anything, and ``gk_scan`` decides once per set, from the same count and
@@ -411,71 +416,97 @@ def monte_carlo_measure(
 ) -> MonteCarloResult:
     """Seeded uniform digit-sampling estimate of the set's measure.
 
-    Digits of z are drawn uniformly.  For a threshold family one draw
-    u = randrange(q^top) holds the digits at positions 1..top, where top is
-    the last deleted position plus ``_GUARD``.  The surviving digits are read
-    from u as whole runs between the deleted positions; the integer they form
-    brackets the composed value, which is compared against the threshold
-    exactly, one more digit per round, until the comparison decides or the
-    depth cap marks the sample indeterminate.  A comparison draws positions
-    min(a, b) + 1 .. max(a, b) + ``_GUARD`` and compares the iterates' top and
-    bottom ``_GUARD``-digit windows as integers; a tie keeps the last |a - b|
-    digits and appends ``_GUARD`` fresh ones, up to 256 compared digits.
-    Deterministic for a fixed seed; indeterminate samples are counted separately.
+    Digits of z are drawn uniformly.  Each draw u from [0, span) is
+    ``getrandbits(span.bit_length())``, drawn again while it is out of range:
+    the rule ``randrange(span)`` follows on Python 3.10-3.13, so a seed gives
+    the same stream as a ``randrange`` loop.  For a threshold family one draw
+    from span = q^top holds the digits at positions 1..top, where top is the
+    last deleted position plus ``_GUARD``.  The surviving digits are read
+    from u as whole runs between the deleted positions; the integer they
+    form, the block, brackets the composed value.  The first round compares
+    the block once with floor(x * q^(top - L)), L the number of deleted
+    positions: below it is a hit, above it a miss.  Only the block that holds
+    x * q^(top - L) itself reads further digits, one per round, until the
+    comparison decides or the depth cap marks the sample indeterminate.  A
+    comparison draws positions min(a, b) + 1 .. max(a, b) + ``_GUARD`` and
+    compares the iterates' top and bottom ``_GUARD``-digit windows as
+    integers; a tie keeps the last |a - b| digits and appends ``_GUARD``
+    fresh ones, up to 256 compared digits.  Deterministic for a fixed seed;
+    indeterminate samples are counted separately.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
+    getrandbits = rng.getrandbits
     q = spec.q
 
     if spec.kind is FamilyKind.COMPARE_ITER:
         lag, window, a_leads = q ** abs(spec.a - spec.b), q**_GUARD, spec.a < spec.b
+        span = lag * window
+        bits = span.bit_length()
         hits = indet = 0
         for _ in range(samples):
-            u = rng.randrange(lag * window)
-            for _ in range(256 // _GUARD - 1):
-                if u // lag != u % window:
-                    break
-                u = u % lag * window + rng.randrange(window)
+            # randrange(span) on Python 3.10-3.13, without its wrapper
+            u = getrandbits(bits)
+            while u >= span:
+                u = getrandbits(bits)
             shallow, deep = u // lag, u % window
             if shallow == deep:
-                indet += 1
-            else:
-                hits += (shallow < deep) == a_leads
+                for _ in range(256 // _GUARD - 1):
+                    u = u % lag * window + rng.randrange(window)
+                    shallow, deep = u // lag, u % window
+                    if shallow != deep:
+                        break
+                else:
+                    indet += 1
+                    continue
+            hits += (shallow < deep) == a_leads
         return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
     x = Fraction(x)
+    if not 0 <= x <= 1:
+        raise ValueError("threshold must lie in [0, 1]")
     xn, xd = x.numerator, x.denominator
     deleted = spec.deleted_positions()
     # the draw reaches past the last deletion so that every later
     # refinement digit belongs to a surviving position
     top = deleted[-1] + _GUARD
     span, q_tail = q**top, q**_GUARD
+    bits = span.bit_length()
     runs = _surviving_runs(q, deleted, top)
     block_len = top - len(deleted)
     q_block, cap = q**block_len, 128
+    # a block below x * q_block is a hit and one above it a miss; only the
+    # block floor(x * q_block), when x * q_block is not an integer, reads on
+    below, rest = divmod(xn * q_block, xd)
     hits = indet = 0
     for _ in range(samples):
-        u = rng.randrange(span)
+        # randrange(span) on Python 3.10-3.13, without its wrapper
+        u = getrandbits(bits)
+        while u >= span:
+            u = getrandbits(bits)
         block = 0
         for div, size in runs:
             block = block * size + (u // div) % size
         block = block * q_tail + u % q_tail
-        # the composed value lies in [block, block + 1) / scale
-        scale = q_block
-        depth = block_len
-        while True:
-            if (block + 1) * xd <= xn * scale:
-                hits += 1
-                break
-            if block * xd >= xn * scale:
-                break
-            if depth >= cap:
-                indet += 1
-                break
-            block = block * q + rng.randrange(q)
-            scale *= q
-            depth += 1
+        if block < below:
+            hits += 1
+        elif block == below and rest:
+            # the composed value lies in [block, block + 1) / scale
+            scale = q_block
+            depth = block_len
+            while True:
+                if depth >= cap:
+                    indet += 1
+                    break
+                block = block * q + rng.randrange(q)
+                scale *= q
+                depth += 1
+                if (block + 1) * xd <= xn * scale:
+                    hits += 1
+                    break
+                if block * xd >= xn * scale:
+                    break
     return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
 

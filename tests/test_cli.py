@@ -720,6 +720,13 @@ class TestMeasureInputs:
     def test_zero_budget_flag(self, tmp_path, capsys):
         _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n", "--budget", "0")
 
+    # Random(-s) draws the stream of Random(s): with seed -3 rows 1 and 5
+    # (seeds -2 and 2) of this scan would print the same estimate
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        body = "family = itershift\nq = 2\nn = 12\nx = 1/3, 1/3, 1/3, 1/3, 1/3\nsamples = 1000\n"
+        err = _measure_usage_error(tmp_path, capsys, body, "--seed", "-3")
+        assert err == "error: seed must be >= 0\n"
+
     @pytest.mark.parametrize("limit, fallback", [("0", "true"), ("-3", "false")])
     def test_iter_limit_below_one(self, tmp_path, capsys, limit, fallback):
         _measure_usage_error(
@@ -843,6 +850,7 @@ class TestMeasureInputs:
         [
             pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3, 3/2\n", "line 4: x must lie in [0, 1]", id="x"),
             pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nbudget = 0\n", "line 5: budget must be >= 1", id="budget"),
+            pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nseed = -3\n", "line 5: seed must be >= 0", id="seed"),
             pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\niter_limit = 0\n", "line 5: iter_limit must be >= 1", id="iter_limit"),
             pytest.param("family = itershift\nq = 2\nn = 1\nx = 1/3\nsamples = 0\n", "line 5: samples must be >= 1", id="samples"),
             pytest.param(

@@ -202,6 +202,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_measure(SetFamilySpec.iter_shift(2, 1), Fraction(1, 2), 0, seed=0)
 
+    @pytest.mark.parametrize("x", [2, Fraction(-1, 3), Fraction(4, 3)])
+    def test_threshold_outside_unit_interval(self, x):
+        with pytest.raises(ValueError, match=r"threshold must lie in \[0, 1\]"):
+            monte_carlo_measure(SetFamilySpec.gen_chain(2, (1, 4, 2)), x, 100, seed=0)
+        # a comparison reads no threshold
+        assert monte_carlo_measure(SetFamilySpec.compare_iter(2, 2, 1), x, 100, seed=0).samples == 100
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -219,10 +226,24 @@ class TestMonteCarlo:
     )
     def test_matches_digit_by_digit_reference(self, spec):
         deleted = chain_deleted_positions(spec.indices) if spec.indices else range(1, spec.n + 1)
-        for x in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)):
+        # x * q^(top - L) is an integer at 3/8 for q = 2, 4 and at 1/9 for q = 3
+        for x in (Fraction(0), Fraction(1, 3), Fraction(3, 8), Fraction(1, 9), Fraction(1, 2), Fraction(5, 7)):
             for seed in (4, 19):
                 mc = monte_carlo_measure(spec, x, 600, seed)
                 assert (mc.hits, mc.indeterminate) == threshold_mc_counts(spec.q, deleted, x, 600, seed)
+
+    # at these seeds one of the 600 samples draws the block floor(x * 2^16):
+    # at 1/3 it reads further digits and ends in a hit (seed 1380, sample 21)
+    # or a miss (seed 1190, sample 15); at 3/8, where x * 2^16 is an integer,
+    # it is a miss that reads nothing more (seeds 63 and 529, samples 365 and
+    # 107).  Each draw below 2^33 reads two 32-bit words, and at these seeds a
+    # digit drawn too many or too few shifts the later samples off them.
+    @pytest.mark.parametrize(
+        "x, seed", [(Fraction(1, 3), 1380), (Fraction(1, 3), 1190), (Fraction(3, 8), 63), (Fraction(3, 8), 529)]
+    )
+    def test_threshold_block_at_x_reads_on_only_if_x_splits_it(self, x, seed):
+        mc = monte_carlo_measure(SetFamilySpec.iter_shift(2, 17), x, 600, seed)
+        assert (mc.hits, mc.indeterminate) == threshold_mc_counts(2, range(1, 18), x, 600, seed)
 
     @pytest.mark.parametrize("q", [2, 3, 10])
     @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 20])
