@@ -120,14 +120,11 @@ class MeasureConfig:
     out: str
 
     def __post_init__(self) -> None:
-        # the reader checks every key where its line is known; ``budget`` and
-        # ``seed`` are checked again here because ``--budget`` and ``--seed``
-        # replace them.  Random(-s) is Random(s), so a negative base seed
-        # would give two rows of one scan the same stream.
+        # the reader checks every key where its line is known; ``budget`` is
+        # checked again here because ``--budget`` replaces it (``gk_scan``
+        # checks the seed that ``--seed`` sets)
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 # each set key's line number and value text
@@ -183,8 +180,17 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
     return (x,)
 
 
+# the most iterate counts one itershift config may scan
+_MAX_N_ENTRIES = 10**5
+
+
 def _read_itershift(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
-    return [me.SetFamilySpec.iter_shift(q, n) for n in _take_int(keys, "n", parse=_parse_range, least=1)]
+    lineno = _line(keys, "n")
+    ns = _take_int(keys, "n", parse=_parse_range, least=1)
+    if len(ns) > _MAX_N_ENTRIES:
+        text = quote_token(f"{ns[0]}..{ns[-1]}")
+        raise ValueError(f"line {lineno}: n range {text} has more than {_MAX_N_ENTRIES} entries")
+    return [me.SetFamilySpec.iter_shift(q, n) for n in ns]
 
 
 def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:

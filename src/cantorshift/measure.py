@@ -182,13 +182,20 @@ def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int,
     return runs
 
 
+def _budget_refusal(q: int, depth: int, budget: int) -> Optional[str]:
+    """Why a map with q^depth branches is not built, or None when they fit the
+    budget; the count is written as a power, so it stays short for any depth."""
+    return f"{q}^{depth} branches exceed budget {budget}" if q**depth > budget else None
+
+
 def _plm_deleting(q: int, deleted: Sequence[int], budget: int) -> PiecewiseLinearMap:
     """The map deleting the sorted original positions D = ``deleted``, in one pass:
     z -> q^L z + (s_j - j) / q^(M-L) on the j-th rank-M cylinder; see the module docstring."""
     top = deleted[-1]
+    refusal = _budget_refusal(q, top, budget)
+    if refusal is not None:
+        raise BudgetExceededError(refusal)
     count = q**top
-    if count > budget:
-        raise BudgetExceededError(f"{q}^{top} branches exceed budget {budget}")
     runs = _surviving_runs(q, deleted, top)
     slope = Fraction(q ** len(deleted))
     scale = q ** (top - len(deleted))
@@ -379,18 +386,23 @@ class SetFamilySpec:
             return f"{self.a}:{self.b}"
         return str(len(self.indices))
 
-    def deleted_positions(self) -> list[int]:
-        """Original digit positions the composition deletes, in increasing order.
-
-        The n-fold drop deletes 1..n and a comparison the positions of its
-        deeper iterate, 1..max(a, b); a chain deletes one surviving position
-        per index.  With M the largest of them, the exact map is affine on
-        every rank-M cylinder and has q^M branches.
-        """
+    @property
+    def depth(self) -> int:
+        """M, the largest original digit position the composition deletes: n
+        for the n-fold drop, max(a, b) for a comparison (the positions of its
+        deeper iterate) and the largest of a chain's original positions.  The
+        exact map is affine on every rank-M cylinder and has q^M branches."""
         if self.kind is FamilyKind.ITER_SHIFT:
-            return list(range(1, self.n + 1))
+            return self.n
         if self.kind is FamilyKind.COMPARE_ITER:
-            return list(range(1, max(self.a, self.b) + 1))
+            return max(self.a, self.b)
+        return max(sh.original_positions(self.indices))
+
+    def deleted_positions(self) -> list[int]:
+        """Original digit positions the composition deletes, in increasing
+        order: 1..M for the iterates, one surviving position per index for a chain."""
+        if self.kind in (FamilyKind.ITER_SHIFT, FamilyKind.COMPARE_ITER):
+            return list(range(1, self.depth + 1))
         return sorted(sh.original_positions(self.indices))
 
 
@@ -525,27 +537,6 @@ class ScanRow:
     indeterminate: int = 0
 
 
-def _exact_refusal(spec: SetFamilySpec, budget: int, iter_limit: int) -> Optional[str]:
-    """Why the set's rows cannot be exact, or None when they can.
-
-    A map that deletes original positions up to M has q^M branches, so this
-    is decided before any map is built.  The exact path builds one map per
-    side of a comparison and one map otherwise; the maps are checked in
-    that order, and iterates are also held to ``iter_limit``.
-    """
-    if spec.kind is FamilyKind.COMPARE_ITER:
-        tops = (spec.a, spec.b)
-    else:
-        tops = (max(spec.deleted_positions()),)
-    iterate = spec.kind in (FamilyKind.ITER_SHIFT, FamilyKind.COMPARE_ITER)
-    for top in tops:
-        if iterate and top > iter_limit:
-            return f"iterate count {top} over limit {iter_limit}"
-        if spec.q**top > budget:
-            return f"{spec.q}^{top} branches exceed budget {budget}"
-    return None
-
-
 def gk_scan(
     specs: Sequence[SetFamilySpec],
     x_grid: Sequence[Fraction],
@@ -558,21 +549,27 @@ def gk_scan(
 ) -> list[ScanRow]:
     """Measure table over a family of shift-composition sets.
 
-    Each set is decided once, before any map is built: its rows are exact
-    when q^M fits the budget, M being the largest original position it
-    deletes, and, for itershift and compareiter, M is at most
-    ``iter_limit``.  Otherwise the rows fall back to Monte Carlo, with
-    per-row seeds ``seed + counter`` that keep the output deterministic, or
-    BudgetExceededError is raised when fallback is off.  Threshold families
-    emit one row per grid value; comparison families emit a single row with
-    empty threshold columns.  No limits are extrapolated: rows report finite
-    compositions only.
+    Each set is decided once from its ``depth`` M, before any map is built:
+    its rows are exact when q^M fits the budget and, for itershift and
+    compareiter, M is at most ``iter_limit``.  Otherwise the rows fall back
+    to Monte Carlo, with per-row seeds ``seed + counter`` that keep the
+    output deterministic, or BudgetExceededError is raised when fallback is
+    off.  ``seed`` must be >= 0: Random(-s) draws the stream of Random(s),
+    so a negative one would give two rows the same stream.  Threshold
+    families emit one row per grid value; comparison families emit a single
+    row with empty threshold columns.  No limits are extrapolated: rows
+    report finite compositions only.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     rows: list[ScanRow] = []
     counter = 0
     for spec in specs:
-        family, q = spec.kind.value, spec.q
-        refusal = _exact_refusal(spec, budget, iter_limit)
+        family, q, depth = spec.kind.value, spec.q, spec.depth
+        if spec.kind in (FamilyKind.ITER_SHIFT, FamilyKind.COMPARE_ITER) and depth > iter_limit:
+            refusal = f"iterate count {depth} over limit {iter_limit}"
+        else:
+            refusal = _budget_refusal(q, depth, budget)
         if refusal is not None:
             if not allow_fallback:
                 raise BudgetExceededError(refusal)

@@ -643,6 +643,35 @@ class TestMeasure:
         assert main(["measure", str(cfg)]) == 0
         assert capsys.readouterr().err.splitlines()[0] == f"itershift {n}: {reason}, Monte Carlo fallback"
 
+    def test_compareiter_refusal_names_the_deeper_iterate(self, tmp_path, capsys):
+        # M = max(a, b) decides a comparison, so 9:11 is refused for its 11
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = compareiter\nq = 2\npsi = 9,3\nphi = 11,9\nsamples = 100\nout = {out_csv}\n")
+        assert main(["measure", str(cfg)]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "compareiter 9:11: iterate count 11 over limit 8, Monte Carlo fallback",
+            "compareiter 3:9: iterate count 9 over limit 8, Monte Carlo fallback",
+            f"wrote 2 rows to {out_csv}",
+        ]
+        assert out_csv.read_text() == (
+            "family,param,x_num,x_den,measure_num,measure_den,method,samples,halfwidth\n"
+            "compareiter,9:11,,,13,25,mc,100,0.128688\n"
+            "compareiter,3:9,,,49,100,mc,100,0.128766\n"
+        )
+
+    def test_depth_decides_without_listing_positions(self, tmp_path, capsys, monkeypatch):
+        def listed(_spec):
+            raise AssertionError("the decision listed the deleted positions")
+
+        monkeypatch.setattr(SetFamilySpec, "deleted_positions", listed)
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = itershift\nq = 2\nn = 1000000000\nx = 1/3\nfallback = false\nout = {out_csv}\n")
+        assert main(["measure", str(cfg)]) == 4
+        assert capsys.readouterr().err == "error: iterate count 1000000000 over limit 8\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "setting, code",
         [("samples = 10", 0), ("fallback = false", 4)],
@@ -724,6 +753,12 @@ class TestMeasureInputs:
     # (seeds -2 and 2) of this scan would print the same estimate
     def test_negative_seed_flag(self, tmp_path, capsys):
         body = "family = itershift\nq = 2\nn = 12\nx = 1/3, 1/3, 1/3, 1/3, 1/3\nsamples = 1000\n"
+        err = _measure_usage_error(tmp_path, capsys, body, "--seed", "-3")
+        assert err == "error: seed must be >= 0\n"
+
+    # the scan refuses the seed before it decides any set, exact or sampled
+    def test_negative_seed_flag_on_exact_sets(self, tmp_path, capsys):
+        body = "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n"
         err = _measure_usage_error(tmp_path, capsys, body, "--seed", "-3")
         assert err == "error: seed must be >= 0\n"
 
@@ -878,6 +913,25 @@ class TestMeasureInputs:
     def test_range_python_cannot_size(self, tmp_path, capsys, body, line, key):
         err = _measure_usage_error(tmp_path, capsys, body)
         assert err == f"error: line {line}: {key} range '1..100000000000000000000' has more than {sys.maxsize} entries\n"
+
+    def test_n_range_is_bounded_before_any_set_is_built(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def build(q, n):
+            # fail on the first set, so an unbounded range stops at once
+            calls.append(n)
+            raise AssertionError("a set was built")
+
+        monkeypatch.setattr(SetFamilySpec, "iter_shift", build)
+        body = "family = itershift\nq = 2\nn = 1..1000000000\nx = 1/3\n"
+        err = _measure_usage_error(tmp_path, capsys, body)
+        assert err == "error: line 3: n range '1..1000000000' has more than 100000 entries\n"
+        assert calls == []
+
+    def test_n_range_bound_is_inclusive(self):
+        assert len(parse_config("family = itershift\nq = 2\nn = 5..100004\nx = 1/3\n").specs) == 100000
+        with pytest.raises(ValueError, match=r"^line 3: n range '5\.\.100005' has more than 100000 entries$"):
+            parse_config("family = itershift\nq = 2\nn = 5..100005\nx = 1/3\n")
 
     def test_count_range_is_checked_by_its_ends(self, tmp_path, capsys):
         # listing this range would take 8 TB

@@ -303,6 +303,21 @@ class TestScan:
         rows = gk_scan(specs, [Fraction(1, 3)], budget=600, samples=200, seed=1)
         assert [row.method for row in rows] == ["mc"] * 3
 
+    def test_negative_seed_is_refused_before_any_row(self, monkeypatch):
+        # Random(-s) draws the stream of Random(s): with seed -3 rows 1 and 5
+        # (seeds -2 and 2) would draw the same samples
+        def draw(*_args, **_kwargs):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(measure, "monte_carlo_measure", draw)
+        with pytest.raises(ValueError, match="^seed must be >= 0$"):
+            gk_scan([SetFamilySpec.iter_shift(2, 12)], [Fraction(1, 3)] * 5, samples=1000, seed=-3)
+
+    def test_single_estimate_takes_any_seed(self):
+        # one call draws one stream, so no two of its draws can share it
+        spec = SetFamilySpec.iter_shift(2, 12)
+        assert monte_carlo_measure(spec, Fraction(1, 3), 200, -3) == monte_carlo_measure(spec, Fraction(1, 3), 200, 3)
+
     def test_no_fallback_raises(self):
         with pytest.raises(BudgetExceededError):
             gk_scan([SetFamilySpec.iter_shift(2, 9)], [Fraction(1, 3)], allow_fallback=False)

@@ -15,6 +15,7 @@ import pytest
 
 from cantorshift import (
     BudgetExceededError,
+    FamilyKind,
     SetFamilySpec,
     comparison_measure,
     plm_generalized_chain,
@@ -152,6 +153,27 @@ class TestBranchCount:
             deleted = SetFamilySpec.compare_iter(q, a, b).deleted_positions()
             assert deleted == list(range(1, max(a, b) + 1))
             assert len(plm_iter_shift(q, a).subtract(plm_iter_shift(q, b))) == q ** max(deleted)
+
+    @pytest.mark.parametrize(
+        "spec, depth",
+        [
+            (SetFamilySpec.iter_shift(3, 5), 5),
+            (SetFamilySpec.compare_iter(2, 2, 7), 7),
+            (SetFamilySpec.compare_iter(2, 7, 2), 7),
+            (SetFamilySpec.gen_chain(2, (3, 3, 1)), 4),
+            (SetFamilySpec(FamilyKind.SCHEDULE_CHAIN, 3, indices=(5, 6, 4)), 7),
+        ],
+        ids=["itershift", "compareiter-b", "compareiter-a", "genchain", "schedulechain"],
+    )
+    def test_depth_is_the_deepest_deleted_position(self, spec, depth):
+        assert spec.depth == depth == max(spec.deleted_positions())
+        if spec.indices:
+            assert depth == max(chain_deleted_positions(spec.indices))
+
+    def test_iterate_depth_lists_nothing(self):
+        # 10^18 positions could not be listed
+        assert SetFamilySpec.iter_shift(2, 10**18).depth == 10**18
+        assert SetFamilySpec.compare_iter(2, 3, 10**18).depth == 10**18
 
     def test_builders_do_not_compose(self, monkeypatch):
         def build(*_args, **_kwargs):
