@@ -25,8 +25,9 @@ floor(x * q^(M - L + 16)); only the one that holds x * q^(M - L + 16) reads
 further digits.
 
 The builders check the branch count q^M against the budget before they
-build anything, and ``gk_scan`` decides once per set, from the same count and
-its iterate limit, whether the set's rows are exact or sampled.
+build anything.  ``gk_scan`` decides once per set, from its closed-form depth
+M alone, whether its rows are exact, sampled or refused: nothing is listed,
+raised to a power past the budget's bit length, or drawn before it decides.
 
 All interval endpoints are rationals; intervals are half-open [a, b), so
 single boundary points (the dual representations of the same number) never
@@ -71,6 +72,7 @@ DEFAULT_ITER_LIMIT = 8
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _GUARD = 16  # digits a draw reads past the last deleted position, and a comparison window's width
+_MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
 
 
 class BudgetExceededError(RuntimeError):
@@ -184,8 +186,11 @@ def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int,
 
 def _budget_refusal(q: int, depth: int, budget: int) -> Optional[str]:
     """Why a map with q^depth branches is not built, or None when they fit the
-    budget; the count is written as a power, so it stays short for any depth."""
-    return f"{q}^{depth} branches exceed budget {budget}" if q**depth > budget else None
+    budget; the count is written as a power, so it stays short for any depth.
+    It is not built from the budget's bit length on: there q^depth >= 2^depth > budget."""
+    if depth >= budget.bit_length() or q**depth > budget:
+        return f"{q}^{depth} branches exceed budget {budget}"
+    return None
 
 
 def _plm_deleting(q: int, deleted: Sequence[int], budget: int) -> PiecewiseLinearMap:
@@ -390,13 +395,14 @@ class SetFamilySpec:
     def depth(self) -> int:
         """M, the largest original digit position the composition deletes: n
         for the n-fold drop, max(a, b) for a comparison (the positions of its
-        deeper iterate) and the largest of a chain's original positions.  The
-        exact map is affine on every rank-M cylinder and has q^M branches."""
+        deeper iterate) and max(s_i + i - 1) over a chain's 1-based steps s_i,
+        since an earlier deletion moves a step at most one place.  The exact
+        map is affine on every rank-M cylinder and has q^M branches."""
         if self.kind is FamilyKind.ITER_SHIFT:
             return self.n
         if self.kind is FamilyKind.COMPARE_ITER:
             return max(self.a, self.b)
-        return max(sh.original_positions(self.indices))
+        return max(s + i for i, s in enumerate(self.indices))
 
     def deleted_positions(self) -> list[int]:
         """Original digit positions the composition deletes, in increasing
@@ -554,7 +560,9 @@ def gk_scan(
     compareiter, M is at most ``iter_limit``.  Otherwise the rows fall back
     to Monte Carlo, with per-row seeds ``seed + counter`` that keep the
     output deterministic, or BudgetExceededError is raised when fallback is
-    off.  ``seed`` must be >= 0: Random(-s) draws the stream of Random(s),
+    off or a sample would draw more than ``_MAX_DRAW`` digits (M + ``_GUARD``,
+    or |a - b| + ``_GUARD`` for a comparison; see ``monte_carlo_measure``).
+    ``seed`` must be >= 0: Random(-s) draws the stream of Random(s),
     so a negative one would give two rows the same stream.  Threshold
     families emit one row per grid value; comparison families emit a single
     row with empty threshold columns.  No limits are extrapolated: rows
@@ -573,6 +581,9 @@ def gk_scan(
         if refusal is not None:
             if not allow_fallback:
                 raise BudgetExceededError(refusal)
+            draw = (abs(spec.a - spec.b) if spec.kind is FamilyKind.COMPARE_ITER else depth) + _GUARD
+            if draw > _MAX_DRAW:
+                raise BudgetExceededError(f"{refusal}; a sample would draw {draw} digits, over the limit {_MAX_DRAW}")
             if log:
                 log(f"{family} {spec.param}: {refusal}, Monte Carlo fallback")
         elif spec.kind is FamilyKind.COMPARE_ITER:

@@ -140,9 +140,9 @@ class IndexSequence:
             return self.prefix[k - 1]
         return k
 
-    def _steps(self, start: int, stop: int) -> tuple[int, ...]:
-        """n_{start+1} .. n_stop: a slice of the prefix, then the identity."""
-        return self.prefix[start:stop] + tuple(range(max(start, self.size) + 1, stop + 1))
+    def _steps(self, k: int) -> tuple[int, ...]:
+        """n_1 .. n_k: the prefix's first k entries, then the identity."""
+        return self.prefix[:k] + tuple(range(self.size + 1, k + 1))
 
     def induced_after(self, k: int) -> "IndexSequence":
         """Reading order of the remaining digits once the first k are deleted.
@@ -296,7 +296,7 @@ def chain_expansion(f: SalemFunction, e: DigitExpansion, k: int) -> DigitExpansi
     single deletions at its ``make_schedule`` steps in order."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return delete_positions(e, f.seq._steps(0, k))
+    return delete_positions(e, f.seq._steps(k))
 
 
 def chain_value(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:
@@ -345,7 +345,7 @@ def increment_via_evaluate(f: SalemFunction, values: Sequence[int]) -> Fraction:
     if not values:
         raise ValueError("need at least one constrained digit")
     q = f.weights.q
-    positions = f.seq._steps(0, len(values))
+    positions = f.seq._steps(len(values))
     lo = [0] * max(positions)
     hi = [q - 1] * len(lo)
     for pos, c in zip(positions, values):
@@ -437,7 +437,7 @@ def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     _check_base(f, e)
     zeros_form, max_form = _dual_pair(e)
     m = len(zeros_form.prefix)
-    steps = f.seq._steps(0, m)
+    steps = f.seq._steps(m)
     if steps[-1] == m == max(steps):
         return ContinuityResult(None)
     return ContinuityResult(evaluate(f, zeros_form) - evaluate(f, max_form))

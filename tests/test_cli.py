@@ -3,6 +3,7 @@ import dataclasses
 import io
 import random
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cantorshift import measure
 from cantorshift.cli import main, parse_config
 from cantorshift.measure import FamilyKind, SetFamilySpec
 from cantorshift.expansions import parse_expansion
@@ -670,6 +672,101 @@ class TestMeasure:
         cfg.write_text(f"family = itershift\nq = 2\nn = 1000000000\nx = 1/3\nfallback = false\nout = {out_csv}\n")
         assert main(["measure", str(cfg)]) == 4
         assert capsys.readouterr().err == "error: iterate count 1000000000 over limit 8\n"
+        assert not out_csv.exists()
+
+    def test_chain_depth_decides_without_listing_positions(self, tmp_path, capsys, monkeypatch):
+        def listed(*_args):
+            raise AssertionError("the decision listed the deleted positions")
+
+        monkeypatch.setattr(measure.sh, "original_positions", listed)
+        monkeypatch.setattr(SetFamilySpec, "deleted_positions", listed)
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = genchain\nq = 3\nindices = 1000000000\nx = 1/3\nfallback = false\nout = {out_csv}\n")
+        assert main(["measure", str(cfg)]) == 4
+        assert capsys.readouterr().err == "error: 3^1000000000 branches exceed budget 1000000\n"
+        assert not out_csv.exists()
+
+    # a sample may draw L + 16 digits: M + 16 for a threshold family and
+    # |a - b| + 16 for a comparison
+    L = 100000
+
+    @pytest.mark.parametrize(
+        "body, code",
+        [
+            (f"family = itershift\nn = {L}\nx = 1/3\n", 0),
+            (f"family = itershift\nn = {L + 1}\nx = 1/3\n", 4),
+            (f"family = compareiter\na = {L + 1}\nb = 1\n", 0),
+            (f"family = compareiter\na = 1\nb = {L + 2}\n", 4),
+            ("family = compareiter\na = 1000000000000\nb = 1000000000001\n", 0),
+            (f"family = genchain\nindices = {L + 1}\nx = 1/3\n", 4),
+        ],
+        ids=[
+            "itershift-at",
+            "itershift-past",
+            "compareiter-at",
+            "compareiter-past",
+            "compareiter-deep-close",
+            "genchain-past",
+        ],
+    )
+    def test_sample_draw_limit(self, tmp_path, capsys, body, code):
+        assert measure._MAX_DRAW == self.L + 16
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"q = 2\n{body}samples = 10\nout = {out_csv}\n")
+        assert main(["measure", str(cfg)]) == code
+        err = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert out_csv.read_text().splitlines()[1].split(",")[6:8] == ["mc", "10"]
+        else:
+            assert len(err) == 1 and err[0].endswith(f" digits, over the limit {self.L + 16}")
+            assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            (
+                "family = genchain\nq = 3\nindices = 10000000\nx = 1/3\nfallback = false\n",
+                "3^10000000 branches exceed budget 1000000",
+            ),
+            (
+                "family = genchain\nq = 3\nindices = 1000000000\nx = 1/3\nfallback = false\n",
+                "3^1000000000 branches exceed budget 1000000",
+            ),
+            (
+                "family = itershift\nq = 2\nn = 10000000\nx = 1/3\n",
+                "iterate count 10000000 over limit 8; a sample would draw 10000016 digits, over the limit 100016",
+            ),
+            (
+                "family = itershift\nq = 2\nn = 1000000000000\nx = 1/3\n",
+                "iterate count 1000000000000 over limit 8; a sample would draw 1000000000016 digits, over the limit 100016",
+            ),
+            (
+                "family = compareiter\nq = 2\na = 1000000000000\nb = 1\n",
+                "iterate count 1000000000000 over limit 8; a sample would draw 1000000000015 digits, over the limit 100016",
+            ),
+        ],
+        ids=["genchain-1e7", "genchain-1e9", "itershift-1e7", "itershift-1e12", "compareiter-1e12"],
+    )
+    def test_deep_set_is_refused_in_a_bounded_process(self, tmp_path, body, error):
+        # a decision that lists, powers or draws to the depth would hit the
+        # address-space limit or the timeout instead of exiting 4
+        def bounded():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{body}out = {out_csv}\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=20,
+            preexec_fn=bounded,
+        )
+        assert (out.returncode, out.stdout, out.stderr) == (4, "", f"error: {error}\n")
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(

@@ -2,16 +2,19 @@
 
 ``compose`` must give the same branch tuple as the all-pairs construction;
 the builders must give the branches of the all-pairs chain without composing,
-and a chain must have q^M branches (M its largest deleted position) and trip
-the branch budget where the all-pairs chain does; ``sublevel_measure`` and
+and a chain must have q^M branches (M its largest deleted position, which
+its closed-form depth must equal) and trip the branch budget where the
+all-pairs chain does; ``sublevel_measure`` and
 ``comparison_measure`` must equal the summed lengths of the pieces that
 ``sublevel_set`` builds.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cantorshift import (
     BudgetExceededError,
@@ -25,7 +28,7 @@ from cantorshift import (
     sublevel_set,
 )
 from cantorshift import measure
-from cantorshift.measure import _sublevel_kernel
+from cantorshift.measure import _budget_refusal, _sublevel_kernel
 from oracles import (
     chain_all_pairs,
     chain_deleted_positions,
@@ -174,6 +177,34 @@ class TestBranchCount:
         # 10^18 positions could not be listed
         assert SetFamilySpec.iter_shift(2, 10**18).depth == 10**18
         assert SetFamilySpec.compare_iter(2, 3, 10**18).depth == 10**18
+        assert SetFamilySpec.gen_chain(2, (10**18, 1)).depth == 10**18
+        assert SetFamilySpec.gen_chain(2, (10**18, 10**18)).depth == 10**18 + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 12), min_size=1, max_size=8))
+    def test_chain_depth_is_the_closed_form(self, steps):
+        assert SetFamilySpec.gen_chain(2, steps).depth == max(chain_deleted_positions(steps))
+
+    def test_chain_depth_on_every_short_chain(self):
+        for k in range(1, 5):
+            for steps in itertools.product(range(1, 7), repeat=k):
+                assert SetFamilySpec.gen_chain(3, steps).depth == max(chain_deleted_positions(steps)), steps
+
+    @pytest.mark.parametrize(
+        "q, depth, budget, fits",
+        [
+            (2, 20, 2**20, True),
+            (3, 12, 3**12, True),
+            (2, 21, 2**20, False),
+            (2, 20, 2**20 - 1, False),
+            (3, 13, 3**12, False),
+            # 3^(10^9) is never built: 10^9 is past the budget's 20 bits
+            (3, 10**9, 10**6, False),
+        ],
+    )
+    def test_budget_refusal_boundaries(self, q, depth, budget, fits):
+        refusal = _budget_refusal(q, depth, budget)
+        assert refusal == (None if fits else f"{q}^{depth} branches exceed budget {budget}")
 
     def test_builders_do_not_compose(self, monkeypatch):
         def build(*_args, **_kwargs):
