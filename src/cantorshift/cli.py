@@ -120,13 +120,6 @@ class MeasureConfig:
     fallback: bool
     out: str
 
-    def __post_init__(self) -> None:
-        # the reader checks every key where its line is known; ``budget`` is
-        # checked again here because ``--budget`` replaces it (``gk_scan``
-        # checks the seed that ``--seed`` sets)
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-
 
 # each set key's line number and value text
 _Keys = dict[str, tuple[int, str]]
@@ -269,7 +262,7 @@ def cmd_measure(args) -> int:
             text = handle.read()
     except UnicodeDecodeError as exc:
         raise ValueError(f"config is not ASCII: {exc}") from None
-    # an empty --out keeps the config's path
+    # an empty --out keeps the config's path; ``gk_scan`` checks --budget and --seed
     flags = {"budget": args.budget, "seed": args.seed, "out": args.out or None}
     cfg = replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
     rows = me.gk_scan(

@@ -24,10 +24,11 @@ sample compares the integer its surviving digits form once with
 floor(x * q^(M - L + 16)); only the one that holds x * q^(M - L + 16) reads
 further digits.
 
-The builders check the branch count q^M against the budget before they
-build anything.  ``gk_scan`` decides once per set, from its closed-form depth
-M alone, whether its rows are exact, sampled or refused: nothing is listed,
-raised to a power past the budget's bit length, or drawn before it decides.
+The builders check q^M against the budget, and the sampler its draw against
+``_MAX_DRAW`` digits, before they list, build or draw anything.  ``gk_scan``
+decides once per set, from its closed-form depth M alone, whether its rows
+are exact, sampled or refused: nothing is listed, raised to a power past the
+budget's bit length, or drawn before it decides.
 
 All interval endpoints are rationals; intervals are half-open [a, b), so
 single boundary points (the dual representations of the same number) never
@@ -76,7 +77,8 @@ _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact computation would exceed the branch budget."""
+    """Raised when an exact computation would exceed the branch budget, or a
+    Monte Carlo sample would draw more than ``_MAX_DRAW`` digits."""
 
 
 @dataclass(frozen=True)
@@ -193,13 +195,24 @@ def _budget_refusal(q: int, depth: int, budget: int) -> Optional[str]:
     return None
 
 
-def _plm_deleting(q: int, deleted: Sequence[int], budget: int) -> PiecewiseLinearMap:
-    """The map deleting the sorted original positions D = ``deleted``, in one pass:
+def _draw_refusal(spec: "SetFamilySpec") -> Optional[str]:
+    """Why a Monte Carlo sample of ``spec`` is not drawn, or None when its
+    digits fit ``_MAX_DRAW``: M + ``_GUARD`` for a threshold family and
+    |a - b| + ``_GUARD`` for a comparison; see ``monte_carlo_measure``."""
+    draw = (abs(spec.a - spec.b) if spec.kind is FamilyKind.COMPARE_ITER else spec.depth) + _GUARD
+    if draw > _MAX_DRAW:
+        return f"a sample would draw {draw} digits, over the limit {_MAX_DRAW}"
+    return None
+
+
+def _plm_deleting(spec: "SetFamilySpec", budget: int) -> PiecewiseLinearMap:
+    """The map deleting the original positions D of ``spec``, listed once q^M fits the budget:
     z -> q^L z + (s_j - j) / q^(M-L) on the j-th rank-M cylinder; see the module docstring."""
-    top = deleted[-1]
+    q, top = spec.q, spec.depth
     refusal = _budget_refusal(q, top, budget)
     if refusal is not None:
         raise BudgetExceededError(refusal)
+    deleted = spec.deleted_positions()
     count = q**top
     runs = _surviving_runs(q, deleted, top)
     slope = Fraction(q ** len(deleted))
@@ -217,11 +230,7 @@ def _plm_deleting(q: int, deleted: Sequence[int], budget: int) -> PiecewiseLinea
 
 def plm_iter_shift(q: int, n: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
     """The n-fold digit drop (deletion of 1..n): z -> q^n z - j on the j-th rank-n cylinder."""
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return _plm_deleting(q, range(1, n + 1), budget)
+    return _plm_deleting(SetFamilySpec.iter_shift(q, n), budget)
 
 
 def plm_single_deletion(q: int, m: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
@@ -230,11 +239,7 @@ def plm_single_deletion(q: int, m: int, budget: int = DEFAULT_BRANCH_BUDGET) -> 
     It is the deletion of {m}; on the cylinder with digits c_1..c_m it is
     z -> q z - (q - 1) * (c_1/q + .. + c_{m-1}/q^{m-1}) - c_m / q^{m-1}.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    return _plm_deleting(q, [m], budget)
+    return _plm_deleting(SetFamilySpec.gen_chain(q, (m,)), budget)
 
 
 def plm_generalized_chain(
@@ -248,7 +253,7 @@ def plm_generalized_chain(
     ``SetFamilySpec``, so it is built in one pass as that deletion; it has
     q^M branches, M the largest of them.
     """
-    return _plm_deleting(q, SetFamilySpec.gen_chain(q, indices).deleted_positions(), budget)
+    return _plm_deleting(SetFamilySpec.gen_chain(q, indices), budget)
 
 
 def sublevel_set(plm: PiecewiseLinearMap, x) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -450,10 +455,14 @@ def monte_carlo_measure(
     compares the iterates' top and bottom ``_GUARD``-digit windows as
     integers; a tie keeps the last |a - b| digits and appends ``_GUARD``
     fresh ones, up to 256 compared digits.  Deterministic for a fixed seed;
-    indeterminate samples are counted separately.
+    indeterminate samples are counted separately.  A draw past ``_MAX_DRAW``
+    digits is refused before anything is listed or drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    too_deep = _draw_refusal(spec)
+    if too_deep is not None:
+        raise BudgetExceededError(too_deep)
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     q = spec.q
@@ -560,14 +569,16 @@ def gk_scan(
     compareiter, M is at most ``iter_limit``.  Otherwise the rows fall back
     to Monte Carlo, with per-row seeds ``seed + counter`` that keep the
     output deterministic, or BudgetExceededError is raised when fallback is
-    off or a sample would draw more than ``_MAX_DRAW`` digits (M + ``_GUARD``,
-    or |a - b| + ``_GUARD`` for a comparison; see ``monte_carlo_measure``).
-    ``seed`` must be >= 0: Random(-s) draws the stream of Random(s),
-    so a negative one would give two rows the same stream.  Threshold
-    families emit one row per grid value; comparison families emit a single
-    row with empty threshold columns.  No limits are extrapolated: rows
-    report finite compositions only.
+    off or a sample would draw more than ``_MAX_DRAW`` digits (see
+    ``_draw_refusal``).  ``budget`` must be >= 1, and ``seed`` must be >= 0:
+    Random(-s) draws the stream of Random(s), so a negative one would give
+    two rows the same stream.  Threshold families emit one row per grid
+    value; comparison families emit a single row with empty threshold
+    columns.  No limits are extrapolated: rows report finite compositions
+    only.
     """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     rows: list[ScanRow] = []
@@ -581,9 +592,9 @@ def gk_scan(
         if refusal is not None:
             if not allow_fallback:
                 raise BudgetExceededError(refusal)
-            draw = (abs(spec.a - spec.b) if spec.kind is FamilyKind.COMPARE_ITER else depth) + _GUARD
-            if draw > _MAX_DRAW:
-                raise BudgetExceededError(f"{refusal}; a sample would draw {draw} digits, over the limit {_MAX_DRAW}")
+            too_deep = _draw_refusal(spec)
+            if too_deep is not None:
+                raise BudgetExceededError(f"{refusal}; {too_deep}")
             if log:
                 log(f"{family} {spec.param}: {refusal}, Monte Carlo fallback")
         elif spec.kind is FamilyKind.COMPARE_ITER:

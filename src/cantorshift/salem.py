@@ -23,6 +23,7 @@ multiply to 1e-12.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -38,7 +39,7 @@ from .expansions import (
     dual_representation,
     quote_token,
 )
-from .shifts import delete_positions
+from .shifts import delete_positions, shift_n
 
 __all__ = [
     "WeightSet",
@@ -148,20 +149,16 @@ class IndexSequence:
         """Reading order of the remaining digits once the first k are deleted.
 
         Position n_{k+j} of the original stream sits at index
-        n_{k+j} - #(deleted below it) among the survivors; the induced order
-        is again a finite rearrangement, and the identity once the prefix is
-        read.  That index is the running count of survivors up to n_{k+j},
-        and the result, a permutation by construction, is not checked again.
+        n_{k+j} - #(deleted below it) among the survivors, counted by
+        bisection in the sorted deleted prefix; the induced order is again a
+        finite rearrangement, and the identity once the prefix is read.  The
+        result, a permutation by construction, is not checked again.
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        if k == 0:
-            return self
-        kept = [0] + [1] * self.size
-        for n in self.prefix[:k]:
-            kept[n] = 0
+        deleted = sorted(self.prefix[:k])
         induced = object.__new__(IndexSequence)
-        ranks = tuple(map(list(accumulate(kept)).__getitem__, self.prefix[k:]))
+        ranks = tuple(n - bisect_left(deleted, n) for n in self.prefix[k:])
         object.__setattr__(induced, "prefix", _without_fixed_tail(ranks))
         return induced
 
@@ -293,10 +290,13 @@ def first_terms(f: SalemFunction, e: DigitExpansion, count: int) -> list[Fractio
 def chain_expansion(f: SalemFunction, e: DigitExpansion, k: int) -> DigitExpansion:
     """The expansion with the original positions n_1 .. n_k of the first k
     reading steps deleted: ``delete_positions`` of that list, which equals
-    single deletions at its ``make_schedule`` steps in order."""
+    single deletions at its ``make_schedule`` steps in order.  Once k reaches
+    the prefix's size those positions are 1..k, the k-fold shift."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    return delete_positions(e, f.seq._steps(k))
+    if k >= f.seq.size:
+        return shift_n(e, k)
+    return delete_positions(e, f.seq.prefix[:k])
 
 
 def chain_value(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:

@@ -20,6 +20,7 @@ An alternating-series reading of the same digit data (position k weighted by
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from fractions import Fraction
 from typing import Sequence
 
@@ -143,9 +144,14 @@ def original_positions(steps: Sequence[int]) -> tuple[int, ...]:
     remove, in the same order; the inverse of :func:`make_schedule`."""
     if any(j < 1 for j in steps):
         raise ValueError("steps must be >= 1")
-    # each earlier deletion moves a step at most one position further
-    remaining = list(range(1, max(steps, default=0) + len(steps)))
-    return tuple(remaining.pop(j - 1) for j in steps)
+    gone: list[int] = []  # the positions removed so far, sorted
+    out = []
+    for j in steps:
+        # gone[i] - i ascends, and the r entries with gone[i] - i <= j lie below position j + r
+        pos = j + bisect_right(range(len(gone)), j, key=lambda i: gone[i] - i)
+        insort(gone, pos)
+        out.append(pos)
+    return tuple(out)
 
 
 def alternating_value(e: DigitExpansion) -> Fraction:

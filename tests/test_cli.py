@@ -843,8 +843,15 @@ class TestMeasureInputs:
     def test_negative_budget_in_config(self, tmp_path, capsys):
         _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\nbudget = -5\n")
 
+    # gk_scan checks the budget that --budget sets, before the seed
     def test_zero_budget_flag(self, tmp_path, capsys):
-        _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n", "--budget", "0")
+        err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n", "--budget", "0")
+        assert err == "error: budget must be >= 1\n"
+
+    def test_zero_budget_flag_with_negative_seed(self, tmp_path, capsys):
+        body = "family = itershift\nq = 2\nn = 1..2\nx = 1/3\n"
+        err = _measure_usage_error(tmp_path, capsys, body, "--budget", "0", "--seed", "-3")
+        assert err == "error: budget must be >= 1\n"
 
     # Random(-s) draws the stream of Random(s): with seed -3 rows 1 and 5
     # (seeds -2 and 2) of this scan would print the same estimate
@@ -1077,14 +1084,13 @@ class TestMeasureConfig:
         cfg = parse_config("family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1,0,1]:zeros\nthreshold_iter = 1\n")
         assert cfg.x_grid == (Fraction(1, 4),)
 
-    def test_frozen_and_checked_on_replace(self):
+    def test_frozen_and_replaced(self):
+        # a replaced budget is checked by gk_scan, which every budget reaches
         cfg = parse_config("family = compareiter\nq = 2\na = 2\nb = 1\n")
         assert cfg.x_grid == ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.budget = 5
         assert dataclasses.replace(cfg, budget=5).budget == 5
-        with pytest.raises(ValueError, match="budget must be >= 1"):
-            dataclasses.replace(cfg, budget=0)
 
 
 # Config text from bounded pieces: every integer, range end and count is at

@@ -1,4 +1,8 @@
 import random
+import re
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -91,6 +95,35 @@ class TestPiecewiseMaps:
         # like every other way of building an empty chain
         with pytest.raises(ValueError, match="chain indices must be >= 1 and nonempty"):
             plm_generalized_chain(3, ())
+
+    # each builder checks its arguments through SetFamilySpec
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            (lambda: plm_iter_shift(2, 0), "iterate count must be >= 1"),
+            (lambda: plm_single_deletion(2, 0), "chain indices must be >= 1 and nonempty"),
+            (lambda: plm_iter_shift(1, 1), "q must be >= 2"),
+            (lambda: plm_single_deletion(1, 1), "q must be >= 2"),
+        ],
+        ids=["itershift-n", "single-m", "itershift-q", "single-q"],
+    )
+    def test_builder_messages(self, build, error):
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            build()
+
+    def test_builders_check_the_budget_before_listing(self, monkeypatch):
+        def listed(*_args):
+            raise AssertionError("a builder listed the deleted positions")
+
+        monkeypatch.setattr(measure.sh, "original_positions", listed)
+        monkeypatch.setattr(SetFamilySpec, "deleted_positions", listed)
+        for build, refusal in [
+            (lambda: plm_generalized_chain(3, (10**9,)), "3^1000000000 branches exceed budget 1000000"),
+            (lambda: plm_single_deletion(2, 10**9), "2^1000000000 branches exceed budget 1000000"),
+            (lambda: plm_iter_shift(2, 30), "2^30 branches exceed budget 1000000"),
+        ]:
+            with pytest.raises(BudgetExceededError, match=f"^{re.escape(refusal)}$"):
+                build()
 
     def test_chain_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -201,6 +234,25 @@ class TestMonteCarlo:
     def test_guards(self):
         with pytest.raises(ValueError):
             monte_carlo_measure(SetFamilySpec.iter_shift(2, 1), Fraction(1, 2), 0, seed=0)
+
+    # a sample may draw 100016 digits: M + 16 for a threshold family and
+    # |a - b| + 16 for a comparison
+    @pytest.mark.parametrize(
+        "spec, draw",
+        [
+            (SetFamilySpec.iter_shift(2, 100000), None),
+            (SetFamilySpec.iter_shift(2, 100001), 100017),
+            (SetFamilySpec.compare_iter(2, 100001, 1), None),
+            (SetFamilySpec.compare_iter(2, 1, 100002), 100017),
+        ],
+        ids=["itershift-at", "itershift-past", "compareiter-at", "compareiter-past"],
+    )
+    def test_draw_limit(self, spec, draw):
+        if draw is None:
+            assert monte_carlo_measure(spec, Fraction(1, 3), 1, seed=0).samples == 1
+        else:
+            with pytest.raises(BudgetExceededError, match=f"^a sample would draw {draw} digits, over the limit 100016$"):
+                monte_carlo_measure(spec, Fraction(1, 3), 1, seed=0)
 
     @pytest.mark.parametrize("x", [2, Fraction(-1, 3), Fraction(4, 3)])
     def test_threshold_outside_unit_interval(self, x):
@@ -313,6 +365,18 @@ class TestScan:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             gk_scan([SetFamilySpec.iter_shift(2, 12)], [Fraction(1, 3)] * 5, samples=1000, seed=-3)
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_is_refused_before_any_row(self, monkeypatch, budget):
+        def draw(*_args, **_kwargs):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(measure, "monte_carlo_measure", draw)
+        with pytest.raises(ValueError, match="^budget must be >= 1$"):
+            gk_scan([SetFamilySpec.iter_shift(2, 1)], [Fraction(1, 3)], budget=budget)
+        # the budget is checked before the seed
+        with pytest.raises(ValueError, match="^budget must be >= 1$"):
+            gk_scan([SetFamilySpec.iter_shift(2, 1)], [Fraction(1, 3)], budget=budget, seed=-3)
+
     def test_single_estimate_takes_any_seed(self):
         # one call draws one stream, so no two of its draws can share it
         spec = SetFamilySpec.iter_shift(2, 12)
@@ -332,3 +396,45 @@ class TestScan:
         assert lines[0] == "family,param,x_num,x_den,measure_num,measure_den,method,samples,halfwidth"
         assert lines[1].split(",") == ["itershift", "1", "1", "3", "1", "3", "exact", "", ""]
         assert lines[2].split(",") == ["compareiter", "2:1", "", "", "1", "2", "exact", "", ""]
+
+
+# Each call decides from the deletion's steps and depth; one that listed or
+# drew up to position 10^9 or 10^12 would hit the address-space limit or
+# the timeout instead.
+DEEP_CALLS = """
+from fractions import Fraction
+from cantorshift import (BaseSpec, DigitExpansion, SetFamilySpec, chain_value, compose_two,
+    monte_carlo_measure, original_positions, parse_function_spec, plm_generalized_chain)
+e = DigitExpansion(BaseSpec.constant(3), (1, 2, 0, 1))
+f = parse_function_spec("q=3; p=1/5,2/5,2/5; seq=perm(2 1)")
+for call in (
+    lambda: original_positions((10**9,)),
+    lambda: compose_two(e, 10**9, 1).prefix,
+    lambda: plm_generalized_chain(3, (10**9,)),
+    lambda: monte_carlo_measure(SetFamilySpec.iter_shift(2, 10**12), Fraction(1, 3), 1, 0),
+    lambda: monte_carlo_measure(SetFamilySpec.compare_iter(2, 10**12, 1), 0, 1, 0),
+    lambda: chain_value(f, e, 10**9),
+):
+    try:
+        print(call())
+    except Exception as exc:
+        print(type(exc).__name__, exc)
+"""
+
+
+def test_deep_deletions_in_a_bounded_process():
+    def bounded():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = subprocess.run(
+        [sys.executable, "-c", DEEP_CALLS], capture_output=True, text=True, timeout=20, preexec_fn=bounded
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout.splitlines() == [
+        "(1000000000,)",
+        "(2, 0, 1)",
+        "BudgetExceededError 3^1000000000 branches exceed budget 1000000",
+        "BudgetExceededError a sample would draw 1000000000016 digits, over the limit 100016",
+        "BudgetExceededError a sample would draw 1000000000015 digits, over the limit 100016",
+        "0",
+    ]

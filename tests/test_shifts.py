@@ -162,6 +162,11 @@ class TestSchedules:
         with pytest.raises(ValueError):
             original_positions((2, 0))
 
+    def test_original_positions_on_every_short_list(self):
+        for k in range(0, 5):
+            for steps in itertools.product(range(1, 7), repeat=k):
+                assert sorted(original_positions(steps)) == chain_deleted_positions(steps), steps
+
     def test_rejects_duplicates(self):
         e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3))
         for build in (make_schedule, lambda positions: delete_positions(e, positions)):
@@ -309,8 +314,9 @@ class TestProperties:
         assert matches_stream(delete_positions(e, positions), digits, bases)
         assert matches_stream(sequential_deletions(e, positions), digits, bases)
 
-    @given(st.lists(st.integers(1, 12), max_size=8))
-    @settings(max_examples=200, deadline=None)
+    # steps up to 10^12 would not fit in memory if any were listed
+    @given(st.lists(st.integers(1, 12) | st.integers(1, 10**12), max_size=8))
+    @settings(max_examples=400, deadline=None)
     def test_original_positions_inverts_make_schedule(self, steps):
         positions = original_positions(steps)
         assert make_schedule(positions) == tuple(steps)
