@@ -570,15 +570,17 @@ def gk_scan(
     to Monte Carlo, with per-row seeds ``seed + counter`` that keep the
     output deterministic, or BudgetExceededError is raised when fallback is
     off or a sample would draw more than ``_MAX_DRAW`` digits (see
-    ``_draw_refusal``).  ``budget`` must be >= 1, and ``seed`` must be >= 0:
-    Random(-s) draws the stream of Random(s), so a negative one would give
-    two rows the same stream.  Threshold families emit one row per grid
-    value; comparison families emit a single row with empty threshold
-    columns.  No limits are extrapolated: rows report finite compositions
-    only.
+    ``_draw_refusal``).  ``budget`` and ``iter_limit`` must be >= 1, and
+    ``seed`` must be >= 0: Random(-s) draws the stream of Random(s), so a
+    negative one would give two rows the same stream.  Threshold families
+    emit one row per grid value; comparison families emit a single row with
+    empty threshold columns.  No limits are extrapolated: rows report finite
+    compositions only.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if iter_limit < 1:
+        raise ValueError("iter_limit must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
     rows: list[ScanRow] = []

@@ -4,10 +4,11 @@ The plain shift ``shift_n(e, 1)`` drops the first digit (and first base
 entry).  The generalized shift deletes the digit and base entry at an
 arbitrary position m; on each rank-m cylinder it acts as the affine map
 
-    x  ->  q_m * x - (q_m - 1) * head(m-1) - d_m / (q_1 ... q_{m-1})
+    x  ->  H(m-1) + q_m * (x - H(m))
 
-where head(m-1) is the partial sum over the first m-1 digits.  A composition
-of deletions is the set of original positions it removes:
+where H(k) is the partial sum over the first k digits: digits 1..m-1 stay,
+and every later digit moves up one slot, which multiplies its weight by q_m.
+A composition of deletions is the set of original positions it removes:
 ``delete_positions`` takes them and builds the result in one pass, keeping
 the digits and base entries at every other position.  Deleting original
 positions n_1, .., n_k in that order one at a time instead takes the
@@ -15,12 +16,13 @@ re-indexed single-deletion steps n_i - (number of earlier n_j below n_i),
 which ``make_schedule`` returns.
 
 An alternating-series reading of the same digit data (position k weighted by
-(-1)^k) is supported for the value and single-deletion formula.
+(-1)^k) is supported for the value and single-deletion formula, where the
+moved digits also change sign: x -> A(m-1) - q_m * (x - A(m)).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import bisect_left, bisect_right, insort
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,11 +42,20 @@ __all__ = [
 ]
 
 
+def _head(e: DigitExpansion, n: int) -> DigitExpansion:
+    """Digits 1..n of e over a zeros tail; only a max tail lists digits past the stored ones."""
+    digits = e.prefix[:n]
+    if e.tail is Tail.MAX:
+        digits += tuple(q - 1 for q in _bases(e.base, n)[len(digits) :])
+    return DigitExpansion(e.base, digits)
+
+
 def prefix_sum(e: DigitExpansion, n: int) -> Fraction:
-    """Partial value over the first n digit positions (tail digits included)."""
+    """Partial value over the first n digit positions (tail digits included):
+    a zeros tail reads only the stored digits, a max tail lists n digits."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return value_of(DigitExpansion(e.base, tuple(map(e.digit_at, range(1, n + 1)))))
+    return value_of(_head(e, n))
 
 
 def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
@@ -71,18 +82,14 @@ def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:
 
 
 def generalized_shift_value(e: DigitExpansion, m: int) -> Fraction:
-    """Value of the position-m deletion via the closed affine formula in
-    x = value_of(e); the digits of e fix the affine branch.
+    """Value of the position-m deletion, H(m-1) + q_m * (x - H(m)), with
+    x = value_of(e) and H = :func:`prefix_sum`.
 
     Agrees exactly with value_of(generalized_shift(e, m)).
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = value_of(e)
-    q_m = e.base.base_at(m)
-    head = prefix_sum(e, m - 1)
-    d_m = e.digit_at(m)
-    return q_m * x - (q_m - 1) * head - Fraction(d_m, e.base.block(m - 1))
+    return prefix_sum(e, m - 1) + e.base.base_at(m) * (value_of(e) - prefix_sum(e, m))
 
 
 def _distinct_positions(positions: Sequence[int]) -> tuple[int, ...]:
@@ -135,8 +142,12 @@ def make_schedule(positions: Sequence[int]) -> tuple[int, ...]:
     """The single-deletion steps that remove the distinct original
     ``positions`` in the given order: step i is positions[i] less the number
     of earlier positions below it."""
-    positions = _distinct_positions(positions)
-    return tuple(n - sum(prev < n for prev in positions[:i]) for i, n in enumerate(positions))
+    gone: list[int] = []  # the earlier positions, sorted
+    out = []
+    for n in _distinct_positions(positions):
+        out.append(n - bisect_left(gone, n))
+        insort(gone, n)
+    return tuple(out)
 
 
 def original_positions(steps: Sequence[int]) -> tuple[int, ...]:
@@ -178,19 +189,14 @@ def alternating_value(e: DigitExpansion) -> Fraction:
 
 
 def alternating_shift_value(e: DigitExpansion, m: int) -> Fraction:
-    """Position-m deletion value under the alternating reading.
+    """Position-m deletion value under the alternating reading,
+    A(m-1) - q_m * (x - A(m)), with x = alternating_value(e) and A(k) the
+    alternating value of the first k digits.
 
-    Closed form in x = alternating_value(e):
-    -q_m * x + (1 + q_m) * head_alt(m-1) + (-1)^m d_m / block(m-1), where
-    head_alt is the alternating value of the first m-1 digits.  Equals
-    alternating_value(generalized_shift(e, m)): the digits after the deleted
-    position carry the sign (-1)^(j-1) of their new slot.
+    Equals alternating_value(generalized_shift(e, m)): the digits after the
+    deleted position carry the sign (-1)^(j-1) of their new slot.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    x = alternating_value(e)
-    q_m = e.base.base_at(m)
-    head = alternating_value(DigitExpansion(e.base, tuple(map(e.digit_at, range(1, m)))))
-    d_m = e.digit_at(m)
-    sign = -1 if m % 2 else 1
-    return -q_m * x + (1 + q_m) * head + Fraction(sign * d_m, e.base.block(m - 1))
+    head = alternating_value(_head(e, m - 1))
+    return head - e.base.base_at(m) * (alternating_value(e) - alternating_value(_head(e, m)))

@@ -280,6 +280,12 @@ def chain_deleted_positions(indices) -> list[int]:
     return sorted(out)
 
 
+def schedule_by_counting(positions) -> list[int]:
+    """Single-deletion steps for distinct original positions in order: each
+    position less the count of earlier positions below it."""
+    return [n - sum(1 for earlier in positions[:i] if earlier < n) for i, n in enumerate(positions)]
+
+
 def threshold_mc_counts(q: int, deleted, x: Fraction, samples: int, seed: int, guard: int = 16, cap: int = 128):
     """(hits, indeterminate) of ``monte_carlo_measure`` on a threshold
     family that deletes ``deleted``, read digit by digit.

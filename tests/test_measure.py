@@ -365,6 +365,21 @@ class TestScan:
         with pytest.raises(ValueError, match="^seed must be >= 0$"):
             gk_scan([SetFamilySpec.iter_shift(2, 12)], [Fraction(1, 3)] * 5, samples=1000, seed=-3)
 
+    @pytest.mark.parametrize("iter_limit", [0, -5])
+    def test_iter_limit_below_one_is_refused_before_any_row(self, monkeypatch, iter_limit):
+        def draw(*_args, **_kwargs):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(measure, "monte_carlo_measure", draw)
+        specs = [SetFamilySpec.iter_shift(2, 1), SetFamilySpec.compare_iter(2, 1, 2)]
+        with pytest.raises(ValueError, match="^iter_limit must be >= 1$"):
+            gk_scan(specs, [Fraction(1, 3)], iter_limit=iter_limit, samples=100)
+        # the budget is checked first, the seed after
+        with pytest.raises(ValueError, match="^budget must be >= 1$"):
+            gk_scan(specs, [Fraction(1, 3)], budget=0, iter_limit=iter_limit)
+        with pytest.raises(ValueError, match="^iter_limit must be >= 1$"):
+            gk_scan(specs, [Fraction(1, 3)], iter_limit=iter_limit, seed=-3)
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_is_refused_before_any_row(self, monkeypatch, budget):
         def draw(*_args, **_kwargs):
@@ -398,15 +413,20 @@ class TestScan:
         assert lines[2].split(",") == ["compareiter", "2:1", "", "", "1", "2", "exact", "", ""]
 
 
-# Each call decides from the deletion's steps and depth; one that listed or
-# drew up to position 10^9 or 10^12 would hit the address-space limit or
-# the timeout instead.
+# Each call decides from the deletion's steps and depth, and reads no digit
+# of a zeros tail; one that listed or drew up to position 10^9 or 10^12 would
+# hit the address-space limit or the timeout instead.  The 10^5-entry
+# schedule and its inverse each take O(k log k) comparisons.
 DEEP_CALLS = """
+import random
 from fractions import Fraction
-from cantorshift import (BaseSpec, DigitExpansion, SetFamilySpec, chain_value, compose_two,
-    monte_carlo_measure, original_positions, parse_function_spec, plm_generalized_chain)
+from cantorshift import (BaseSpec, DigitExpansion, SetFamilySpec, alternating_shift_value, chain_value,
+    compose_two, generalized_shift_value, make_schedule, monte_carlo_measure, original_positions,
+    parse_function_spec, plm_generalized_chain, prefix_sum)
 e = DigitExpansion(BaseSpec.constant(3), (1, 2, 0, 1))
 f = parse_function_spec("q=3; p=1/5,2/5,2/5; seq=perm(2 1)")
+p = list(range(1, 10**5 + 1))
+random.Random(5).shuffle(p)
 for call in (
     lambda: original_positions((10**9,)),
     lambda: compose_two(e, 10**9, 1).prefix,
@@ -414,6 +434,10 @@ for call in (
     lambda: monte_carlo_measure(SetFamilySpec.iter_shift(2, 10**12), Fraction(1, 3), 1, 0),
     lambda: monte_carlo_measure(SetFamilySpec.compare_iter(2, 10**12, 1), 0, 1, 0),
     lambda: chain_value(f, e, 10**9),
+    lambda: prefix_sum(e, 10**9),
+    lambda: generalized_shift_value(e, 10**9),
+    lambda: alternating_shift_value(e, 10**9),
+    lambda: original_positions(make_schedule(p)) == tuple(p),
 ):
     try:
         print(call())
@@ -437,4 +461,8 @@ def test_deep_deletions_in_a_bounded_process():
         "BudgetExceededError a sample would draw 1000000000016 digits, over the limit 100016",
         "BudgetExceededError a sample would draw 1000000000015 digits, over the limit 100016",
         "0",
+        "46/81",
+        "46/81",
+        "-8/81",
+        "True",
     ]

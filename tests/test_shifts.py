@@ -26,7 +26,13 @@ from cantorshift import (
     value_of,
 )
 from cantorshift.verify import matches_stream, stream_after_deleting
-from oracles import alternating_full_value, alternating_series_direct, alternating_termwise, chain_deleted_positions
+from oracles import (
+    alternating_full_value,
+    alternating_series_direct,
+    alternating_termwise,
+    chain_deleted_positions,
+    schedule_by_counting,
+)
 
 
 def random_expansion(rng, cantor=False, maxlen=12, force_zeros=False):
@@ -155,6 +161,11 @@ class TestSchedules:
         )
         assert make_schedule((1,)) == (1,)
         assert make_schedule(()) == ()
+
+    def test_schedule_equals_counting_oracle_on_every_short_list(self):
+        for k in range(0, 6):
+            for positions in itertools.permutations(range(1, 8), k):
+                assert list(make_schedule(positions)) == schedule_by_counting(positions), positions
 
     def test_original_positions_worked_case(self):
         assert original_positions((1, 4, 5, 2, 3)) == (1, 5, 7, 3, 6)
@@ -301,10 +312,26 @@ def cantor_base_expansions(draw, max_len=10):
 
 
 class TestProperties:
-    @given(constant_base_expansions(), st.integers(1, 8))
-    @settings(max_examples=200, deadline=None)
+    # m up to 20 also lies past the stored digits (at most 12) and the base
+    # prefix (at most 6), under either tail
+    @given(constant_base_expansions() | cantor_base_expansions(), st.integers(1, 20))
+    @settings(max_examples=400, deadline=None)
     def test_deletion_formula_equals_digit_deletion(self, e, m):
-        assert generalized_shift_value(e, m) == value_of(generalized_shift(e, m))
+        g = generalized_shift(e, m)
+        assert generalized_shift_value(e, m) == value_of(g)
+        assert alternating_shift_value(e, m) == alternating_value(g)
+
+    # a zeros tail adds no digit past the stored ones, so m up to 10^12 is
+    # read at once, and deleting there leaves both values unchanged
+    @given(cantor_base_expansions(), st.integers(1, 20) | st.integers(1, 10**12))
+    @settings(max_examples=200, deadline=None)
+    def test_deletion_formulas_deep_in_a_zeros_tail(self, e, m):
+        e = DigitExpansion(e.base, e.prefix)
+        g = generalized_shift(e, m)
+        if m >= len(e.prefix):
+            assert prefix_sum(e, m) == value_of(e)
+        assert generalized_shift_value(e, m) == value_of(g)
+        assert alternating_shift_value(e, m) == alternating_value(g)
 
     # positions up to 14 also lie past the digit prefix and the base prefix
     @given(cantor_base_expansions(), st.lists(st.integers(1, 14), unique=True, max_size=5))
