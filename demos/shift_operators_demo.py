@@ -3,8 +3,6 @@
 Run with:  python3 demos/shift_operators_demo.py
 """
 
-from fractions import Fraction
-
 from cantorshift import (
     BaseSpec,
     DigitExpansion,
@@ -15,6 +13,7 @@ from cantorshift import (
     generalized_shift,
     generalized_shift_value,
     make_schedule,
+    prefix_sum,
     shift_n,
     value_of,
 )
@@ -25,7 +24,7 @@ print("x =", value_of(x), "with digits", x.prefix)
 
 # The plain shift drops leading digits; the value decomposes exactly.
 print("\nafter dropping 2 digits:", value_of(shift_n(x, 2)))
-print("check: x = 0.12 + sigma^2(x)/100 ->", Fraction(12, 100) + value_of(shift_n(x, 2)) / 100)
+print("check: x = 0.12 + sigma^2(x)/100 ->", prefix_sum(x, 2) + value_of(shift_n(x, 2)) / 100)
 
 # The generalized shift deletes one interior digit.  It is affine on the
 # cylinder containing x, and the closed formula matches digit deletion.

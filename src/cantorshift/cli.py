@@ -174,16 +174,13 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
     return (x,)
 
 
-# the most iterate counts one itershift config may scan
-_MAX_N_ENTRIES = 10**5
-
-
 def _read_itershift(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
     lineno = _line(keys, "n")
     ns = _take_int(keys, "n", parse=_parse_range, least=1)
-    if len(ns) > _MAX_N_ENTRIES:
+    limit = 10**5  # the most iterate counts one itershift config may scan
+    if len(ns) > limit:
         text = quote_token(f"{ns[0]}..{ns[-1]}")
-        raise ValueError(f"line {lineno}: n range {text} has more than {_MAX_N_ENTRIES} entries")
+        raise ValueError(f"line {lineno}: n range {text} has more than {limit} entries")
     return [me.SetFamilySpec.iter_shift(q, n) for n in ns]
 
 
@@ -195,6 +192,10 @@ def _read_chain(family: str, q: int, keys: _Keys) -> list[me.SetFamilySpec]:
     counts = _take_int(keys, "count", str(len(table)), _parse_range)
     if counts[0] < 1 or counts[-1] > len(table):
         raise ValueError(f"line {lineno}: count must lie in 1..{len(table)}, the lookup table length")
+    limit = max(10**6, len(table))  # so a single count, at most the table, always passes
+    if (counts[0] + counts[-1]) * len(counts) > 2 * limit:
+        text = quote_token(f"{counts[0]}..{counts[-1]}")
+        raise ValueError(f"line {lineno}: count range {text} lists more than {limit} chain indices")
     return [me.SetFamilySpec(me.FamilyKind(family), q, indices=tuple(table[:c])) for c in counts]
 
 

@@ -4,10 +4,11 @@ The plain shift ``shift_n(e, 1)`` drops the first digit (and first base
 entry).  The generalized shift deletes the digit and base entry at an
 arbitrary position m; on each rank-m cylinder it acts as the affine map
 
-    x  ->  H(m-1) + q_m * (x - H(m))
+    x  ->  H(m-1) + q_m * (x - H(m))  =  x - (T(m-1) - T(m)) / Q_(m-1)
 
-where H(k) is the partial sum over the first k digits: digits 1..m-1 stay,
-and every later digit moves up one slot, which multiplies its weight by q_m.
+where H(k) is the partial sum over the first k digits and T(k) the k-fold
+shift's value, x = H(k) + T(k)/Q_k: digits 1..m-1 stay, and every later
+digit moves up one slot, which multiplies its weight by q_m.
 A composition of deletions is the set of original positions it removes:
 ``delete_positions`` takes them and builds the result in one pass, keeping
 the digits and base entries at every other position.  Deleting original
@@ -17,7 +18,8 @@ which ``make_schedule`` returns.
 
 An alternating-series reading of the same digit data (position k weighted by
 (-1)^k) is supported for the value and single-deletion formula, where the
-moved digits also change sign: x -> A(m-1) - q_m * (x - A(m)).
+moved digits also change sign: x -> A(m-1) - q_m * (x - A(m)), which is
+x + (-1)^m (S(m-1) - S(m)) / Q_(m-1) with S(k) the k-fold shift's value.
 """
 
 from __future__ import annotations
@@ -42,20 +44,14 @@ __all__ = [
 ]
 
 
-def _head(e: DigitExpansion, n: int) -> DigitExpansion:
-    """Digits 1..n of e over a zeros tail; only a max tail lists digits past the stored ones."""
-    digits = e.prefix[:n]
-    if e.tail is Tail.MAX:
-        digits += tuple(q - 1 for q in _bases(e.base, n)[len(digits) :])
-    return DigitExpansion(e.base, digits)
-
-
 def prefix_sum(e: DigitExpansion, n: int) -> Fraction:
     """Partial value over the first n digit positions (tail digits included):
-    a zeros tail reads only the stored digits, a max tail lists n digits."""
+    the stored digits up to n under e's tail, less the 1/Q_n that a max tail
+    adds past n.  So a max tail builds Q_n, the denominator of the value."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return value_of(_head(e, n))
+    head = value_of(DigitExpansion(e.base, e.prefix[:n], e.tail))
+    return head - Fraction(1, e.base.block(n)) if e.tail is Tail.MAX else head
 
 
 def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
@@ -82,14 +78,15 @@ def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:
 
 
 def generalized_shift_value(e: DigitExpansion, m: int) -> Fraction:
-    """Value of the position-m deletion, H(m-1) + q_m * (x - H(m)), with
-    x = value_of(e) and H = :func:`prefix_sum`.
-
-    Agrees exactly with value_of(generalized_shift(e, m)).
+    """Value of the position-m deletion, value_of(generalized_shift(e, m)):
+    H(m-1) + q_m * (x - H(m)) = x - (T(m-1) - T(m)) / Q_(m-1), with
+    x = value_of(e), H = :func:`prefix_sum` and T(k) = value_of(shift_n(e, k)).
+    Past the stored digits and base entries T(m-1) = T(m), and no Q is built.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    return prefix_sum(e, m - 1) + e.base.base_at(m) * (value_of(e) - prefix_sum(e, m))
+    gap = value_of(shift_n(e, m - 1)) - value_of(shift_n(e, m))
+    return value_of(e) - (gap / e.base.block(m - 1) if gap else 0)
 
 
 def _distinct_positions(positions: Sequence[int]) -> tuple[int, ...]:
@@ -190,13 +187,14 @@ def alternating_value(e: DigitExpansion) -> Fraction:
 
 def alternating_shift_value(e: DigitExpansion, m: int) -> Fraction:
     """Position-m deletion value under the alternating reading,
-    A(m-1) - q_m * (x - A(m)), with x = alternating_value(e) and A(k) the
-    alternating value of the first k digits.
+    A(m-1) - q_m * (x - A(m)) = x + (-1)^m (S(m-1) - S(m)) / Q_(m-1), with
+    x = alternating_value(e), A(k) the alternating value of the first k digits
+    and S(k) = alternating_value(shift_n(e, k)).
 
     Equals alternating_value(generalized_shift(e, m)): the digits after the
     deleted position carry the sign (-1)^(j-1) of their new slot.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    head = alternating_value(_head(e, m - 1))
-    return head - e.base.base_at(m) * (alternating_value(e) - alternating_value(_head(e, m)))
+    gap = alternating_value(shift_n(e, m - 1)) - alternating_value(shift_n(e, m))
+    return alternating_value(e) + ((-gap if m % 2 else gap) / e.base.block(m - 1) if gap else 0)

@@ -33,6 +33,15 @@ def long_division_digits(num: int, den: int, bases, count: int) -> list[int]:
     return digits
 
 
+def digit_sum(e: DigitExpansion, n: int) -> Fraction:
+    """Sum of d_k / (q_1 ... q_k) over positions k = 1..n, one digit at a time."""
+    total, den = Fraction(0), 1
+    for k in range(1, n + 1):
+        den *= e.base.base_at(k)
+        total += Fraction(e.digit_at(k), den)
+    return total
+
+
 def periodic_digits(num: int, den: int, q: int) -> tuple[list[int], list[int]]:
     """(preperiod, period) of the base-q digits of num/den in [0, 1].
 

@@ -1045,6 +1045,44 @@ class TestMeasureInputs:
         assert time.perf_counter() - start < 1
         assert err == "error: line 4: count must lie in 1..2, the lookup table length\n"
 
+    def test_count_range_total_is_bounded_in_a_bounded_process(self, tmp_path):
+        # 1..30000 lists 450,015,000 chain indices: building them would hit
+        # the address-space limit instead of exiting 2
+        def bounded():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        indices = ",".join(["1"] * 30000)
+        cfg.write_text(f"family = genchain\nq = 2\nindices = {indices}\ncount = 1..30000\nx = 1/3\nout = {out_csv}\n")
+        start = time.perf_counter()
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=20,
+            preexec_fn=bounded,
+        )
+        assert time.perf_counter() - start < 5
+        error = "error: line 4: count range '1..30000' lists more than 1000000 chain indices\n"
+        assert (out.returncode, out.stdout, out.stderr) == (2, "", error)
+        assert not out_csv.exists()
+
+    def test_count_range_total_bound_is_inclusive(self):
+        # a range lists (lo + hi)(hi - lo + 1)/2 indices: 998,991 for 1..1413
+        # and 1,000,405 for 1..1414, against max(10^6, the table's length)
+        body = "family = genchain\nq = 2\nindices = {}\ncount = 1..{}\nx = 1/3\n"
+        specs = parse_config(body.format(",".join(["1"] * 1413), 1413)).specs
+        assert len(specs) == 1413 and sum(len(s.indices) for s in specs) == 998991
+        with pytest.raises(ValueError, match=r"^line 4: count range '1\.\.1414' lists more than 1000000 chain indices$"):
+            parse_config(body.format(",".join(["1"] * 1414), 1414))
+
+    def test_single_count_passes_past_the_index_limit(self):
+        # one count lists at most its table, even one longer than 10^6
+        cfg = parse_config("family = genchain\nq = 2\nindices = %s\ncount = 1000001\nx = 1/3\n" % ",".join(["1"] * 1000001))
+        assert [len(s.indices) for s in cfg.specs] == [1000001]
+
     def test_threshold_point_past_the_int_string_limit(self, tmp_path, capsys):
         # 4400 decimal ones: the value's denominator 10^4400 has too many digits to print
         point = "q10:[" + ",".join(["1"] * 4400) + "]:zeros"

@@ -4,6 +4,7 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,7 @@ from cantorshift import (
     value_of,
 )
 from cantorshift import measure
+import deep_calls
 from oracles import chain_deleted_positions, compare_mc_counts, constant_slope_map, threshold_mc_counts
 
 THIRDS = (Fraction(1, 7), Fraction(1, 3), Fraction(2, 5))
@@ -413,56 +415,18 @@ class TestScan:
         assert lines[2].split(",") == ["compareiter", "2:1", "", "", "1", "2", "exact", "", ""]
 
 
-# Each call decides from the deletion's steps and depth, and reads no digit
-# of a zeros tail; one that listed or drew up to position 10^9 or 10^12 would
-# hit the address-space limit or the timeout instead.  The 10^5-entry
-# schedule and its inverse each take O(k log k) comparisons.
-DEEP_CALLS = """
-import random
-from fractions import Fraction
-from cantorshift import (BaseSpec, DigitExpansion, SetFamilySpec, alternating_shift_value, chain_value,
-    compose_two, generalized_shift_value, make_schedule, monte_carlo_measure, original_positions,
-    parse_function_spec, plm_generalized_chain, prefix_sum)
-e = DigitExpansion(BaseSpec.constant(3), (1, 2, 0, 1))
-f = parse_function_spec("q=3; p=1/5,2/5,2/5; seq=perm(2 1)")
-p = list(range(1, 10**5 + 1))
-random.Random(5).shuffle(p)
-for call in (
-    lambda: original_positions((10**9,)),
-    lambda: compose_two(e, 10**9, 1).prefix,
-    lambda: plm_generalized_chain(3, (10**9,)),
-    lambda: monte_carlo_measure(SetFamilySpec.iter_shift(2, 10**12), Fraction(1, 3), 1, 0),
-    lambda: monte_carlo_measure(SetFamilySpec.compare_iter(2, 10**12, 1), 0, 1, 0),
-    lambda: chain_value(f, e, 10**9),
-    lambda: prefix_sum(e, 10**9),
-    lambda: generalized_shift_value(e, 10**9),
-    lambda: alternating_shift_value(e, 10**9),
-    lambda: original_positions(make_schedule(p)) == tuple(p),
-):
-    try:
-        print(call())
-    except Exception as exc:
-        print(type(exc).__name__, exc)
-"""
-
-
 def test_deep_deletions_in_a_bounded_process():
+    # tests/deep_calls.py lists the calls and their expected lines; the CI
+    # job runs the same file against the installed package
     def bounded():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     out = subprocess.run(
-        [sys.executable, "-c", DEEP_CALLS], capture_output=True, text=True, timeout=20, preexec_fn=bounded
+        [sys.executable, str(Path(__file__).with_name("deep_calls.py"))],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=bounded,
     )
     assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout.splitlines() == [
-        "(1000000000,)",
-        "(2, 0, 1)",
-        "BudgetExceededError 3^1000000000 branches exceed budget 1000000",
-        "BudgetExceededError a sample would draw 1000000000016 digits, over the limit 100016",
-        "BudgetExceededError a sample would draw 1000000000015 digits, over the limit 100016",
-        "0",
-        "46/81",
-        "46/81",
-        "-8/81",
-        "True",
-    ]
+    assert out.stdout.splitlines() == deep_calls.EXPECTED

@@ -31,6 +31,7 @@ from oracles import (
     alternating_series_direct,
     alternating_termwise,
     chain_deleted_positions,
+    digit_sum,
     schedule_by_counting,
 )
 
@@ -78,6 +79,15 @@ class TestShift:
         assert shift_n(e, 10**12) == DigitExpansion(BaseSpec.constant(2), ())
         f = DigitExpansion(BaseSpec.cantor((3, 5, 2), 4), (2, 4), Tail.MAX)
         assert shift_n(f, 10**12) == DigitExpansion(BaseSpec.constant(4), (), Tail.MAX)
+
+    def test_prefix_sum_equals_the_digit_sum_oracle(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            e = random_expansion(rng, cantor=rng.random() < 0.5)
+            n = rng.randrange(0, 31)
+            for tail in Tail:
+                f = DigitExpansion(e.base, e.prefix, tail)
+                assert prefix_sum(f, n) == digit_sum(f, n)
 
     def test_decomposition_identity(self):
         e = DigitExpansion(BaseSpec.constant(10), (1, 2, 3, 4))
@@ -330,6 +340,16 @@ class TestProperties:
         g = generalized_shift(e, m)
         if m >= len(e.prefix):
             assert prefix_sum(e, m) == value_of(e)
+        assert generalized_shift_value(e, m) == value_of(g)
+        assert alternating_shift_value(e, m) == alternating_value(g)
+
+    # the formulas read the two shifted tails, never a max tail's digits past
+    # the stored ones, so m up to 10^12 is read at once here too
+    @given(constant_base_expansions() | cantor_base_expansions(), st.integers(1, 20) | st.integers(1, 10**12))
+    @settings(max_examples=300, deadline=None)
+    def test_deletion_formulas_deep_in_a_max_tail(self, e, m):
+        e = DigitExpansion(e.base, e.prefix, Tail.MAX)
+        g = generalized_shift(e, m)
         assert generalized_shift_value(e, m) == value_of(g)
         assert alternating_shift_value(e, m) == alternating_value(g)
 
