@@ -30,8 +30,7 @@ EXIT_BUDGET = 4
 
 
 def _format_value(v) -> str:
-    text = f"{float(v):.12f}".rstrip("0").rstrip(".")
-    return text if text not in ("", "-") else "0"
+    return f"{float(v):.{sm.PRINTED_PLACES}f}".rstrip("0").rstrip(".")
 
 
 def _fail(message: str, code: int) -> int:
@@ -54,13 +53,11 @@ def cmd_curve(args) -> int:
     f = sm.parse_function_spec(args.spec)
     if args.grid < 2:
         raise ValueError("grid must be >= 2")
-    lines = ["# q-rational grid points are evaluated in the terminating digit form", "x,g"]
-    for i in range(args.grid + 1):
-        x = Fraction(i, args.grid)
-        g, _ = sm.value_at(f, x)
-        lines.append(f"{_format_value(x)},{_format_value(g)}")
     with open(args.out, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("# q-rational grid points are evaluated in the terminating digit form\nx,g\n")
+        for i in range(args.grid + 1):
+            x = Fraction(i, args.grid)
+            handle.write(f"{_format_value(x)},{_format_value(sm.value_at(f, x)[0])}\n")
     return EXIT_OK
 
 

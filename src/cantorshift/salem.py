@@ -16,8 +16,8 @@ unrolled.  One pass over a repeating digit block is one affine map whose
 fixed point is g of the periodic part, and the digits before the block are
 folded onto it backwards, all in integers over the common denominator D of
 the weights.  ``evaluate`` is exact; ``value_at`` is exact once a rational's
-digits repeat and cuts the series within 1e-12 if the weights read first
-multiply to 1e-12.
+digits repeat, and where it cuts the series first it returns the 12-place
+rounding of g, the places the CLI prints.
 """
 
 from __future__ import annotations
@@ -63,9 +63,11 @@ __all__ = [
     "distribution_function",
     "parse_function_spec",
     "format_function_spec",
+    "PRINTED_PLACES",
 ]
 
 RationalLike = Union[Fraction, int, str]
+PRINTED_PLACES = 12  # the places g is printed to, and rounded to where its series is cut
 
 
 @dataclass(frozen=True)
@@ -235,11 +237,14 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
 
     Long division with a memo of the remainders reads digits until a remainder
     repeats, which closes the period and makes the value exact, or until the
-    reading order is read and the weights read multiply to at most 1e-12 in
-    absolute value: the rest of the series is that product times a value in
-    [0, 1].  The cut spares long periods (0.123456789012 in base 3 has one of
-    195,312,500 digits).  A cut after a digit of weight exactly 0 is exact,
-    since that weight multiplies every later term.  An x outside [0, 1] raises
+    reading order is read and the series is cut.  Past a cut g is lo + gap*t,
+    t in [0, 1], with lo the digits read folded onto 0 and gap their weight
+    product, both exact; a gap of 0 makes lo exact.  Once the |weights| read
+    multiply to 10^-14 (in floats) both ends are rounded to ``PRINTED_PLACES``
+    places, half to even, and a cut returns that rounding once they agree.
+    A miss tightens the trigger by 10^-12; a second miss, g within 10^-26 of
+    a tie, returns lo's rounding.  The cut spares long periods (0.123456789012
+    in base 3 has one of 195,312,500 digits).  An x outside [0, 1] raises
     ValueError ``x must lie in [0, 1]``.
     """
     x = Fraction(x)
@@ -252,11 +257,17 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
     num, den = x.numerator, x.denominator
     seen: dict[int, int] = {}
     digits: list[int] = []
-    prod = 1.0
+    prod, trigger = 1.0, 10.0 ** -(PRINTED_PLACES + 2)
     while num and num not in seen:
-        if prod <= 1e-12 and len(digits) >= len(order):
-            cut = None if 0 in (w.p_num[d] for d in digits) else len(digits)
-            return _series(w, _read(order, digits), (0,)), cut
+        if prod <= trigger and len(digits) >= len(order):
+            lo, scale = _fold(w, _read(order, digits), 0, 1)
+            gap = math.prod(w.p_num[d] for d in digits)
+            if not gap:
+                return Fraction(lo, scale), None
+            value, high = (round(Fraction(n, scale), PRINTED_PLACES) for n in (lo, lo + gap))
+            trigger *= 10.0**-PRINTED_PLACES
+            if value == high or trigger < 10.0 ** -(3 * PRINTED_PLACES):
+                return value, len(digits)
         seen[num] = len(digits)
         d, num = divmod(num * w.q, den)
         digits.append(d)
@@ -450,8 +461,8 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
     Reassigning which draw lands in which position (the reading order) does
     not change the law, so the spec holds no order and the CDF pairs the k-th
     series slot with the k-th digit of x.  The value is
-    :func:`value_at`'s: exact when the digits of x repeat before the weights
-    read multiply to 1e-12, and within 1e-12 otherwise.
+    :func:`value_at`'s: exact when the digits of x repeat before its series
+    is cut, and the 12-place rounding of the exact value otherwise.
     """
     x = Fraction(x)
     if x < 0:

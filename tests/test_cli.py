@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorshift import measure
-from cantorshift.cli import main, parse_config
+from cantorshift.cli import build_parser, main, parse_config
 from cantorshift.measure import FamilyKind, SetFamilySpec
 from cantorshift.expansions import parse_expansion
-from cantorshift.salem import evaluate, parse_function_spec
+from cantorshift.salem import evaluate, format_function_spec, parse_function_spec
 from cantorshift.verify import DEFAULT_FUNCTION, SUITES
 from oracles import salem_value_exact
 
@@ -118,6 +119,27 @@ class TestCurve:
         out = run_cli("curve", "q=2;p=0.5,0.5", "--grid", "1", "--out", str(tmp_path / "x.csv"))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("spec, grid", [("q=2; p=0.3,0.7", "1"), ("q=2; p=0.3", "4")], ids=["grid", "spec"])
+    def test_bad_input_writes_no_file(self, tmp_path, spec, grid):
+        out_path = tmp_path / "x.csv"
+        code, _, err, _ = run_main("curve", spec, "--grid", grid, "--out", str(out_path))
+        assert code == 2 and err.startswith("error: ")
+        assert not out_path.exists()
+
+    def test_rows_are_written_as_they_are_computed(self, tmp_path):
+        # the rows are never held at once: a list of these 2,001 rows peaks
+        # near 270 kB, one row at a time near 65 kB
+        build_parser()
+        tracemalloc.start()
+        try:
+            code = main(["curve", "q=2; p=0.3,0.7", "--grid", "2000", "--out", str(tmp_path / "c.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 200_000
+        lines = (tmp_path / "c.csv").read_text().splitlines()
+        assert len(lines) == 2003 and lines[-1] == "1,1"
+
     def test_unwritable_path(self):
         out = run_cli("curve", "q=2;p=0.5,0.5", "--grid", "2", "--out", "/nonexistent-dir/x.csv")
         assert out.returncode == 3
@@ -158,9 +180,25 @@ def run_main(*argv):
 SPEC_315 = "q=3; p=1/5,2/5,2/5"
 
 
+# the specs whose curve rows a cut at |weight product| <= 1e-12 mis-rounded
+ROUNDING_SPECS = [
+    "q=3; p=1/5,2/5,2/5",
+    "q=3; p=0.6,-0.19,0.59",
+    "q=3; p=0.09,0.9,0.01; seq=perm(2 1 3)",
+    "q=2; p=9999/10000,1/10000",
+    "q=2; p=0.3,0.7; seq=perm(2 1)",
+]
+
+
+def rounded_text(v: Fraction) -> str:
+    """v rounded to 12 places, half to even, as the CLI prints it."""
+    n = round(v * 10**12)
+    return f"{n // 10**12}.{n % 10**12:012d}".rstrip("0").rstrip(".")
+
+
 class TestRationalValues:
-    """g at a rational is exact once its digits repeat, and cut within 1e-12
-    when the weights read multiply to 1e-12 first."""
+    """g at a rational is exact once its digits repeat, and otherwise the
+    12-place rounding of the exact value."""
 
     def test_period_closes_before_the_cut(self):
         # g(5/8) = 11/21; a cut at 31 digits printed 0.523809523809
@@ -184,6 +222,26 @@ class TestRationalValues:
     def test_weights_near_one(self, spec, printed):
         code, out, err, seconds = run_main("eval", spec, "1/3")
         assert (code, out, err) == (0, printed + "\n", "exact\n")
+        assert seconds < 1.0
+
+    @pytest.mark.parametrize(
+        "spec, grid", [(spec, 256) for spec in ROUNDING_SPECS] + [(SPEC_315, 997)]
+    )
+    def test_curve_rows_are_correctly_rounded(self, tmp_path, spec, grid):
+        out_path = tmp_path / "curve.csv"
+        assert run_main("curve", spec, "--grid", str(grid), "--out", str(out_path))[0] == 0
+        f = parse_function_spec(spec)
+        w = f.weights
+        rows = [line.split(",")[1] for line in out_path.read_text().splitlines()[2:]]
+        expected = [rounded_text(salem_value_exact(w.beta, w.p, f.seq.prefix, i, grid, w.q)) for i in range(grid + 1)]
+        assert rows == expected
+
+    def test_cut_value_is_correctly_rounded(self):
+        # g(1/1000) = 0.99910030997149...; a cut at |weight product| <= 1e-12
+        # printed 0.99910030997
+        code, out, err, seconds = run_main("eval", "q=2; p=9999/10000,1/10000", "1/1000")
+        assert (code, out) == (0, "0.999100309971\n")
+        assert re.fullmatch(r"truncation depth: \d+\n", err)
         assert seconds < 1.0
 
     def test_long_reading_order(self):
@@ -577,9 +635,28 @@ class TestVerify:
         assert main(["verify", "all"]) == 0
         assert capsys.readouterr().out.splitlines() == [f"PASS  {name}" for name in ALL_CHECKS]
 
-    def test_failed_check_exits_one(self, capsys):
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        # no known valid spec fails a suite, so one is made to fail
+        monkeypatch.setitem(SUITES, "integral", lambda f: [("forced", False, format_function_spec(f))])
         assert main(["verify", "integral", "--spec", "q=2; p=0.3,0.7; seq=perm(2 1)"]) == 1
-        assert any(line.startswith("FAIL  ") for line in capsys.readouterr().out.splitlines())
+        assert capsys.readouterr().out == "FAIL  forced  [q=2; p=3/10,7/10; seq=perm(2 1)]\n"
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("integral", "q=2; p=0.3,0.7; seq=perm(2 1)"),
+            ("all", "q=2; p=0.3,0.7; seq=perm(2 1)"),
+            ("integral", LONG_ORDER_SPEC),
+        ],
+    )
+    def test_integral_with_a_rearranged_order(self, command, spec):
+        # the closed form reads only the weights, so the checks run on them in
+        # the identity order; 20,000 midpoints read the 20-position order's
+        # mean as about 0.12, against 0.57
+        code, out, err, _ = run_main("verify", command, "--spec", spec)
+        assert (code, err) == (0, "")
+        assert "PASS  closed form matches exact terminating-grid quadrature\n" in out
+        assert "PASS  closed form matches midpoint quadrature\n" in out
 
 
 class TestMeasure:

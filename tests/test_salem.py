@@ -314,7 +314,7 @@ class TestEvaluateKernel:
 
 class TestRationalExpansion:
     """``value_at`` reads a rational's digits until the period closes (exact)
-    or the weights read multiply to at most 1e-12 (cut)."""
+    or the series is cut, where it returns the 12-place rounding of g."""
 
     # perm(20 2 .. 19 1); the weights read multiply to 1e-12 before 20 digits.
     LONG = SalemFunction(
@@ -332,7 +332,7 @@ class TestRationalExpansion:
         value, cut = value_at(self.LONG, Fraction(1, 47))
         assert cut == 20
         exact = salem_value_exact(w.beta, w.p, self.LONG.seq.prefix, 1, 47, 10)
-        assert abs(value - exact) <= Fraction(1, 10**12)
+        assert value == round(exact, 12)
 
     def test_terminating_points_are_exact(self):
         assert value_at(IDENT37, Fraction(3, 8)) == (evaluate(IDENT37, DigitExpansion(B2, (0, 1, 1))), None)
@@ -359,8 +359,17 @@ class TestRationalExpansion:
         x = Fraction("0.123456789012")
         value, cut = value_at(f, x)
         assert cut is not None and cut < 60
+        # 120 digits fix g within (2/5)^120, far inside a printed unit
         deeper = evaluate(f, expansion_of(x, BaseSpec.constant(3), 120))
-        assert abs(value - deeper) <= Fraction(1, 10**12)
+        assert value == round(deeper, 12)
+
+    def test_a_tie_returns_the_rounding_of_the_zero_tail_fold(self):
+        # g(x) = x sits on a rounding midpoint, and its base-2 period has
+        # 4*5^11 digits: the two ends never round alike, so the second check
+        # (2^-87 <= 1e-26) returns the rounding of the digits read, as a cut
+        f = SalemFunction(WeightSet(2, (Fraction(1, 2), Fraction(1, 2))))
+        assert value_at(f, Fraction(1, 2 * 10**12)) == (0, 87)
+        assert value_at(f, Fraction(3, 2 * 10**12)) == (Fraction(1, 10**12), 87)
 
     def test_rejects_points_outside_the_unit_interval(self):
         for x in (Fraction(-1, 3), Fraction(4, 3)):
@@ -400,7 +409,7 @@ class TestValueAtAgainstOracle:
         if cut is None:
             assert value == exact
         else:
-            assert abs(value - exact) <= Fraction(1, 10**12)
+            assert value == round(exact, 12)
             assert cut >= f.seq.size
 
 
