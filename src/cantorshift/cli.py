@@ -29,10 +29,6 @@ EXIT_IO = 3
 EXIT_BUDGET = 4
 
 
-def _format_value(v) -> str:
-    return f"{float(v):.{sm.PRINTED_PLACES}f}".rstrip("0").rstrip(".")
-
-
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -44,7 +40,7 @@ def cmd_eval(args) -> int:
         value, cut = sm.evaluate(f, parse_expansion(args.x)), None
     else:
         value, cut = sm.value_at(f, parse_rational(args.x))
-    print(_format_value(value))
+    print(sm.format_value(value))
     print("exact" if cut is None else f"truncation depth: {cut}", file=sys.stderr)
     return EXIT_OK
 
@@ -57,7 +53,7 @@ def cmd_curve(args) -> int:
         handle.write("# q-rational grid points are evaluated in the terminating digit form\nx,g\n")
         for i in range(args.grid + 1):
             x = Fraction(i, args.grid)
-            handle.write(f"{_format_value(x)},{_format_value(sm.value_at(f, x)[0])}\n")
+            handle.write(f"{sm.format_value(x)},{sm.format_value(sm.value_at(f, x)[0])}\n")
     return EXIT_OK
 
 
@@ -241,7 +237,7 @@ def parse_config(text: str) -> MeasureConfig:
     cfg = MeasureConfig(
         specs,
         x_grid,
-        samples=_take_int(keys, "samples", "100000", least=1 if fallback else None),
+        samples=_take_int(keys, "samples", str(me.DEFAULT_SAMPLES), least=1 if fallback else None),
         seed=_take_int(keys, "seed", "0", least=0),
         budget=_take_int(keys, "budget", str(me.DEFAULT_BRANCH_BUDGET), least=1),
         iter_limit=_take_int(keys, "iter_limit", str(me.DEFAULT_ITER_LIMIT), least=1),

@@ -66,19 +66,23 @@ __all__ = [
     "rows_to_csv",
     "DEFAULT_BRANCH_BUDGET",
     "DEFAULT_ITER_LIMIT",
+    "DEFAULT_SAMPLES",
 ]
 
 DEFAULT_BRANCH_BUDGET = 10**6
 DEFAULT_ITER_LIMIT = 8
+DEFAULT_SAMPLES = 10**5
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _GUARD = 16  # digits a draw reads past the last deleted position, and a comparison window's width
 _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
+_SAMPLE_COST = 300  # a sample's cost past its digits, in drawn bits: about 0.3 us at about 1 ns a bit
+_MAX_SAMPLING = 5 * 10**10  # the most bits one scan or estimate may draw, costs included: about a minute
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact computation would exceed the branch budget, or a
-    Monte Carlo sample would draw more than ``_MAX_DRAW`` digits."""
+    """Raised when an exact computation would exceed the branch budget, or Monte Carlo
+    sampling would draw over ``_MAX_DRAW`` digits a sample or ``_MAX_SAMPLING`` bits."""
 
 
 @dataclass(frozen=True)
@@ -195,14 +199,25 @@ def _budget_refusal(q: int, depth: int, budget: int) -> Optional[str]:
     return None
 
 
+def _draw(spec: "SetFamilySpec") -> int:
+    """Digits one Monte Carlo sample of ``spec`` draws: M + ``_GUARD``, or |a - b| + ``_GUARD`` for a comparison."""
+    return (abs(spec.a - spec.b) if spec.kind is FamilyKind.COMPARE_ITER else spec.depth) + _GUARD
+
+
 def _draw_refusal(spec: "SetFamilySpec") -> Optional[str]:
-    """Why a Monte Carlo sample of ``spec`` is not drawn, or None when its
-    digits fit ``_MAX_DRAW``: M + ``_GUARD`` for a threshold family and
-    |a - b| + ``_GUARD`` for a comparison; see ``monte_carlo_measure``."""
-    draw = (abs(spec.a - spec.b) if spec.kind is FamilyKind.COMPARE_ITER else spec.depth) + _GUARD
+    """Why a Monte Carlo sample of ``spec`` is not drawn, or None when its ``_draw`` fits ``_MAX_DRAW``."""
+    draw = _draw(spec)
     if draw > _MAX_DRAW:
         return f"a sample would draw {draw} digits, over the limit {_MAX_DRAW}"
     return None
+
+
+def _bound_sampling(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
+    """Refuse n samples of each spec in ``work`` past ``_MAX_SAMPLING`` bits, counting
+    (q - 1).bit_length() a drawn digit and ``_SAMPLE_COST`` a sample; no q^draw is built."""
+    bits = sum(n * (_draw(spec) * (spec.q - 1).bit_length() + _SAMPLE_COST) for spec, n in work)
+    if bits > _MAX_SAMPLING:
+        raise BudgetExceededError(f"Monte Carlo sampling would draw {bits} bits, over the limit {_MAX_SAMPLING}")
 
 
 def _plm_deleting(spec: "SetFamilySpec", budget: int) -> PiecewiseLinearMap:
@@ -456,13 +471,14 @@ def monte_carlo_measure(
     integers; a tie keeps the last |a - b| digits and appends ``_GUARD``
     fresh ones, up to 256 compared digits.  Deterministic for a fixed seed;
     indeterminate samples are counted separately.  A draw past ``_MAX_DRAW``
-    digits is refused before anything is listed or drawn.
+    digits, or ``_MAX_SAMPLING`` bits in all, is refused before anything is drawn.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     too_deep = _draw_refusal(spec)
     if too_deep is not None:
         raise BudgetExceededError(too_deep)
+    _bound_sampling([(spec, samples)])
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     q = spec.q
@@ -557,25 +573,23 @@ def gk_scan(
     x_grid: Sequence[Fraction],
     budget: int = DEFAULT_BRANCH_BUDGET,
     iter_limit: int = DEFAULT_ITER_LIMIT,
-    samples: int = 10**5,
+    samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     allow_fallback: bool = True,
     log: Optional[Callable[[str], None]] = None,
 ) -> list[ScanRow]:
     """Measure table over a family of shift-composition sets.
 
-    Each set is decided once from its ``depth`` M, before any map is built:
-    its rows are exact when q^M fits the budget and, for itershift and
-    compareiter, M is at most ``iter_limit``.  Otherwise the rows fall back
-    to Monte Carlo, with per-row seeds ``seed + counter`` that keep the
-    output deterministic, or BudgetExceededError is raised when fallback is
-    off or a sample would draw more than ``_MAX_DRAW`` digits (see
-    ``_draw_refusal``).  ``budget`` and ``iter_limit`` must be >= 1, and
-    ``seed`` must be >= 0: Random(-s) draws the stream of Random(s), so a
-    negative one would give two rows the same stream.  Threshold families
-    emit one row per grid value; comparison families emit a single row with
-    empty threshold columns.  No limits are extrapolated: rows report finite
-    compositions only.
+    Every set is decided from its ``depth`` M before any map is built or row
+    drawn or logged: its rows are exact when q^M fits the budget and, for
+    itershift and compareiter, M is at most ``iter_limit``.  Otherwise they
+    fall back to Monte Carlo, with per-row seeds ``seed + counter`` that keep
+    the output deterministic.  BudgetExceededError names the first set with
+    fallback off or a sample past ``_MAX_DRAW`` digits, or else all sampled
+    rows past ``_MAX_SAMPLING`` bits.  ``budget`` and ``iter_limit`` must be
+    >= 1, and ``seed`` >= 0: Random(-s) draws the stream of Random(s).
+    Threshold families emit one row per grid value; comparison families emit
+    one row with empty threshold columns.  No limits are extrapolated.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -583,20 +597,25 @@ def gk_scan(
         raise ValueError("iter_limit must be >= 1")
     if seed < 0:
         raise ValueError("seed must be >= 0")
-    rows: list[ScanRow] = []
-    counter = 0
+    plan = []
     for spec in specs:
-        family, q, depth = spec.kind.value, spec.q, spec.depth
-        if spec.kind in (FamilyKind.ITER_SHIFT, FamilyKind.COMPARE_ITER) and depth > iter_limit:
-            refusal = f"iterate count {depth} over limit {iter_limit}"
+        if spec.kind in (FamilyKind.ITER_SHIFT, FamilyKind.COMPARE_ITER) and spec.depth > iter_limit:
+            refusal = f"iterate count {spec.depth} over limit {iter_limit}"
         else:
-            refusal = _budget_refusal(q, depth, budget)
+            refusal = _budget_refusal(spec.q, spec.depth, budget)
         if refusal is not None:
             if not allow_fallback:
                 raise BudgetExceededError(refusal)
             too_deep = _draw_refusal(spec)
             if too_deep is not None:
                 raise BudgetExceededError(f"{refusal}; {too_deep}")
+        plan.append((spec, refusal, 1 if spec.kind is FamilyKind.COMPARE_ITER else len(x_grid)))
+    _bound_sampling((spec, samples * n) for spec, refusal, n in plan if refusal)
+    rows: list[ScanRow] = []
+    counter = 0
+    for spec, refusal, _ in plan:
+        family, q = spec.kind.value, spec.q
+        if refusal is not None:
             if log:
                 log(f"{family} {spec.param}: {refusal}, Monte Carlo fallback")
         elif spec.kind is FamilyKind.COMPARE_ITER:

@@ -17,7 +17,7 @@ fixed point is g of the periodic part, and the digits before the block are
 folded onto it backwards, all in integers over the common denominator D of
 the weights.  ``evaluate`` is exact; ``value_at`` is exact once a rational's
 digits repeat, and where it cuts the series first it returns the 12-place
-rounding of g, the places the CLI prints.
+rounding of g, by the one integer half-even rule ``format_value`` prints with.
 """
 
 from __future__ import annotations
@@ -63,11 +63,27 @@ __all__ = [
     "distribution_function",
     "parse_function_spec",
     "format_function_spec",
+    "format_value",
     "PRINTED_PLACES",
 ]
 
 RationalLike = Union[Fraction, int, str]
 PRINTED_PLACES = 12  # the places g is printed to, and rounded to where its series is cut
+_UNIT = 10**PRINTED_PLACES
+
+
+def _rounded(num: int, den: int) -> int:
+    """num/den (den > 0) in units of 10^-PRINTED_PLACES, rounded half to even."""
+    units, rest = divmod(num * _UNIT, den)
+    return units + (2 * rest > den or (2 * rest == den and units & 1))
+
+
+def format_value(v: Fraction) -> str:
+    """v rounded half to even to ``PRINTED_PLACES`` places in integers, less
+    trailing zeros: 1/3 prints 0.333333333333, 1/2 prints 0.5 and 1 prints 1."""
+    units = _rounded(v.numerator, v.denominator)
+    digits = str(abs(units)).rjust(PRINTED_PLACES + 1, "0")
+    return f"{'-' * (units < 0)}{digits[:-PRINTED_PLACES]}.{digits[-PRINTED_PLACES:]}".rstrip("0").rstrip(".")
 
 
 @dataclass(frozen=True)
@@ -264,10 +280,10 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
             gap = math.prod(w.p_num[d] for d in digits)
             if not gap:
                 return Fraction(lo, scale), None
-            value, high = (round(Fraction(n, scale), PRINTED_PLACES) for n in (lo, lo + gap))
+            value, high = (_rounded(n, scale) for n in (lo, lo + gap))
             trigger *= 10.0**-PRINTED_PLACES
             if value == high or trigger < 10.0 ** -(3 * PRINTED_PLACES):
-                return value, len(digits)
+                return Fraction(value, _UNIT), len(digits)
         seen[num] = len(digits)
         d, num = divmod(num * w.q, den)
         digits.append(d)
@@ -427,31 +443,24 @@ class ContinuityResult:
         return self.jump is None
 
 
-def _dual_pair(e: DigitExpansion) -> tuple[DigitExpansion, DigitExpansion]:
-    """Canonical (zeros form, max form) pair of a two-representation point:
-    the dual of e, and the dual of that."""
-    other = dual_representation(e)
-    if other is None:
-        raise ValueError(f"{0 if e.tail is Tail.ZEROS else 1} has a unique expansion")
-    back = dual_representation(other)
-    return (back, other) if e.tail is Tail.ZEROS else (other, back)
-
-
 def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     """Continuity at a point with two expansions (last nonzero digit at m).
 
     Continuous exactly when the first m reading steps are a permutation of
     1..m ending in m: the order exhausts positions 1..m before ever reaching
-    past m, finishing on m itself.  Otherwise the one-sided limits are the
-    evaluations of the two dual forms and their difference is returned.
+    past m, finishing on m itself.  Otherwise the jump is the zeros form's
+    value less the max form's; the dual of e holds its m significant digits.
     """
     _check_base(f, e)
-    zeros_form, max_form = _dual_pair(e)
-    m = len(zeros_form.prefix)
+    other = dual_representation(e)
+    if other is None:
+        raise ValueError(f"{0 if e.tail is Tail.ZEROS else 1} has a unique expansion")
+    m = len(other.prefix)
     steps = f.seq._steps(m)
     if steps[-1] == m == max(steps):
         return ContinuityResult(None)
-    return ContinuityResult(evaluate(f, zeros_form) - evaluate(f, max_form))
+    jump = evaluate(f, e) - evaluate(f, other)
+    return ContinuityResult(jump if e.tail is Tail.ZEROS else -jump)
 
 
 def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:

@@ -244,6 +244,19 @@ class TestRationalValues:
         assert re.fullmatch(r"truncation depth: \d+\n", err)
         assert seconds < 1.0
 
+    @pytest.mark.parametrize(
+        "spec, x, printed",
+        [
+            # g(1/2) = 0.2000000000005 exactly; through a float it printed 0.200000000001
+            ("q=2; p=0.2000000000005,0.7999999999995", "1/2", "0.2"),
+            # g = 589228574607 / (2 * 10^12); through a float it printed 0.294614287303
+            ("q=4; p=0.27,0.23,0.09,0.41", "q4:[1,0,1,2,2,2,1]:max", "0.294614287304"),
+        ],
+        ids=["rational", "digit-notation"],
+    )
+    def test_exact_value_on_a_tie_rounds_half_to_even(self, spec, x, printed):
+        assert run_main("eval", spec, x)[:3] == (0, printed + "\n", "exact\n")
+
     def test_long_reading_order(self):
         order = " ".join(map(str, range(50000, 0, -1)))
         code, out, err, seconds = run_main("eval", f"q=2; p=1/2,1/2; seq=perm({order})", "1/3")
@@ -844,6 +857,31 @@ class TestMeasure:
             preexec_fn=bounded,
         )
         assert (out.returncode, out.stdout, out.stderr) == (4, "", f"error: {error}\n")
+        assert not out_csv.exists()
+
+    def test_sampling_past_the_bound_is_refused_before_any_row(self, tmp_path):
+        # 99,992 sets past the iterate limit, each row 10^5 samples of n + 16
+        # digits: about 5e14 bits, against about 10^9 bits a second
+        def bounded():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            f"family = itershift\nq = 2\nn = 1..100000\nx = 1/2\nsamples = 100000\nfallback = true\nout = {out_csv}\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=5,
+            preexec_fn=bounded,
+        )
+        assert (out.returncode, out.stdout) == (4, "")
+        assert out.stderr == (
+            f"error: Monte Carlo sampling would draw 503164743600000 bits, over the limit {measure._MAX_SAMPLING}\n"
+        )
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(

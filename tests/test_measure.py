@@ -415,6 +415,59 @@ class TestScan:
         assert lines[2].split(",") == ["compareiter", "2:1", "", "", "1", "2", "exact", "", ""]
 
 
+class TestSamplingBound:
+    """All sampled rows of a scan, and one direct estimate, are bounded in
+    drawn bits: (q - 1).bit_length() a digit plus a fixed cost a sample."""
+
+    # n = 1 is exact; n = 9 and 10 pass the iterate limit and are sampled
+    SPECS = [SetFamilySpec.iter_shift(2, n) for n in (1, 9, 10)]
+    XS = [Fraction(1, 3), Fraction(1, 2)]
+    # 10 samples a row, 2 rows a set, one bit a digit: 9 + 16 and 10 + 16 digits
+    BITS = 10 * 2 * ((25 + measure._SAMPLE_COST) + (26 + measure._SAMPLE_COST))
+
+    def test_one_bit_over_the_bound_is_refused_before_any_work(self, monkeypatch):
+        def work(*_args, **_kwargs):
+            raise AssertionError("a map was built or a sample drawn")
+
+        monkeypatch.setattr(measure, "_MAX_SAMPLING", self.BITS - 1)
+        monkeypatch.setattr(measure, "monte_carlo_measure", work)
+        monkeypatch.setattr(measure, "plm_iter_shift", work)
+        logged = []
+        with pytest.raises(BudgetExceededError) as exc:
+            gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
+        assert str(exc.value) == f"Monte Carlo sampling would draw {self.BITS} bits, over the limit {self.BITS - 1}"
+        assert logged == []
+
+    def test_at_the_bound_the_scan_runs(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_SAMPLING", self.BITS)
+        rows = gk_scan(self.SPECS, self.XS, samples=10)
+        assert [row.method for row in rows] == ["exact"] * 2 + ["mc"] * 4
+
+    def test_an_earlier_refusal_takes_precedence(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_SAMPLING", 0)
+        with pytest.raises(BudgetExceededError, match="^iterate count 9 over limit 8$"):
+            gk_scan(self.SPECS, self.XS, samples=10, allow_fallback=False)
+        deep = SetFamilySpec.iter_shift(2, 10**6)
+        with pytest.raises(BudgetExceededError, match=" digits, over the limit 100016$"):
+            gk_scan(self.SPECS + [deep], self.XS, samples=10)
+
+    def test_a_direct_estimate_is_refused_before_it_draws(self, monkeypatch):
+        def draw(_seed):
+            raise AssertionError("a sample was drawn")
+
+        spec = SetFamilySpec.compare_iter(10, 1, 5)
+        bits = 7 * ((4 + 16) * 4 + measure._SAMPLE_COST)  # 4 bits a decimal digit
+        monkeypatch.setattr(measure, "_MAX_SAMPLING", bits - 1)
+        monkeypatch.setattr(measure.random, "Random", draw)
+        with pytest.raises(BudgetExceededError, match=f"^Monte Carlo sampling would draw {bits} bits"):
+            monte_carlo_measure(spec, 0, 7, 0)
+
+    @pytest.mark.parametrize("q", [2, 10])
+    def test_a_deepest_row_at_the_default_samples_fits(self, q):
+        spec = SetFamilySpec.iter_shift(q, measure._MAX_DRAW - 16)
+        measure._bound_sampling([(spec, measure.DEFAULT_SAMPLES)])
+
+
 def test_deep_deletions_in_a_bounded_process():
     # tests/deep_calls.py lists the calls and their expected lines; the CI
     # job runs the same file against the installed package

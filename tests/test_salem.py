@@ -1,5 +1,6 @@
 import itertools
 import random
+from decimal import Decimal, localcontext
 import sys
 from collections import Counter
 import time
@@ -30,6 +31,7 @@ from cantorshift import (
     expansion_of,
     first_terms,
     format_function_spec,
+    format_value,
     increment_product,
     increment_via_evaluate,
     integral_closed_form,
@@ -53,6 +55,7 @@ from oracles import continuity_k0_rule, riemann_bracket, salem_series_brute, sal
 B2 = BaseSpec.constant(2)
 W37 = WeightSet(2, (Fraction(3, 10), Fraction(7, 10)))
 IDENT37 = SalemFunction(W37)
+W315 = WeightSet(3, (Fraction(1, 5), Fraction(2, 5), Fraction(2, 5)))
 EXAMPLE_ORDER = IndexSequence((1, 5, 7, 3, 6, 10, 2, 4, 8, 9))
 
 
@@ -683,6 +686,68 @@ class TestContinuity:
     def test_max_form_input_accepted(self):
         e = DigitExpansion(B2, (0,), Tail.MAX)
         assert continuity_at(IDENT37, e).is_continuous
+
+    @pytest.mark.parametrize(
+        "q, digits, tail",
+        [
+            (2, (1, 0, 0, 0), Tail.ZEROS),
+            (2, (0, 1, 1, 1), Tail.MAX),
+            (2, (0,), Tail.MAX),
+            (3, (1, 0, 0), Tail.ZEROS),
+            (3, (0, 2, 2, 2), Tail.MAX),
+            (3, (2, 0), Tail.ZEROS),
+            (3, (1, 2, 2), Tail.MAX),
+        ],
+    )
+    def test_padded_forms_give_the_canonical_jump(self, q, digits, tail):
+        # zero-padded zeros forms and (q-1)-padded max forms are the same
+        # streams as the canonical ones, at 1/q or 2/q, under perm(2 1)
+        f = SalemFunction(W37 if q == 2 else W315, IndexSequence((2, 1)))
+        e = DigitExpansion(BaseSpec.constant(q), digits, tail)
+        zeros_form = DigitExpansion(BaseSpec.constant(q), (value_of(e) * q,), Tail.ZEROS)
+        max_form = dual_representation(zeros_form)
+        jump = continuity_at(f, e).jump
+        assert jump == evaluate(f, zeros_form) - evaluate(f, max_form) != 0
+        if q == 2:
+            assert jump == Fraction(-21, 50)  # -2 p0 p1
+
+
+def rendered_round(v: Fraction) -> str:
+    """round(v, 12), written out exactly through Decimal, less trailing zeros."""
+    r = round(v, 12)
+    with localcontext() as ctx:
+        ctx.prec = 60  # the quotient terminates within 12 places, so it is exact
+        text = format(Decimal(r.numerator) / Decimal(r.denominator), "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+class TestFormatValue:
+    def test_matches_round_to_twelve_places(self):
+        rng = random.Random(27)
+        values = [Fraction(rng.randrange(-10**15, 2 * 10**15), rng.randrange(1, 10**15)) for _ in range(3000)]
+        # ties k / (2 * 10^12) for odd k, both even and odd neighbours
+        values += [Fraction(rng.randrange(-10**12, 4 * 10**12) * 2 + 1, 2 * 10**12) for _ in range(3000)]
+        values += [Fraction(n, d) for n in range(-3, 30) for d in range(1, 12)]
+        for v in values:
+            assert format_value(v) == rendered_round(v), v
+
+    @pytest.mark.parametrize(
+        "v, text",
+        [
+            (Fraction(0), "0"),
+            (Fraction(1), "1"),
+            (Fraction(1, 2), "0.5"),
+            (Fraction(1, 3), "0.333333333333"),
+            (Fraction(2, 3), "0.666666666667"),
+            (Fraction(1, 2 * 10**12), "0"),
+            (Fraction(3, 2 * 10**12), "0.000000000002"),
+            (Fraction(4000000000001, 2 * 10**13), "0.2"),
+            (Fraction(589228574607, 2 * 10**12), "0.294614287304"),
+            (Fraction(-1, 3), "-0.333333333333"),
+        ],
+    )
+    def test_values(self, v, text):
+        assert format_value(v) == text
 
 
 class TestDistribution:
