@@ -2,9 +2,9 @@
 suites, and drive measure experiments from config files.
 
 Exit codes: 0 success, 1 a verify check failed, 2 usage/parse error, 3 I/O
-error, 4 branch budget exceeded without fallback, or a fallback sample that
-would draw too many digits.  The commands raise, and ``main`` alone maps the
-exception to its exit code and an ``error:`` line.
+error, 4 branch budget exceeded without fallback, or a scan that would draw
+too many digits or bits or hold too many rows.  The commands raise, and
+``main`` alone maps the exception to its exit code and an ``error:`` line.
 All outputs are deterministic for fixed inputs and seed.
 """
 

@@ -78,11 +78,13 @@ _GUARD = 16  # digits a draw reads past the last deleted position, and a compari
 _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
 _SAMPLE_COST = 300  # a sample's cost past its digits, in drawn bits: about 0.3 us at about 1 ns a bit
 _MAX_SAMPLING = 5 * 10**10  # the most bits one scan or estimate may draw, costs included: about a minute
+_MAX_ROWS = 10**6  # the most rows one scan may hold: at the bound, rows and CSV peak near 0.6 GB
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact computation would exceed the branch budget, or Monte Carlo
-    sampling would draw over ``_MAX_DRAW`` digits a sample or ``_MAX_SAMPLING`` bits."""
+    """Raised when an exact computation would exceed the branch budget, Monte Carlo
+    sampling would draw over ``_MAX_DRAW`` digits a sample or ``_MAX_SAMPLING`` bits,
+    or a scan would hold over ``_MAX_ROWS`` rows."""
 
 
 @dataclass(frozen=True)
@@ -586,8 +588,9 @@ def gk_scan(
     fall back to Monte Carlo, with per-row seeds ``seed + counter`` that keep
     the output deterministic.  BudgetExceededError names the first set with
     fallback off or a sample past ``_MAX_DRAW`` digits, or else all sampled
-    rows past ``_MAX_SAMPLING`` bits.  ``budget`` and ``iter_limit`` must be
-    >= 1, and ``seed`` >= 0: Random(-s) draws the stream of Random(s).
+    rows past ``_MAX_SAMPLING`` bits, or else all rows past ``_MAX_ROWS``.
+    ``budget`` and ``iter_limit`` must be >= 1, and ``seed`` >= 0:
+    Random(-s) draws the stream of Random(s).
     Threshold families emit one row per grid value; comparison families emit
     one row with empty threshold columns.  No limits are extrapolated.
     """
@@ -611,6 +614,9 @@ def gk_scan(
                 raise BudgetExceededError(f"{refusal}; {too_deep}")
         plan.append((spec, refusal, 1 if spec.kind is FamilyKind.COMPARE_ITER else len(x_grid)))
     _bound_sampling((spec, samples * n) for spec, refusal, n in plan if refusal)
+    count = sum(n for _, _, n in plan)
+    if count > _MAX_ROWS:
+        raise BudgetExceededError(f"the scan would hold {count} rows, over the limit {_MAX_ROWS}")
     rows: list[ScanRow] = []
     counter = 0
     for spec, refusal, _ in plan:

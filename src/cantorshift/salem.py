@@ -259,7 +259,8 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
     multiply to 10^-14 (in floats) both ends are rounded to ``PRINTED_PLACES``
     places, half to even, and a cut returns that rounding once they agree.
     A miss tightens the trigger by 10^-12; a second miss, g within 10^-26 of
-    a tie, returns lo's rounding.  The cut spares long periods (0.123456789012
+    a tie, returns the even one of the two roundings, one unit apart, which
+    is exact when g is the tie.  The cut spares long periods (0.123456789012
     in base 3 has one of 195,312,500 digits).  An x outside [0, 1] raises
     ValueError ``x must lie in [0, 1]``.
     """
@@ -283,7 +284,7 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
             value, high = (_rounded(n, scale) for n in (lo, lo + gap))
             trigger *= 10.0**-PRINTED_PLACES
             if value == high or trigger < 10.0 ** -(3 * PRINTED_PLACES):
-                return Fraction(value, _UNIT), len(digits)
+                return Fraction(high if value & 1 else value, _UNIT), len(digits)
         seen[num] = len(digits)
         d, num = divmod(num * w.q, den)
         digits.append(d)

@@ -122,38 +122,6 @@ def grid_integral(f: sm.SalemFunction) -> Fraction:
     return Fraction(total, D**level * (cells - 1))
 
 
-def midpoint_quadrature(f: sm.SalemFunction, nodes: int) -> float:
-    """Float midpoint rule for the mean of g on ``nodes`` midpoints: each series
-    runs past the reading prefix until the weights multiply to at most 1e-12.
-
-    The reading order permutes only the positions 1..N of its prefix, so those
-    digits are read into a list first and the rest are summed as they come.
-    """
-    q = f.weights.q
-    beta = [float(b) for b in f.weights.beta]
-    p = [float(v) for v in f.weights.p]
-    head = f.seq.prefix
-    total = 0.0
-    for i in range(nodes):
-        num, den = 2 * i + 1, 2 * nodes
-        digits = []
-        for _ in head:
-            num *= q
-            d, num = divmod(num, den)
-            digits.append(d)
-        acc, prod = 0.0, 1.0
-        for n in head:
-            acc += beta[digits[n - 1]] * prod
-            prod *= p[digits[n - 1]]
-        while abs(prod) > 1e-12:
-            num *= q
-            d, num = divmod(num, den)
-            acc += beta[d] * prod
-            prod *= p[d]
-        total += acc
-    return total / nodes
-
-
 # --- checks ------------------------------------------------------------------
 
 
@@ -317,18 +285,27 @@ def check_grid_integral(functions: Iterable[sm.SalemFunction]) -> Check:
     return name, True, "exact equality"
 
 
-def check_midpoint_quadrature(functions: Iterable[sm.SalemFunction], nodes: int) -> Check:
-    """The closed-form integral is within 5e-3 of ``midpoint_quadrature`` on
-    ``nodes`` nodes."""
-    name = "closed form matches midpoint quadrature"
-    worst = 0.0
-    for f in functions:
-        closed = float(sm.integral_closed_form(f))
-        est = midpoint_quadrature(f, nodes)
-        if not abs(est - closed) < 5e-3:
-            return name, False, f"{sm.format_function_spec(f)}: closed={closed:.6f} est={est:.6f}"
-        worst = max(worst, abs(est - closed))
-    return name, True, f"gap {worst:.2e} (tol 5e-3)"
+def check_endpoint_sums(cases: Iterable[tuple[sm.SalemFunction, int]]) -> Check:
+    """Cases (f, k), k at least the length n of f's order: g summed over the
+    q^k words 0.w000... is exactly (q^k - 1)*I, and over 0.w(q-1)(q-1)...
+    exactly (q^k - 1)*I + 1, with I = ``integral_closed_form(f)``.
+
+    Proof: past position k >= n every digit is the tail digit t, so
+    g(0.w t t ...) = H(w') + P(w')*g_id(0.t t ...), where w' is w read through
+    the order, H(w') and P(w') are its series head and weight product, and
+    g_id(0) = 0, g_id(1) = 1.  As w -> w' is a bijection on the words of
+    length k, sum P = (sum p)^k = 1 and sum H = sum_j (sum beta)*q^(k-j) =
+    (q^k - 1)*I.  Weights of either sign that sum to 1 suffice.
+    """
+    name = "closed form matches exact cylinder-endpoint sums"
+    for f, k in cases:
+        q = f.weights.q
+        base, want = xp.BaseSpec.constant(q), (q**k - 1) * sm.integral_closed_form(f)
+        for tail, extra in ((xp.Tail.ZEROS, 0), (xp.Tail.MAX, 1)):
+            total = sum(sm.evaluate(f, xp.DigitExpansion(base, w, tail)) for w in itertools.product(range(q), repeat=k))
+            if total != want + extra:
+                return name, False, f"{sm.format_function_spec(f)} k={k} {tail.value} tail: sum={total}"
+    return name, True, "exact equality"
 
 
 def check_continuous_at_two_expansion_points(
@@ -506,11 +483,14 @@ def suite_system(f: sm.SalemFunction) -> list[Check]:
 
 
 def suite_integral(f: sm.SalemFunction) -> list[Check]:
-    # the closed form reads only the weights, so both checks run on them in
-    # the identity order: the grid sum is exact there, and 20,000 midpoints
-    # cannot resolve a long rearranged order
+    # the endpoint sums read the spec's order up to q^n = 4096 cells, else its
+    # weights in the identity order, with k past n to the deepest 2048-cell level
     ident = sm.SalemFunction(f.weights)
-    return [check_grid_integral([ident]), check_midpoint_quadrature([ident], 20000)]
+    q, n = f.weights.q, f.seq.size
+    if n > 12 or q**n > 4096:
+        f, n = ident, 0
+    k = max(n, 1, *(j for j in range(12) if q**j <= 2048))
+    return [check_grid_integral([ident]), check_endpoint_sums([(f, k)])]
 
 
 def suite_continuity(f: sm.SalemFunction) -> list[Check]:

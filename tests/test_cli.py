@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cantorshift import measure
+from cantorshift import measure, verify
 from cantorshift.cli import build_parser, main, parse_config
 from cantorshift.measure import FamilyKind, SetFamilySpec
 from cantorshift.expansions import parse_expansion
@@ -162,7 +162,7 @@ class TestCurve:
         order = (20,) + tuple(range(2, 20)) + (1,)
         for i, (_, g) in enumerate(rows):
             exact = salem_value_exact(beta, p, order, i, 3, 10)
-            assert g == f"{float(exact):.12f}".rstrip("0").rstrip(".")
+            assert g == rounded_text(exact)
 
 
 def run_main(*argv):
@@ -300,7 +300,7 @@ class TestHeavyInputs:
     def test_huge_weight_denominators_at_periodic_points(self, num, den):
         code, out, err, seconds = run_main("eval", HUGE_WEIGHT_SPEC, f"{num}/{den}")
         exact = salem_value_exact([0, HUGE_WEIGHTS[0]], HUGE_WEIGHTS, (), num, den, 2)
-        assert (code, out, err) == (0, f"{float(exact):.12f}".rstrip("0").rstrip(".") + "\n", "exact\n")
+        assert (code, out, err) == (0, rounded_text(exact) + "\n", "exact\n")
         assert seconds < 2.0
 
     def test_huge_weight_denominators_at_a_long_period(self):
@@ -314,7 +314,7 @@ class TestHeavyInputs:
         code, _, _, seconds = run_main("curve", HUGE_WEIGHT_SPEC, "--grid", "64", "--out", str(out_path))
         assert code == 0 and seconds < 2.0
         rows = out_path.read_text().splitlines()[2:]
-        assert len(rows) == 65 and rows[32] == f"0.5,{float(HUGE_WEIGHTS[0]):.12f}"
+        assert len(rows) == 65 and rows[32] == f"0.5,{rounded_text(HUGE_WEIGHTS[0])}"
 
     def test_verify_system_long_reading_order(self):
         spec = "q=2; p=0.3,0.7; seq=perm(" + " ".join(map(str, range(3000, 0, -1))) + ")"
@@ -462,7 +462,7 @@ ALL_CHECKS = [
     "scheduled deletions equal direct position removal",
     "peeling identities hold along deletion chains",
     "closed form matches exact terminating-grid quadrature",
-    "closed form matches midpoint quadrature",
+    "closed form matches exact cylinder-endpoint sums",
     "identity order is continuous at two-expansion points",
     "swapped order jumps at the first cylinder endpoint",
     "distribution function is a monotone CDF",
@@ -663,13 +663,33 @@ class TestVerify:
         ],
     )
     def test_integral_with_a_rearranged_order(self, command, spec):
-        # the closed form reads only the weights, so the checks run on them in
-        # the identity order; 20,000 midpoints read the 20-position order's
-        # mean as about 0.12, against 0.57
+        # the endpoint sums read the spec's own order up to 4096 cells, and
+        # the 20-position order's weights in the identity order
         code, out, err, _ = run_main("verify", command, "--spec", spec)
         assert (code, err) == (0, "")
         assert "PASS  closed form matches exact terminating-grid quadrature\n" in out
-        assert "PASS  closed form matches midpoint quadrature\n" in out
+        assert "PASS  closed form matches exact cylinder-endpoint sums\n" in out
+
+    @pytest.mark.parametrize(
+        "spec, order, k",
+        [
+            ("q=2; p=0.3,0.7", (), 11),
+            ("q=2; p=0.3,0.7; seq=perm(2 1)", (2, 1), 11),
+            ("q=3; p=1/5,2/5,2/5; seq=perm(3 1 2)", (3, 1, 2), 6),
+            ("q=2; p=0.3,0.7; seq=perm(12 2 3 4 5 6 7 8 9 10 11 1)", (12, *range(2, 12), 1), 12),
+            ("q=2; p=0.3,0.7; seq=perm(13 2 3 4 5 6 7 8 9 10 11 12 1)", (), 11),
+            (LONG_ORDER_SPEC, (), 3),
+        ],
+        ids=["identity", "perm21", "perm312", "order12", "order13", "order20"],
+    )
+    def test_integral_reads_the_spec_order_up_to_4096_cells(self, monkeypatch, spec, order, k):
+        # q^n cells at the order's length n, raised to at most 2048 cells;
+        # past 4096, the weights in the identity order
+        cases = []
+        monkeypatch.setattr(verify, "check_endpoint_sums", lambda c: cases.extend(c) or ("sums", True, ""))
+        SUITES["integral"](parse_function_spec(spec))
+        [(f, depth)] = cases
+        assert (f.weights, f.seq.prefix, depth) == (parse_function_spec(spec).weights, order, k)
 
 
 class TestMeasure:
@@ -882,6 +902,28 @@ class TestMeasure:
         assert out.stderr == (
             f"error: Monte Carlo sampling would draw 503164743600000 bits, over the limit {measure._MAX_SAMPLING}\n"
         )
+        assert not out_csv.exists()
+
+    def test_rows_past_the_bound_are_refused_before_any_row(self, tmp_path):
+        # 1000 sampled sets by 1001 thresholds at one sample a row: about
+        # 8e8 bits, inside the sampling bound, but 1,001,000 rows
+        def bounded():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        xs = ", ".join(f"{i}/1000" for i in range(1001))
+        cfg.write_text(f"family = itershift\nq = 2\nn = 9..1008\nx = {xs}\nsamples = 1\nout = {out_csv}\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=5,
+            preexec_fn=bounded,
+        )
+        assert (out.returncode, out.stdout) == (4, "")
+        assert out.stderr == f"error: the scan would hold 1001000 rows, over the limit {measure._MAX_ROWS}\n"
         assert not out_csv.exists()
 
     @pytest.mark.parametrize(

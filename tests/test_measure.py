@@ -468,6 +468,44 @@ class TestSamplingBound:
         measure._bound_sampling([(spec, measure.DEFAULT_SAMPLES)])
 
 
+class TestRowBound:
+    """A scan holds at most ``_MAX_ROWS`` rows, counted from its plan: one a
+    threshold for each threshold set, one for each comparison."""
+
+    # 3 threshold sets of 2 rows each and one comparison row: 7 rows, 4 sampled
+    SPECS = TestSamplingBound.SPECS + [SetFamilySpec.compare_iter(2, 2, 1)]
+    XS = TestSamplingBound.XS
+
+    def test_one_row_over_the_bound_is_refused_before_any_work(self, monkeypatch):
+        def work(*_args, **_kwargs):
+            raise AssertionError("a map was built or a sample drawn")
+
+        monkeypatch.setattr(measure, "_MAX_ROWS", 6)
+        monkeypatch.setattr(measure, "monte_carlo_measure", work)
+        monkeypatch.setattr(measure, "plm_iter_shift", work)
+        logged = []
+        with pytest.raises(BudgetExceededError) as exc:
+            gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
+        assert str(exc.value) == "the scan would hold 7 rows, over the limit 6"
+        assert logged == []
+
+    def test_at_the_bound_the_scan_runs(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_ROWS", 7)
+        rows = gk_scan(self.SPECS, self.XS, samples=10)
+        assert [row.method for row in rows] == ["exact"] * 2 + ["mc"] * 4 + ["exact"]
+
+    def test_the_earlier_refusals_take_precedence(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_ROWS", 0)
+        with pytest.raises(BudgetExceededError, match="^iterate count 9 over limit 8$"):
+            gk_scan(self.SPECS, self.XS, samples=10, allow_fallback=False)
+        deep = SetFamilySpec.iter_shift(2, 10**6)
+        with pytest.raises(BudgetExceededError, match=" digits, over the limit 100016$"):
+            gk_scan(self.SPECS + [deep], self.XS, samples=10)
+        monkeypatch.setattr(measure, "_MAX_SAMPLING", 0)
+        with pytest.raises(BudgetExceededError, match="^Monte Carlo sampling would draw "):
+            gk_scan(self.SPECS, self.XS, samples=10)
+
+
 def test_deep_deletions_in_a_bounded_process():
     # tests/deep_calls.py lists the calls and their expected lines; the CI
     # job runs the same file against the installed package

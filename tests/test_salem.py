@@ -43,9 +43,10 @@ from cantorshift import (
     verify,
 )
 from cantorshift.verify import (
+    check_endpoint_sums,
+    check_grid_integral,
     check_peeling_identities,
     grid_integral,
-    midpoint_quadrature,
     random_positive_weights,
     random_terminating,
     stream_after_deleting,
@@ -366,13 +367,14 @@ class TestRationalExpansion:
         deeper = evaluate(f, expansion_of(x, BaseSpec.constant(3), 120))
         assert value == round(deeper, 12)
 
-    def test_a_tie_returns_the_rounding_of_the_zero_tail_fold(self):
+    def test_a_tie_returns_its_half_even_rounding(self):
         # g(x) = x sits on a rounding midpoint, and its base-2 period has
         # 4*5^11 digits: the two ends never round alike, so the second check
-        # (2^-87 <= 1e-26) returns the rounding of the digits read, as a cut
+        # (2^-87 <= 1e-26) returns the even one of their roundings, as a cut;
+        # 1.5e-12 rounds up to 2e-12, and 0.5e-12 down to 0
         f = SalemFunction(WeightSet(2, (Fraction(1, 2), Fraction(1, 2))))
         assert value_at(f, Fraction(1, 2 * 10**12)) == (0, 87)
-        assert value_at(f, Fraction(3, 2 * 10**12)) == (Fraction(1, 10**12), 87)
+        assert value_at(f, Fraction(3, 2 * 10**12)) == (Fraction(2, 10**12), 87)
 
     def test_rejects_points_outside_the_unit_interval(self):
         for x in (Fraction(-1, 3), Fraction(4, 3)):
@@ -568,6 +570,25 @@ class TestIncrements:
         assert got == Fraction(91, 100)  # 1 - p0^2, fixed by direct evaluation
 
 
+# q in {2, 3, 4, 5, 10}, a negative weight and a weight of 1/10000
+INTEGRAL_SPECS = [
+    *(f"q={q}; p=" + ",".join(map(str, random_positive_weights(random.Random(q), q))) for q in (2, 3, 4, 5, 10)),
+    "q=3; p=0.6,-0.19,0.59",
+    "q=2; p=9999/10000,1/10000",
+]
+
+# wrong closed forms of the integral I = sum(beta)/(q - 1)
+INTEGRAL_MUTANTS = {
+    "over-q": lambda f: Fraction(sum(f.weights.beta), f.weights.q),
+    "sum-p": lambda f: Fraction(sum(f.weights.p), f.weights.q - 1),
+    "shifted-beta": lambda f: Fraction(sum(f.weights.beta[1:]) + 1, f.weights.q - 1),
+    "one-minus": lambda f: 1 - integral_closed_form(f),
+    "half": lambda f: Fraction(1, 2),
+    "plus-1e-3": lambda f: integral_closed_form(f) + Fraction(1, 10**3),
+    "plus-1e-9": lambda f: integral_closed_form(f) + Fraction(1, 10**9),
+}
+
+
 class TestIntegral:
     def test_closed_forms(self):
         assert integral_closed_form(SalemFunction(WeightSet(2, (Fraction(1, 2), Fraction(1, 2))))) == Fraction(1, 2)
@@ -582,31 +603,51 @@ class TestIntegral:
         assert lower <= closed <= upper
         assert upper - lower == Fraction(1, 2**9)
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            *(
-                f"q={q}; p=" + ",".join(map(str, random_positive_weights(random.Random(q), q)))
-                for q in (2, 3, 4, 5, 10)
-            ),
-            "q=3; p=0.6,-0.19,0.59",
-            "q=2; p=9999/10000,1/10000",
-        ],
-    )
+    @pytest.mark.parametrize("spec", INTEGRAL_SPECS)
     def test_grid_integral_is_exact(self, spec):
         f = parse_function_spec(spec)
         assert grid_integral(f) == integral_closed_form(f)
 
-    def test_midpoint_quadrature(self):
-        closed = float(integral_closed_form(IDENT37))
-        est = midpoint_quadrature(IDENT37, 20000)
-        assert abs(est - closed) < 5e-3
+    @pytest.mark.parametrize("order", [(), (2, 1), (3, 1, 2)], ids=["identity", "perm21", "perm312"])
+    @pytest.mark.parametrize("spec", INTEGRAL_SPECS)
+    def test_endpoint_sums_are_exact(self, spec, order):
+        f = SalemFunction(parse_function_spec(spec).weights, IndexSequence(order))
+        assert check_endpoint_sums([(f, max(len(order), 3))])[1:] == (True, "exact equality")
 
-    def test_rearranged_midpoint_quadrature(self):
+    @pytest.mark.parametrize("spec", [spec for spec in INTEGRAL_SPECS if spec.startswith("q=2;")])
+    def test_endpoint_sums_in_the_ten_position_order(self, spec):
+        f = SalemFunction(parse_function_spec(spec).weights, EXAMPLE_ORDER)
+        assert check_endpoint_sums([(f, 10)])[1:] == (True, "exact equality")
+
+    def test_endpoint_sums(self):
+        # I = 3/10: the 2^11 zeros-tail endpoints sum to 2047 * 3/10, and
+        # their max-tail forms to one more
+        zeros = sum(evaluate(IDENT37, DigitExpansion(B2, w)) for w in itertools.product(range(2), repeat=11))
+        assert zeros == 2047 * Fraction(3, 10)
+        assert check_endpoint_sums([(IDENT37, 11)])[1:] == (True, "exact equality")
+
+    def test_rearranged_endpoint_sums(self):
+        # the 10-position order at q = 2, at its own length and one past it
         f = SalemFunction(W37, EXAMPLE_ORDER)
-        closed = float(integral_closed_form(f))
-        est = midpoint_quadrature(f, 20000)
-        assert abs(est - closed) < 5e-3
+        ones = sum(
+            evaluate(f, DigitExpansion(B2, w, Tail.MAX)) for w in itertools.product(range(2), repeat=10)
+        )
+        assert ones == 1023 * Fraction(3, 10) + 1
+        assert check_endpoint_sums([(f, 10), (f, 11)])[1:] == (True, "exact equality")
+
+    def test_endpoint_sums_name_the_failing_case(self):
+        # k below the order's length breaks the identity: past position k the
+        # digits are not the tail's
+        f = SalemFunction(W37, IndexSequence((3, 1, 2)))
+        name, ok, detail = check_endpoint_sums([(IDENT37, 4), (f, 2)])
+        assert not ok and detail.startswith("q=2; p=3/10,7/10; seq=perm(3 1 2) k=2 zeros tail: sum=")
+
+    @pytest.mark.parametrize("mutant", INTEGRAL_MUTANTS.values(), ids=INTEGRAL_MUTANTS.keys())
+    def test_both_exact_checks_fail_on_every_mutant(self, monkeypatch, mutant):
+        functions = [IDENT37, SalemFunction(W315, IndexSequence((3, 1, 2)))]
+        monkeypatch.setattr(verify.sm, "integral_closed_form", mutant)
+        assert not check_endpoint_sums([(f, 6) for f in functions])[1]
+        assert not check_grid_integral(SalemFunction(f.weights) for f in functions)[1]
 
 
 class TestMonotonicityClassifier:
