@@ -3,8 +3,9 @@ suites, and drive measure experiments from config files.
 
 Exit codes: 0 success, 1 a verify check failed, 2 usage/parse error, 3 I/O
 error, 4 branch budget exceeded without fallback, or a scan that would draw
-too many digits or bits or hold too many rows.  The commands raise, and
-``main`` alone maps the exception to its exit code and an ``error:`` line.
+too many digits or bits, hold too many rows or read too many exact branches.
+The commands raise, and ``main`` alone maps the exception to its exit code
+and an ``error:`` line.
 All outputs are deterministic for fixed inputs and seed.
 """
 
@@ -13,13 +14,12 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import measure as me
 from . import salem as sm
 from . import shifts as sh
-from .expansions import _read_token, parse_expansion, parse_rational, quote_token, value_of
+from .expansions import _read_token, _Record, parse_expansion, parse_rational, quote_token, value_of
 from .verify import DEFAULT_FUNCTION, SUITES
 
 EXIT_OK = 0
@@ -100,10 +100,10 @@ def _parse_int_list(text: str, key: str, lineno: int) -> list[int]:
 _BOOL = {"true": True, "false": False, "yes": True, "no": False, "1": True, "0": False}
 
 
-@dataclass(frozen=True)
-class MeasureConfig:
+class MeasureConfig(_Record):
     """A parsed measure config: the sets to scan, their thresholds and the scan settings."""
 
+    __slots__ = ("specs", "x_grid", "samples", "seed", "budget", "iter_limit", "fallback", "out")
     specs: tuple[me.SetFamilySpec, ...]
     x_grid: tuple[Fraction, ...]
     samples: int
@@ -112,6 +112,19 @@ class MeasureConfig:
     iter_limit: int
     fallback: bool
     out: str
+
+    def __init__(
+        self,
+        specs: tuple[me.SetFamilySpec, ...],
+        x_grid: tuple[Fraction, ...],
+        samples: int,
+        seed: int,
+        budget: int,
+        iter_limit: int,
+        fallback: bool,
+        out: str,
+    ) -> None:
+        self._set(specs, x_grid, samples, seed, budget, iter_limit, fallback, out)
 
 
 # each set key's line number and value text
@@ -258,7 +271,7 @@ def cmd_measure(args) -> int:
         raise ValueError(f"config is not ASCII: {exc}") from None
     # an empty --out keeps the config's path; ``gk_scan`` checks --budget and --seed
     flags = {"budget": args.budget, "seed": args.seed, "out": args.out or None}
-    cfg = replace(parse_config(text), **{k: v for k, v in flags.items() if v is not None})
+    cfg = parse_config(text)._replace(**{k: v for k, v in flags.items() if v is not None})
     rows = me.gk_scan(
         cfg.specs,
         cfg.x_grid,

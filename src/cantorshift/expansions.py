@@ -20,7 +20,6 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -53,8 +52,63 @@ class Tail(Enum):
     MAX = "max"
 
 
-@dataclass(frozen=True)
-class BaseSpec:
+class _Record:
+    """An immutable record, compared, hashed and shown by the fields it is
+    built from, as a frozen dataclass is, without the import and class-build
+    cost of ``dataclasses``.
+
+    A subclass lists those fields first in ``__slots__`` (any derived slots
+    follow them, and ``_fields`` then names the built-from ones), and its
+    ``__init__`` checks its arguments and stores the slots with ``_set``.
+    Copies, pickles and ``_replace`` rebuild the record through ``__init__``
+    from its fields.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+        cls._stores = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _set(self, *values) -> None:
+        """Store ``values`` in the slots, in ``__slots__`` order, past ``__setattr__``."""
+        for store, value in zip(self._stores, values):
+            store(self, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied to its fields, checked by ``__init__``."""
+        return self.__class__(**dict(zip(self._fields, self._values()), **changes))
+
+    __replace__ = _replace  # copy.replace, from Python 3.13
+
+
+class BaseSpec(_Record):
     """Per-position digit bases: a finite prefix, then a constant tail value.
 
     ``base_at(k)`` is the base of position k.  Trailing prefix entries equal
@@ -62,17 +116,18 @@ class BaseSpec:
     sequences compare equal and a constant base always has an empty prefix.
     """
 
+    __slots__ = ("prefix", "tail_value")
     prefix: tuple[int, ...]
     tail_value: int
 
-    def __post_init__(self) -> None:
-        prefix = tuple(map(int, self.prefix))
-        if min(prefix + (self.tail_value,)) < 2:
+    def __init__(self, prefix: tuple[int, ...], tail_value: int) -> None:
+        prefix = tuple(map(int, prefix))
+        if min(prefix + (tail_value,)) < 2:
             raise ValueError("base entries must be >= 2")
         n = len(prefix)
-        while n and prefix[n - 1] == self.tail_value:
+        while n and prefix[n - 1] == tail_value:
             n -= 1
-        object.__setattr__(self, "prefix", prefix[:n])
+        self._set(prefix[:n], tail_value)
 
     @classmethod
     def constant(cls, q: int) -> "BaseSpec":
@@ -103,8 +158,7 @@ class BaseSpec:
         return format_base(self)
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(_Record):
     """A number in [0, 1]: leading digits over a base, plus a symbolic tail.
 
     The prefix is kept exactly as given (trailing zeros are allowed and
@@ -112,17 +166,18 @@ class DigitExpansion:
     :func:`value_of` or stream equality via :func:`same_stream`.
     """
 
+    __slots__ = ("base", "prefix", "tail")
     base: BaseSpec
     prefix: tuple[int, ...]
-    tail: Tail = Tail.ZEROS
+    tail: Tail
 
-    def __post_init__(self) -> None:
-        prefix = tuple(map(int, self.prefix))
-        bases = _bases(self.base, len(prefix))
+    def __init__(self, base: BaseSpec, prefix: tuple[int, ...], tail: Tail = Tail.ZEROS) -> None:
+        prefix = tuple(map(int, prefix))
+        bases = _bases(base, len(prefix))
         if prefix and not (min(prefix) >= 0 and all(map(operator.lt, prefix, bases))):
             k, d, q = next((k, d, q) for k, (d, q) in enumerate(zip(prefix, bases), 1) if not 0 <= d < q)
             raise ValueError(f"digit {_quote_int(d)} at position {k} outside alphabet 0..{_quote_int(q - 1)}")
-        object.__setattr__(self, "prefix", prefix)
+        self._set(base, prefix, tail)
 
     def digit_at(self, k: int) -> int:
         """Digit at position k, including the symbolic tail region."""
@@ -138,18 +193,18 @@ class DigitExpansion:
         return format_expansion(self)
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Record):
     """All numbers whose first ``len(word)`` digits equal ``word``."""
 
+    __slots__ = ("base", "word")
     base: BaseSpec
     word: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        word = DigitExpansion(self.base, self.word).prefix
+    def __init__(self, base: BaseSpec, word: tuple[int, ...]) -> None:
+        word = DigitExpansion(base, word).prefix
         if not word:
             raise ValueError("cylinder rank must be >= 1")
-        object.__setattr__(self, "word", word)
+        self._set(base, word)
 
     @property
     def rank(self) -> int:

@@ -40,12 +40,12 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import shifts as sh
+from .expansions import _Record
 
 __all__ = [
     "BudgetExceededError",
@@ -79,22 +79,30 @@ _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
 _SAMPLE_COST = 300  # a sample's cost past its digits, in drawn bits: about 0.3 us at about 1 ns a bit
 _MAX_SAMPLING = 5 * 10**10  # the most bits one scan or estimate may draw, costs included: about a minute
 _MAX_ROWS = 10**6  # the most rows one scan may hold: at the bound, rows and CSV peak near 0.6 GB
+# exact work in branch reads, one branch at one threshold (about 1 us): building a
+# branch costs about 7 of them, and a comparison row about 14 for each of its q^M branches
+_BUILD_COST = 7
+_COMPARE_COST = 14
+_MAX_EXACT = 6 * 10**7  # the most branch reads one scan's exact rows may cost: about a minute
 
 
 class BudgetExceededError(RuntimeError):
     """Raised when an exact computation would exceed the branch budget, Monte Carlo
     sampling would draw over ``_MAX_DRAW`` digits a sample or ``_MAX_SAMPLING`` bits,
-    or a scan would hold over ``_MAX_ROWS`` rows."""
+    or a scan would hold over ``_MAX_ROWS`` rows or read over ``_MAX_EXACT`` exact branches."""
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(_Record):
     """Affine piece z -> slope * z + intercept on the domain [lo, hi)."""
 
+    __slots__ = ("lo", "hi", "slope", "intercept")
     lo: Fraction
     hi: Fraction
     slope: Fraction
     intercept: Fraction
+
+    def __init__(self, lo: Fraction, hi: Fraction, slope: Fraction, intercept: Fraction) -> None:
+        self._set(lo, hi, slope, intercept)
 
 
 class PiecewiseLinearMap:
@@ -220,6 +228,18 @@ def _bound_sampling(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
     bits = sum(n * (_draw(spec) * (spec.q - 1).bit_length() + _SAMPLE_COST) for spec, n in work)
     if bits > _MAX_SAMPLING:
         raise BudgetExceededError(f"Monte Carlo sampling would draw {bits} bits, over the limit {_MAX_SAMPLING}")
+
+
+def _bound_exact(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
+    """Refuse the exact rows of each spec in ``work`` past ``_MAX_EXACT`` branch reads:
+    a threshold set builds its q^M branches at ``_BUILD_COST`` each and reads them once
+    a row, a comparison costs ``_COMPARE_COST`` a branch.  Each q^M fits the budget."""
+    cost = 0
+    for spec, rows in work:
+        each = _COMPARE_COST if spec.kind is FamilyKind.COMPARE_ITER else _BUILD_COST + rows
+        cost += spec.q**spec.depth * each
+    if cost > _MAX_EXACT:
+        raise BudgetExceededError(f"the exact rows would cost {cost} branch reads, over the limit {_MAX_EXACT}")
 
 
 def _plm_deleting(spec: "SetFamilySpec", budget: int) -> PiecewiseLinearMap:
@@ -371,27 +391,30 @@ class FamilyKind(Enum):
     COMPARE_ITER = "compareiter"
 
 
-@dataclass(frozen=True)
-class SetFamilySpec:
+class SetFamilySpec(_Record):
     """One concrete shift-composition set, {z : op(z) < x} or {z : A(z) < B(z)}."""
 
+    __slots__ = ("kind", "q", "n", "indices", "a", "b")
     kind: FamilyKind
     q: int
-    n: int = 0
-    indices: tuple[int, ...] = ()
-    a: int = 0
-    b: int = 0
+    n: int
+    indices: tuple[int, ...]
+    a: int
+    b: int
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
+    def __init__(
+        self, kind: FamilyKind, q: int, n: int = 0, indices: tuple[int, ...] = (), a: int = 0, b: int = 0
+    ) -> None:
+        if q < 2:
             raise ValueError("q must be >= 2")
-        if self.kind is FamilyKind.ITER_SHIFT and self.n < 1:
+        if kind is FamilyKind.ITER_SHIFT and n < 1:
             raise ValueError("iterate count must be >= 1")
-        if self.kind in (FamilyKind.GEN_CHAIN, FamilyKind.SCHEDULE_CHAIN):
-            if not self.indices or any(i < 1 for i in self.indices):
+        if kind in (FamilyKind.GEN_CHAIN, FamilyKind.SCHEDULE_CHAIN):
+            if not indices or any(i < 1 for i in indices):
                 raise ValueError("chain indices must be >= 1 and nonempty")
-        if self.kind is FamilyKind.COMPARE_ITER and (self.a < 1 or self.b < 1):
+        if kind is FamilyKind.COMPARE_ITER and (a < 1 or b < 1):
             raise ValueError("compared iterates must be >= 1")
+        self._set(kind, q, n, indices, a, b)
 
     @classmethod
     def iter_shift(cls, q: int, n: int) -> "SetFamilySpec":
@@ -434,13 +457,16 @@ class SetFamilySpec:
         return sorted(sh.original_positions(self.indices))
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
+class MonteCarloResult(_Record):
+    __slots__ = ("estimate", "halfwidth", "samples", "hits", "indeterminate")
     estimate: float
     halfwidth: float
     samples: int
     hits: int
     indeterminate: int
+
+    def __init__(self, estimate: float, halfwidth: float, samples: int, hits: int, indeterminate: int) -> None:
+        self._set(estimate, halfwidth, samples, hits, indeterminate)
 
 
 def _halfwidth(hits: int, samples: int) -> float:
@@ -558,16 +584,29 @@ def monte_carlo_measure(
 # --- experiment tables ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(_Record):
+    __slots__ = ("family", "param", "x", "measure", "method", "samples", "halfwidth", "indeterminate")
     family: str
     param: str
     x: Optional[Fraction]
     measure: Fraction
     method: str
-    samples: int = 0
-    halfwidth: float = 0.0
-    indeterminate: int = 0
+    samples: int
+    halfwidth: float
+    indeterminate: int
+
+    def __init__(
+        self,
+        family: str,
+        param: str,
+        x: Optional[Fraction],
+        measure: Fraction,
+        method: str,
+        samples: int = 0,
+        halfwidth: float = 0.0,
+        indeterminate: int = 0,
+    ) -> None:
+        self._set(family, param, x, measure, method, samples, halfwidth, indeterminate)
 
 
 def gk_scan(
@@ -588,7 +627,8 @@ def gk_scan(
     fall back to Monte Carlo, with per-row seeds ``seed + counter`` that keep
     the output deterministic.  BudgetExceededError names the first set with
     fallback off or a sample past ``_MAX_DRAW`` digits, or else all sampled
-    rows past ``_MAX_SAMPLING`` bits, or else all rows past ``_MAX_ROWS``.
+    rows past ``_MAX_SAMPLING`` bits, or else all rows past ``_MAX_ROWS``, or else
+    the exact rows past ``_MAX_EXACT`` branch reads.
     ``budget`` and ``iter_limit`` must be >= 1, and ``seed`` >= 0:
     Random(-s) draws the stream of Random(s).
     Threshold families emit one row per grid value; comparison families emit
@@ -617,6 +657,7 @@ def gk_scan(
     count = sum(n for _, _, n in plan)
     if count > _MAX_ROWS:
         raise BudgetExceededError(f"the scan would hold {count} rows, over the limit {_MAX_ROWS}")
+    _bound_exact((spec, n) for spec, refusal, n in plan if refusal is None)
     rows: list[ScanRow] = []
     counter = 0
     for spec, refusal, _ in plan:

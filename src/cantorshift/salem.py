@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Optional, Sequence, Union
@@ -35,6 +34,7 @@ from .expansions import (
     DigitExpansion,
     Tail,
     _quote_int,
+    _Record,
     _read_token,
     dual_representation,
     quote_token,
@@ -86,8 +86,7 @@ def format_value(v: Fraction) -> str:
     return f"{'-' * (units < 0)}{digits[:-PRINTED_PLACES]}.{digits[-PRINTED_PLACES:]}".rstrip("0").rstrip(".")
 
 
-@dataclass(frozen=True)
-class WeightSet:
+class WeightSet(_Record):
     """Digit weights p_0 .. p_{q-1} with their cumulative sums.
 
     Constraints: each p_i in (-1, 1), sum p_i = 1, and every cumulative sum
@@ -96,22 +95,25 @@ class WeightSet:
     sums stay inside (0, 1); that forces p_0 > 0 and p_{q-1} > 0.
 
     ``den`` is the lcm D of the weights' denominators; ``p_num`` and
-    ``beta_num`` are the integers p_i * D and beta_i * D.
+    ``beta_num`` are the integers p_i * D and beta_i * D.  Only ``q`` and
+    ``p`` are compared, hashed and shown; the rest derive from them.
     """
 
+    __slots__ = ("q", "p", "beta", "den", "p_num", "beta_num")
+    _fields = ("q", "p")
     q: int
     p: tuple[Fraction, ...]
-    beta: tuple[Fraction, ...] = field(init=False, compare=False, repr=False)
-    den: int = field(init=False, compare=False, repr=False)
-    p_num: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    beta_num: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    beta: tuple[Fraction, ...]
+    den: int
+    p_num: tuple[int, ...]
+    beta_num: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.q < 2:
+    def __init__(self, q: int, p: tuple[Fraction, ...]) -> None:
+        if q < 2:
             raise ValueError("q must be >= 2")
-        p = tuple(Fraction(v) for v in self.p)
-        if len(p) != self.q:
-            raise ValueError(f"expected {_quote_int(self.q)} weights, got {len(p)}")
+        p = tuple(Fraction(v) for v in p)
+        if len(p) != q:
+            raise ValueError(f"expected {_quote_int(q)} weights, got {len(p)}")
         if any(not -1 < v < 1 for v in p):
             raise ValueError("weights must lie in (-1, 1)")
         den = math.lcm(*(v.denominator for v in p))
@@ -121,28 +123,24 @@ class WeightSet:
             raise ValueError("weights must sum to 1 exactly")
         if any(not 0 < b < den for b in beta_num[1:]):
             raise ValueError("cumulative sums must lie strictly in (0, 1)")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "beta", tuple(Fraction(b, den) for b in beta_num))
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "p_num", p_num)
-        object.__setattr__(self, "beta_num", tuple(beta_num))
+        self._set(q, p, tuple(Fraction(b, den) for b in beta_num), den, p_num, tuple(beta_num))
 
 
-@dataclass(frozen=True)
-class IndexSequence:
+class IndexSequence(_Record):
     """Reading order n_1, n_2, ...: a permutation of {1..N} then the identity.
 
     Trailing fixed points of the permutation are stripped, so the identity
     order is always the empty prefix.
     """
 
-    prefix: tuple[int, ...] = ()
+    __slots__ = ("prefix",)
+    prefix: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        prefix = tuple(map(int, self.prefix))
+    def __init__(self, prefix: tuple[int, ...] = ()) -> None:
+        prefix = tuple(map(int, prefix))
         if sorted(prefix) != list(range(1, len(prefix) + 1)):
             raise ValueError("prefix must be a permutation of 1..N")
-        object.__setattr__(self, "prefix", _without_fixed_tail(prefix))
+        self._set(_without_fixed_tail(prefix))
 
     @property
     def size(self) -> int:
@@ -177,7 +175,7 @@ class IndexSequence:
         deleted = sorted(self.prefix[:k])
         induced = object.__new__(IndexSequence)
         ranks = tuple(n - bisect_left(deleted, n) for n in self.prefix[k:])
-        object.__setattr__(induced, "prefix", _without_fixed_tail(ranks))
+        induced._set(_without_fixed_tail(ranks))
         return induced
 
 
@@ -189,21 +187,25 @@ def _without_fixed_tail(perm: tuple[int, ...]) -> tuple[int, ...]:
     return perm[:size]
 
 
-@dataclass(frozen=True)
-class SalemFunction:
+class SalemFunction(_Record):
+    __slots__ = ("weights", "seq")
     weights: WeightSet
-    seq: IndexSequence = IndexSequence()
+    seq: IndexSequence
+
+    def __init__(self, weights: WeightSet, seq: IndexSequence = IndexSequence()) -> None:
+        self._set(weights, seq)
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(_Record):
     """A Salem function whose weights are nonnegative, so it is a CDF."""
 
+    __slots__ = ("weights",)
     weights: WeightSet
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.weights.p):
+    def __init__(self, weights: WeightSet) -> None:
+        if any(v < 0 for v in weights.p):
             raise ValueError("distribution weights must be >= 0")
+        self._set(weights)
 
 
 def _check_base(f: SalemFunction, e: DigitExpansion) -> None:
@@ -433,11 +435,14 @@ def classify_monotonicity(f: SalemFunction) -> str:
     return Monotonicity.HAS_MONOTONICITY_INTERVAL
 
 
-@dataclass(frozen=True)
-class ContinuityResult:
+class ContinuityResult(_Record):
     """Either continuous, or a jump of the stated size."""
 
-    jump: Optional[Fraction] = None
+    __slots__ = ("jump",)
+    jump: Optional[Fraction]
+
+    def __init__(self, jump: Optional[Fraction] = None) -> None:
+        self._set(jump)
 
     @property
     def is_continuous(self) -> bool:

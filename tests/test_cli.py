@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import io
 import random
 import re
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cantorshift import measure, verify
-from cantorshift.cli import build_parser, main, parse_config
+from cantorshift.cli import MeasureConfig, build_parser, main, parse_config
 from cantorshift.measure import FamilyKind, SetFamilySpec
 from cantorshift.expansions import parse_expansion
 from cantorshift.salem import evaluate, format_function_spec, parse_function_spec
@@ -926,6 +925,29 @@ class TestMeasure:
         assert out.stderr == f"error: the scan would hold 1001000 rows, over the limit {measure._MAX_ROWS}\n"
         assert not out_csv.exists()
 
+    def test_exact_work_past_the_bound_is_refused_before_any_row(self, tmp_path):
+        # one deletion at position 19: 2^19 branches, inside the default
+        # budget, built and read at 1000 thresholds would take minutes
+        def bounded():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        xs = ", ".join(f"{i}/1000" for i in range(1000))
+        cfg.write_text(f"family = genchain\nq = 2\nindices = 19\nx = {xs}\nout = {out_csv}\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=5,
+            preexec_fn=bounded,
+        )
+        cost = 2**19 * (measure._BUILD_COST + 1000)
+        assert (out.returncode, out.stdout) == (4, "")
+        assert out.stderr == f"error: the exact rows would cost {cost} branch reads, over the limit {measure._MAX_EXACT}\n"
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "setting, code",
         [("samples = 10", 0), ("fallback = false", 4)],
@@ -1283,9 +1305,10 @@ class TestMeasureConfig:
         # a replaced budget is checked by gk_scan, which every budget reaches
         cfg = parse_config("family = compareiter\nq = 2\na = 2\nb = 1\n")
         assert cfg.x_grid == ()
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'budget'$"):
             cfg.budget = 5
-        assert dataclasses.replace(cfg, budget=5).budget == 5
+        assert cfg.budget == measure.DEFAULT_BRANCH_BUDGET
+        assert cfg._replace(budget=5) == MeasureConfig(cfg.specs, (), 100000, 0, 5, 8, True, "measures.csv")
 
 
 # Config text from bounded pieces: every integer, range end and count is at

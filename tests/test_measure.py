@@ -506,6 +506,52 @@ class TestRowBound:
             gk_scan(self.SPECS, self.XS, samples=10)
 
 
+class TestExactWorkBound:
+    """The exact rows of a scan cost at most ``_MAX_EXACT`` branch reads, charged
+    from the plan: building a threshold set's q^M branches, reading them once a
+    row, and a comparison's q^M branches at ``_COMPARE_COST`` each."""
+
+    # itershift 2 and genchain (2, 1) (M = 2) are exact and read at 2 thresholds,
+    # compareiter 3:1 (M = 3) is exact, itershift 9 is sampled and costs nothing here
+    SPECS = [
+        SetFamilySpec.iter_shift(2, 2),
+        SetFamilySpec.gen_chain(2, (2, 1)),
+        SetFamilySpec.compare_iter(2, 3, 1),
+        SetFamilySpec.iter_shift(2, 9),
+    ]
+    XS = [Fraction(1, 3), Fraction(1, 2)]
+    COST = 2 * 4 * (measure._BUILD_COST + 2) + 8 * measure._COMPARE_COST
+
+    def test_one_read_over_the_bound_is_refused_before_any_work(self, monkeypatch):
+        def work(*_args, **_kwargs):
+            raise AssertionError("a map was built or a sample drawn")
+
+        monkeypatch.setattr(measure, "_MAX_EXACT", self.COST - 1)
+        for name in ("plm_iter_shift", "plm_generalized_chain", "plm_single_deletion", "monte_carlo_measure"):
+            monkeypatch.setattr(measure, name, work)
+        logged = []
+        with pytest.raises(BudgetExceededError) as exc:
+            gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
+        assert str(exc.value) == f"the exact rows would cost {self.COST} branch reads, over the limit {self.COST - 1}"
+        assert logged == []
+
+    def test_at_the_bound_the_scan_runs(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_EXACT", self.COST)
+        rows = gk_scan(self.SPECS, self.XS, samples=10)
+        assert [row.method for row in rows] == ["exact"] * 5 + ["mc"] * 2
+
+    def test_the_earlier_refusals_take_precedence(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_EXACT", 0)
+        monkeypatch.setattr(measure, "_MAX_ROWS", 0)
+        with pytest.raises(BudgetExceededError, match="^the scan would hold 7 rows"):
+            gk_scan(self.SPECS, self.XS, samples=10)
+
+    def test_a_scan_without_exact_rows_costs_nothing(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_EXACT", 0)
+        rows = gk_scan(self.SPECS[3:], self.XS, samples=10)
+        assert [row.method for row in rows] == ["mc"] * 2
+
+
 def test_deep_deletions_in_a_bounded_process():
     # tests/deep_calls.py lists the calls and their expected lines; the CI
     # job runs the same file against the installed package
