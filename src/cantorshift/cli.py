@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import measure as me
 from . import salem as sm
 from . import shifts as sh
-from .expansions import _read_token, _Record, parse_expansion, parse_rational, quote_token, value_of
+from .expansions import _over_str_limit, _read_token, _Record, parse_expansion, parse_rational, quote_token, value_of
 from .verify import DEFAULT_FUNCTION, SUITES
 
 EXIT_OK = 0
@@ -172,11 +172,8 @@ def _read_thresholds(family: str, keys: _Keys) -> tuple[Fraction, ...]:
     lineno = _line(keys, "threshold_point")
     point = parse_expansion(_take(keys, "threshold_point"))
     x = value_of(sh.shift_n(point, _take_int(keys, "threshold_iter", "0", least=0)))
-    try:
-        str(x.denominator)  # the CSV prints it; x <= 1 keeps the numerator shorter
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"line {lineno}: threshold_point value has more than {limit} digits") from None
+    if _over_str_limit(x.denominator):  # the CSV prints it; x <= 1 keeps the numerator shorter
+        raise ValueError(f"line {lineno}: threshold_point value has more than {sys.get_int_max_str_digits()} digits")
     return (x,)
 
 
@@ -282,8 +279,9 @@ def cmd_measure(args) -> int:
         allow_fallback=cfg.fallback,
         log=lambda msg: print(msg, file=sys.stderr),
     )
+    table = me.rows_to_csv(rows)  # before the file opens, so a failed render leaves no file
     with open(cfg.out, "w", encoding="ascii") as handle:
-        handle.write(me.rows_to_csv(rows))
+        handle.write(table)
     print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     return EXIT_OK
 

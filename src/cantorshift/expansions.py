@@ -22,7 +22,6 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
 
 __all__ = [
     "Tail",
@@ -41,8 +40,6 @@ __all__ = [
     "parse_rational",
     "quote_token",
 ]
-
-RationalLike = Union[Fraction, int, str]
 
 
 class Tail(Enum):
@@ -233,7 +230,7 @@ def value_of(e: DigitExpansion) -> Fraction:
 
 
 def expansion_of(
-    x: RationalLike,
+    x: Fraction | int | str,
     base: BaseSpec,
     depth: int,
     tail_pref: Tail = Tail.ZEROS,
@@ -265,7 +262,7 @@ def expansion_of(
     return e
 
 
-def dual_representation(e: DigitExpansion) -> Optional[DigitExpansion]:
+def dual_representation(e: DigitExpansion) -> DigitExpansion | None:
     """The other expansion of the same value, or None if it is unique.
 
     Terminating form  d_1 .. d_m 0 0 0 ...         (d_m >= 1)
@@ -366,9 +363,28 @@ def parse_expansion(text: str) -> DigitExpansion:
     return DigitExpansion(base, digits, tail)
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b', an integer, or a decimal string as an exact rational."""
-    return _read_token(Fraction, text, "cannot parse rational {}")
+_EXPONENT = re.compile(r"E([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def parse_rational(text: str, message: str = "cannot parse rational {}") -> Fraction:
+    """Parse 'a/b', an integer, or a decimal string with an optional exponent
+    as an exact rational; a token that does not parse raises ValueError with
+    ``message``, its ``{}`` filled with the quoted token.
+
+    Every token obeys the interpreter's integer string limit
+    (``sys.get_int_max_str_digits()``, 0 for none), which the digits of an
+    a/b token meet as they are read: an exponent past the limit is refused
+    before 10^|e| is built, and so is a value whose numerator or denominator
+    has more digits than the limit, which ``str`` could not print."""
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(text) if limit else None
+    try:
+        value = None if exponent and abs(int(exponent[1])) > limit else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(message.format(quote_token(text))) from None
+    if value is None or _over_str_limit(value.numerator) or _over_str_limit(value.denominator):
+        raise ValueError(f"{message.format(quote_token(text))} (past the integer string limit of {limit} digits)")
+    return value
 
 
 def _read_token(parse, text: str, message: str):
@@ -399,8 +415,16 @@ def _quote_int(n: int) -> str:
     :func:`quote_token` when over 40 characters.  Past the interpreter's
     integer string limit, where ``str`` would raise, it names that limit and
     never calls ``str``."""
-    limit = sys.get_int_max_str_digits()
-    if limit and abs(n) >= 10**limit:
+    if _over_str_limit(n):
+        limit = sys.get_int_max_str_digits()
         return f"{'-' if n < 0 else ''}<more digits than the integer string limit of {limit}>"
     text = str(n)
     return text if len(text) <= 40 else quote_token(text)
+
+
+def _over_str_limit(n: int) -> bool:
+    """Whether ``str(n)`` would raise: n has more digits than the interpreter's
+    integer string limit (never, when the limit is 0).  A number of at most
+    3*limit bits is under it, which spares building 10^limit."""
+    limit = sys.get_int_max_str_digits()
+    return bool(limit) and abs(n).bit_length() > 3 * limit and abs(n) >= 10**limit

@@ -40,9 +40,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
 
 from . import shifts as sh
 from .expansions import _Record
@@ -200,7 +200,7 @@ def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int,
     return runs
 
 
-def _budget_refusal(q: int, depth: int, budget: int) -> Optional[str]:
+def _budget_refusal(q: int, depth: int, budget: int) -> str | None:
     """Why a map with q^depth branches is not built, or None when they fit the
     budget; the count is written as a power, so it stays short for any depth.
     It is not built from the budget's bit length on: there q^depth >= 2^depth > budget."""
@@ -214,7 +214,7 @@ def _draw(spec: "SetFamilySpec") -> int:
     return (abs(spec.a - spec.b) if spec.kind is FamilyKind.COMPARE_ITER else spec.depth) + _GUARD
 
 
-def _draw_refusal(spec: "SetFamilySpec") -> Optional[str]:
+def _draw_refusal(spec: "SetFamilySpec") -> str | None:
     """Why a Monte Carlo sample of ``spec`` is not drawn, or None when its ``_draw`` fits ``_MAX_DRAW``."""
     draw = _draw(spec)
     if draw > _MAX_DRAW:
@@ -588,7 +588,7 @@ class ScanRow(_Record):
     __slots__ = ("family", "param", "x", "measure", "method", "samples", "halfwidth", "indeterminate")
     family: str
     param: str
-    x: Optional[Fraction]
+    x: Fraction | None
     measure: Fraction
     method: str
     samples: int
@@ -599,7 +599,7 @@ class ScanRow(_Record):
         self,
         family: str,
         param: str,
-        x: Optional[Fraction],
+        x: Fraction | None,
         measure: Fraction,
         method: str,
         samples: int = 0,
@@ -617,7 +617,7 @@ def gk_scan(
     samples: int = DEFAULT_SAMPLES,
     seed: int = 0,
     allow_fallback: bool = True,
-    log: Optional[Callable[[str], None]] = None,
+    log: Callable[[str], None] | None = None,
 ) -> list[ScanRow]:
     """Measure table over a family of shift-composition sets.
 

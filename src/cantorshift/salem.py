@@ -12,21 +12,22 @@ positive weights give the classical strictly increasing singular function,
 rearranged orders give functions without monotonicity intervals.
 
 The series is the peeling identity g(x) = beta_d + p_d * g(sigma x)
-unrolled.  One pass over a repeating digit block is one affine map whose
-fixed point is g of the periodic part, and the digits before the block are
-folded onto it backwards, all in integers over the common denominator D of
-the weights.  ``evaluate`` is exact; ``value_at`` is exact once a rational's
-digits repeat, and where it cuts the series first it returns the 12-place
-rounding of g, by the one integer half-even rule ``format_value`` prints with.
+unrolled: each digit read is one affine map, and a digit word their
+composite, in integers over a power of the common denominator D of the
+weights.  One pass over a repeating digit block has a fixed point, g of the
+periodic part, and the map of the digits before the block is read there.
+``evaluate`` is exact; ``value_at`` is exact once a rational's digits
+repeat, and where it cuts the series first it returns the 12-place rounding
+of g, by the one integer half-even rule ``format_value`` prints with.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Optional, Sequence, Union
 
 from .expansions import (
     BaseSpec,
@@ -37,6 +38,7 @@ from .expansions import (
     _Record,
     _read_token,
     dual_representation,
+    parse_rational,
     quote_token,
 )
 from .shifts import delete_positions, shift_n
@@ -67,7 +69,6 @@ __all__ = [
     "PRINTED_PLACES",
 ]
 
-RationalLike = Union[Fraction, int, str]
 PRINTED_PLACES = 12  # the places g is printed to, and rounded to where its series is cut
 _UNIT = 10**PRINTED_PLACES
 
@@ -216,48 +217,53 @@ def _check_base(f: SalemFunction, e: DigitExpansion) -> None:
         raise ValueError(f"expansion base must be q{q}")
 
 
-def _fold(w: WeightSet, digits, num: int, den: int) -> tuple[int, int]:
-    """Fold digits, in reading order, backwards onto g = num/den past them:
-    g <- beta_d + p_d * g, in integers over the common weight denominator D."""
+def _word(w: WeightSet, digits) -> tuple[int, int, int]:
+    """The map g -> (b + a*g)/s that reading ``digits`` applies to g past
+    them, g <- beta_d + p_d * g for each digit, in integers over s = D^len
+    with D the common weight denominator: a is the digits' weight product."""
     P, B, D = w.p_num, w.beta_num, w.den
-    for d in reversed(digits):
-        num = B[d] * den + P[d] * num
-        den *= D
-    return num, den
-
-
-def _series(w: WeightSet, head, block) -> Fraction:
-    """g of the reading-order digits head, block, block, ...: one pass over the
-    block is the map g -> (b + a*g)/s, whose fixed point b/(s - a) (s > |a| as
-    |p| < 1) the head is folded onto."""
-    b, s = _fold(w, block, 0, 1)
-    return Fraction(*_fold(w, head, b, s - math.prod(w.p_num[d] for d in block)))
+    b, a = 0, 1
+    for d in digits:
+        b, a = b * D + a * B[d], a * P[d]
+    return b, a, D ** len(digits)
 
 
 def _read(order: tuple[int, ...], digits: list[int]) -> list[int]:
     return [digits[n - 1] for n in order] + digits[len(order) :]
 
 
+def _periodic(w: WeightSet, order: tuple[int, ...], head: list[int], block: list[int]) -> Fraction:
+    """g of the digits head, block, block, ... read through ``order``.
+
+    The block's next digits move onto the head, turning the block, until the
+    head covers the order; past it one pass over the block is the map
+    g -> (b + a*g)/s, whose fixed point b/(s - a) (s > |a| as |p| < 1) the
+    head's map is read at."""
+    extra = max(len(order) - len(head), 0)
+    turn = extra % len(block)
+    head = head + block * (extra // len(block)) + block[:turn]
+    b, a, s = _word(w, block[turn:] + block[:turn])
+    hb, ha, hs = _word(w, _read(order, head))
+    return Fraction(hb * (s - a) + ha * b, hs * (s - a))
+
+
 def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
-    """Exact value of the function at an expansion: past its digit prefix and
-    reading prefix it reads the block (0), fixed point 0, or (q-1), fixed
-    point 1."""
+    """Exact value of the function at an expansion: past its digit prefix it
+    reads the block (0), fixed point 0, or (q-1), fixed point 1."""
     _check_base(f, e)
-    w, order = f.weights, f.seq.prefix
-    tail = w.q - 1 if e.tail is Tail.MAX else 0
-    digits = list(e.prefix) + [tail] * (len(order) - len(e.prefix))
-    return _series(w, _read(order, digits), (tail,))
+    tail = f.weights.q - 1 if e.tail is Tail.MAX else 0
+    return _periodic(f.weights, f.seq.prefix, list(e.prefix), [tail])
 
 
-def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]]:
+def value_at(f: SalemFunction, x: Fraction | int | str) -> tuple[Fraction, int | None]:
     """g at a rational x in [0, 1], and the number of digits read if the series
     was cut (None if the value is exact).
 
     Long division with a memo of the remainders reads digits until a remainder
     repeats, which closes the period and makes the value exact, or until the
-    reading order is read and the series is cut.  Past a cut g is lo + gap*t,
-    t in [0, 1], with lo the digits read folded onto 0 and gap their weight
-    product, both exact; a gap of 0 makes lo exact.  Once the |weights| read
+    reading order is read and the series is cut.  Past a cut g is
+    (lo + gap*t)/scale, t in [0, 1], with lo, gap and scale the map of the
+    digits read; a gap of 0 makes lo/scale exact.  Once the |weights| read
     multiply to 10^-14 (in floats) both ends are rounded to ``PRINTED_PLACES``
     places, half to even, and a cut returns that rounding once they agree.
     A miss tightens the trigger by 10^-12; a second miss, g within 10^-26 of
@@ -271,7 +277,7 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
         raise ValueError("x must lie in [0, 1]")
     w, order = f.weights, f.seq.prefix
     if x == 1:
-        return _series(w, [], (w.q - 1,)), None
+        return _periodic(w, order, [], [w.q - 1]), None
     absp = [abs(float(v)) for v in w.p]
     num, den = x.numerator, x.denominator
     seen: dict[int, int] = {}
@@ -279,8 +285,7 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
     prod, trigger = 1.0, 10.0 ** -(PRINTED_PLACES + 2)
     while num and num not in seen:
         if prod <= trigger and len(digits) >= len(order):
-            lo, scale = _fold(w, _read(order, digits), 0, 1)
-            gap = math.prod(w.p_num[d] for d in digits)
+            lo, gap, scale = _word(w, _read(order, digits))
             if not gap:
                 return Fraction(lo, scale), None
             value, high = (_rounded(n, scale) for n in (lo, lo + gap))
@@ -291,15 +296,9 @@ def value_at(f: SalemFunction, x: RationalLike) -> tuple[Fraction, Optional[int]
         d, num = divmod(num * w.q, den)
         digits.append(d)
         prod *= absp[d]
-    # the digits repeat from ``start`` on (a zero remainder at once); read on
-    # until one period follows the reading order
+    # the digits repeat from ``start`` on (a zero remainder at once)
     start = seen.get(num, len(digits))
-    period = len(digits) - start or 1
-    top = max(start, len(order))
-    while len(digits) < top + period:
-        d, num = divmod(num * w.q, den)
-        digits.append(d)
-    return _series(w, _read(order, digits[:top]), digits[top:]), None
+    return _periodic(w, order, digits[:start], digits[start:] or [0]), None
 
 
 def first_terms(f: SalemFunction, e: DigitExpansion, count: int) -> list[Fraction]:
@@ -360,12 +359,11 @@ def increment_product(f: SalemFunction, values: Sequence[int]) -> Fraction:
     if not values:
         raise ValueError("need at least one constrained digit")
     w = f.weights
-    prod = Fraction(1)
     for c in values:
         if not 0 <= c < w.q:
             raise ValueError(f"digit {_quote_int(c)} outside alphabet 0..{w.q - 1}")
-        prod *= w.p[c]
-    return prod
+    _, a, s = _word(w, values)
+    return Fraction(a, s)
 
 
 def increment_via_evaluate(f: SalemFunction, values: Sequence[int]) -> Fraction:
@@ -439,9 +437,9 @@ class ContinuityResult(_Record):
     """Either continuous, or a jump of the stated size."""
 
     __slots__ = ("jump",)
-    jump: Optional[Fraction]
+    jump: Fraction | None
 
-    def __init__(self, jump: Optional[Fraction] = None) -> None:
+    def __init__(self, jump: Fraction | None = None) -> None:
         self._set(jump)
 
     @property
@@ -469,7 +467,7 @@ def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     return ContinuityResult(jump if e.tail is Tail.ZEROS else -jump)
 
 
-def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
+def distribution_function(d: DistributionSpec, x: Fraction | int | str) -> Fraction:
     """CDF of a random number whose base-q digits are drawn independently,
     digit value i with probability p_i.
 
@@ -496,8 +494,8 @@ def distribution_function(d: DistributionSpec, x: RationalLike) -> Fraction:
 
 
 def parse_function_spec(text: str) -> SalemFunction:
-    q: Optional[int] = None
-    p: Optional[list[Fraction]] = None
+    q: int | None = None
+    p: list[Fraction] | None = None
     seq = IndexSequence()
     seen: set[str] = set()
     for part in text.split(";"):
@@ -516,7 +514,7 @@ def parse_function_spec(text: str) -> SalemFunction:
             q = _read_token(int, value, "spec key q must be an integer, got {}")
         elif key == "p":
             tokens = [tok.strip() for tok in value.split(",") if tok.strip()]
-            p = [_read_token(Fraction, tok, "p entry {} is not a rational") for tok in tokens]
+            p = [parse_rational(tok, "p entry {} is not a rational") for tok in tokens]
         elif key == "seq":
             if not (value.startswith("perm(") and value.endswith(")")):
                 raise ValueError(f"seq must look like perm(2 1), got {quote_token(value)}")

@@ -25,8 +25,8 @@ x + (-1)^m (S(m-1) - S(m)) / Q_(m-1) with S(k) the k-fold shift's value.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .expansions import BaseSpec, DigitExpansion, Tail, _bases, value_of
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections.abc import Iterable
 from fractions import Fraction
-from typing import Iterable
 
 from . import expansions as xp
 from . import measure as me

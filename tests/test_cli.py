@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cantorshift import measure, verify
 from cantorshift.cli import MeasureConfig, build_parser, main, parse_config
 from cantorshift.measure import FamilyKind, SetFamilySpec
-from cantorshift.expansions import parse_expansion
+from cantorshift.expansions import parse_expansion, quote_token
 from cantorshift.salem import evaluate, format_function_spec, parse_function_spec
 from cantorshift.verify import DEFAULT_FUNCTION, SUITES
 from oracles import salem_value_exact
@@ -527,6 +527,24 @@ def test_huge_token_is_clipped_and_names_the_limit(argv):
     assert f"integer string limit of {sys.get_int_max_str_digits()}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["eval", "q=2; p=1/2,1/2", "1e-99999999"], "cannot parse rational '1e-99999999'"),
+        (["eval", "q=2; p=1e-99999999,99999999/100000000", "1/3"], "p entry '1e-99999999' is not a rational"),
+    ],
+    ids=["point", "p-entry"],
+)
+def test_exponent_past_the_int_string_limit_is_refused_at_once(argv, token):
+    # building 10^99999999 would take minutes; the exponent is refused first
+    out = subprocess.run(
+        [sys.executable, "-m", "cantorshift", *argv], capture_output=True, text=True, cwd=PKG_ROOT, timeout=20
+    )
+    limit = sys.get_int_max_str_digits()
+    assert (out.returncode, out.stdout) == (2, "")
+    assert out.stderr == f"error: {token} (past the integer string limit of {limit} digits)\n"
+
+
 BIG_ENTRY = "1" * 5000
 
 
@@ -998,6 +1016,14 @@ class TestMeasure:
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_failed_render_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(rows):
+            raise ValueError("cannot render")
+
+        monkeypatch.setattr(measure, "rows_to_csv", refuse)
+        err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nx = 1/3\n")
+        assert err.endswith("error: cannot render\n")
+
 
 def _measure_usage_error(tmp_path, capsys, body, *flags):
     """Run a config that must exit 2 and write nothing; returns stderr."""
@@ -1267,6 +1293,40 @@ class TestMeasureInputs:
         point = "q10:[" + ",".join(["1"] * 4400) + "]:zeros"
         err = _measure_usage_error(tmp_path, capsys, f"family = itershift\nq = 10\nn = 1\nthreshold_point = {point}\n")
         assert err == f"error: line 4: threshold_point value has more than {sys.get_int_max_str_digits()} digits\n"
+
+    @pytest.mark.parametrize("x", ["1e-5000", "1e-4300", "0." + "0" * 4299 + "1"], ids=["e-5000", "e-4300", "decimal"])
+    def test_threshold_past_the_int_string_limit_is_refused_before_any_row(self, tmp_path, x):
+        # its denominator has more digits than the CSV can print; the scan
+        # used to run, then fail to render and leave an empty CSV
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = itershift\nq = 2\nn = 1\nx = {x}\nout = {out_csv}\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=20,
+        )
+        limit = sys.get_int_max_str_digits()
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == f"error: cannot parse rational {quote_token(x)} (past the integer string limit of {limit} digits)\n"
+        assert not out_csv.exists()
+
+    def test_threshold_at_the_int_string_limit_still_prints(self, tmp_path):
+        # 10^4299 has 4300 digits, the default limit, and prints
+        out_csv = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"family = itershift\nq = 2\nn = 1\nx = 1e-4299\nout = {out_csv}\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "cantorshift", "measure", str(cfg)],
+            capture_output=True,
+            text=True,
+            cwd=PKG_ROOT,
+            timeout=20,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out_csv.read_text().splitlines()[1].startswith(f"itershift,1,1,{10**4299},1,{10**4299},exact,")
 
     def test_threshold_point_with_a_bad_digit_entry(self, tmp_path, capsys):
         err = _measure_usage_error(tmp_path, capsys, "family = itershift\nq = 2\nn = 1\nthreshold_point = q2:[1,a]:zeros\n")

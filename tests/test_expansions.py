@@ -19,6 +19,7 @@ from cantorshift import (
     parse_base,
     parse_expansion,
     parse_rational,
+    quote_token,
     same_stream,
     value_of,
 )
@@ -359,6 +360,22 @@ class TestNotation:
         assert parse_rational("0.25") == Fraction(1, 4)
         with pytest.raises(ValueError):
             parse_rational("0x10")
+
+    def test_parse_rational_obeys_the_int_string_limit(self):
+        # the limit bounds the value's numerator and denominator, and the
+        # exponent before 10^|e| is built; with the limit off nothing changes
+        limit = sys.get_int_max_str_digits()
+        assert parse_rational("1e-4299") == Fraction(1, 10**4299)  # 4300 digits print
+        assert parse_rational("2e-4300") == Fraction(1, 5 * 10**4299)
+        for token in ("1e-4300", "1e4300", "1e-99999999", "0." + "0" * 4299 + "1"):
+            with pytest.raises(ValueError) as err:
+                parse_rational(token, "entry {} is not a rational")
+            assert str(err.value) == f"entry {quote_token(token)} is not a rational (past the integer string limit of {limit} digits)"
+        sys.set_int_max_str_digits(0)
+        try:
+            assert parse_rational("1e-5000") == Fraction(1, 10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestStreams:

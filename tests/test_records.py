@@ -3,7 +3,7 @@ hashed and shown by their fields, closed to assignment and deletion, and
 rebuilt equal by copy, deepcopy and pickle.  The repr texts are the ones the
 frozen dataclasses printed, and from Python 3.13 ``copy.replace`` rebuilds
 them through their checks as it did.  A fresh interpreter imports the CLI
-without ``dataclasses`` or ``inspect``."""
+without ``dataclasses``, ``inspect`` or ``typing``."""
 
 import copy
 import pickle
@@ -152,7 +152,7 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import cantorshift.cli; "
         "assert cantorshift.cli.__file__.startswith(sys.argv[1]); "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"

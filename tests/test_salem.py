@@ -36,6 +36,7 @@ from cantorshift import (
     increment_via_evaluate,
     integral_closed_form,
     make_schedule,
+    parse_expansion,
     parse_function_spec,
     residual,
     value_at,
@@ -242,6 +243,12 @@ class TestEvaluate:
             evaluate(IDENT37, DigitExpansion(BaseSpec.constant(3), (1,)))
         with pytest.raises(ValueError, match="^k must be >= 1$"):
             residual(IDENT37, DigitExpansion(B2, (1,)), 0)
+        # a base-3 first digit ahead of base-2 ones: without its base check
+        # residual reads 0 at k = 2 and 3
+        cantor = parse_expansion("Q(3|2):[2,1,0,1]:zeros")
+        for k in (1, 2, 3):
+            with pytest.raises(ValueError, match="^expansion base must be q2$"):
+                residual(parse_function_spec("q=2; p=1/3,2/3"), cantor, k)
 
 
 def _signed_weights(rng: random.Random, q: int) -> tuple[Fraction, ...]:
