@@ -246,7 +246,7 @@ def expansion_of(
     """
     if depth <= 0:
         raise ValueError("depth must be >= 1")
-    x = Fraction(x)
+    x = _rational(x)
     if not 0 <= x <= 1:
         raise ValueError("value must lie in [0, 1]")
     if x == 1:
@@ -385,6 +385,12 @@ def parse_rational(text: str, message: str = "cannot parse rational {}") -> Frac
     if value is None or _over_str_limit(value.numerator) or _over_str_limit(value.denominator):
         raise ValueError(f"{message.format(quote_token(text))} (past the integer string limit of {limit} digits)")
     return value
+
+
+def _rational(x: Fraction | int | str) -> Fraction:
+    """x as a Fraction; a ``str`` is read by :func:`parse_rational`, so it
+    obeys the integer string limit as a CLI token does."""
+    return parse_rational(x) if isinstance(x, str) else Fraction(x)
 
 
 def _read_token(parse, text: str, message: str):

@@ -35,6 +35,7 @@ from .expansions import (
     DigitExpansion,
     Tail,
     _quote_int,
+    _rational,
     _Record,
     _read_token,
     dual_representation,
@@ -272,7 +273,7 @@ def value_at(f: SalemFunction, x: Fraction | int | str) -> tuple[Fraction, int |
     in base 3 has one of 195,312,500 digits).  An x outside [0, 1] raises
     ValueError ``x must lie in [0, 1]``.
     """
-    x = Fraction(x)
+    x = _rational(x)
     if not 0 <= x <= 1:
         raise ValueError("x must lie in [0, 1]")
     w, order = f.weights, f.seq.prefix
@@ -477,7 +478,7 @@ def distribution_function(d: DistributionSpec, x: Fraction | int | str) -> Fract
     :func:`value_at`'s: exact when the digits of x repeat before its series
     is cut, and the 12-place rounding of the exact value otherwise.
     """
-    x = Fraction(x)
+    x = _rational(x)
     if x < 0:
         return Fraction(0)
     if x >= 1:

@@ -3,7 +3,9 @@
 Each call decides from a deletion's steps and depth, and reads no digit past
 the stored ones under either tail; one that listed or drew up to position
 10^9 or 10^12 would hit an address-space limit or a timeout instead.  The
-10^5-entry schedule and its inverse each take O(k log k) comparisons.
+10^5-entry schedule and its inverse each take O(k log k) comparisons.  A
+``str`` x whose exponent is past the integer string limit is refused before
+10^|e| is built.
 
 Run with:  (ulimit -v 1048576 && python tests/deep_calls.py)
 It prints one line per call and exits 1 if the lines differ from EXPECTED.
@@ -16,11 +18,14 @@ from fractions import Fraction
 from cantorshift import (
     BaseSpec,
     DigitExpansion,
+    DistributionSpec,
     SetFamilySpec,
     Tail,
     alternating_shift_value,
     chain_value,
     compose_two,
+    distribution_function,
+    expansion_of,
     generalized_shift_value,
     make_schedule,
     monte_carlo_measure,
@@ -28,7 +33,11 @@ from cantorshift import (
     parse_function_spec,
     plm_generalized_chain,
     prefix_sum,
+    value_at,
 )
+
+LIMIT = sys.get_int_max_str_digits()
+PAST_LIMIT = f"ValueError cannot parse rational '1e-99999999' (past the integer string limit of {LIMIT} digits)"
 
 EXPECTED = [
     "(1000000000,)",
@@ -45,6 +54,9 @@ EXPECTED = [
     "-17/162",
     "43/60",
     "-71/240",
+    PAST_LIMIT,
+    PAST_LIMIT,
+    PAST_LIMIT,
 ]
 
 
@@ -71,6 +83,9 @@ def main() -> int:
         lambda: alternating_shift_value(e3, 10**9),
         lambda: generalized_shift_value(c3, 10**9),
         lambda: alternating_shift_value(c3, 10**9),
+        lambda: value_at(f, "1e-99999999"),
+        lambda: distribution_function(DistributionSpec(f.weights), "1e-99999999"),
+        lambda: expansion_of("1e-99999999", BaseSpec.constant(3), 10),
     ):
         try:
             lines.append(str(call()))

@@ -1,8 +1,5 @@
 import random
 import re
-import resource
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +27,7 @@ from cantorshift import (
     value_of,
 )
 from cantorshift import measure
+import cli_cases
 import deep_calls
 from oracles import chain_deleted_positions, compare_mc_counts, constant_slope_map, threshold_mc_counts
 
@@ -555,15 +553,6 @@ class TestExactWorkBound:
 def test_deep_deletions_in_a_bounded_process():
     # tests/deep_calls.py lists the calls and their expected lines; the CI
     # job runs the same file against the installed package
-    def bounded():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    out = subprocess.run(
-        [sys.executable, str(Path(__file__).with_name("deep_calls.py"))],
-        capture_output=True,
-        text=True,
-        timeout=20,
-        preexec_fn=bounded,
-    )
+    out = cli_cases.run_child([str(Path(__file__).with_name("deep_calls.py"))], 20)
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.splitlines() == deep_calls.EXPECTED
