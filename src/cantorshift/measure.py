@@ -4,17 +4,23 @@ Iterated and generalized shifts over a constant base q delete digit
 positions, so any finite composition of them deletes a set D of original
 positions.  With M = max D and L = |D| it is affine on each rank-M cylinder:
 on the j-th it is z -> q^L z + (s_j - j) / q^(M-L), where s_j is the integer
-formed by the digits of j that survive.  The builders emit these q^M exact
-rational branches in one pass from D.  ``compose`` is a general map
-operation that the builders do not use; it pairs each source branch only
-with the target branches its image meets, found by bisection.
+formed by the digits of j that survive; ``_kept_digits`` lists s_j.  The
+builders emit these q^M exact rational branches in one pass from D.
+``compose`` is a general map operation that the builders do not use; it
+pairs each source branch only with the target branches its image meets,
+found by bisection.
 
 The set {z : map(z) < x} is a disjoint union of one piece per branch, so its
 measure is the sum of the piece lengths; ``sublevel_measure`` adds them up
 in an integer kernel, and the measure of {z : A(z) < B(z)} is the same sum
 for the affine difference A - B on a common refinement.  ``sublevel_set``
 returns the pieces themselves, in order; it is the set form of the same
-computation and the reference the kernel is tested against.  A seeded
+computation and the reference the kernel is tested against.  ``gk_scan``
+builds no map for a threshold set: with K = M - L the map is (s_j + t) / q^K
+on the points (j + t) / q^M of cylinder j, so the piece there is the whole
+cylinder when s_j < floor(x q^K), the fraction x q^K - s_j of it when s_j is
+that floor, and empty otherwise.  One integer pass over the q^M cylinders
+counts them by s_j, and each row reads two prefix counts.  A seeded
 digit-sampling Monte Carlo estimator, which reads each sample's digits from
 one integer draw as whole-integer runs and windows, provides an independent
 stochastic cross-check.  Each draw is ``getrandbits`` of the range's bit
@@ -27,8 +33,8 @@ further digits.
 The builders check q^M against the budget, and the sampler its draw against
 ``_MAX_DRAW`` digits, before they list, build or draw anything.  ``gk_scan``
 decides once per set, from its closed-form depth M alone, whether its rows
-are exact, sampled or refused: nothing is listed, raised to a power past the
-budget's bit length, or drawn before it decides.
+are exact, sampled or refused: nothing is listed, counted, raised to a power
+past the budget's bit length, or drawn before it decides.
 
 All interval endpoints are rationals; intervals are half-open [a, b), so
 single boundary points (the dual representations of the same number) never
@@ -40,12 +46,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 
 from . import shifts as sh
-from .expansions import _Record
+from .expansions import _rational, _Record
 
 __all__ = [
     "BudgetExceededError",
@@ -79,11 +86,12 @@ _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
 _SAMPLE_COST = 300  # a sample's cost past its digits, in drawn bits: about 0.3 us at about 1 ns a bit
 _MAX_SAMPLING = 5 * 10**10  # the most bits one scan or estimate may draw, costs included: about a minute
 _MAX_ROWS = 10**6  # the most rows one scan may hold: at the bound, rows and CSV peak near 0.6 GB
-# exact work in branch reads, one branch at one threshold (about 1 us): building a
-# branch costs about 7 of them, and a comparison row about 14 for each of its q^M branches
+# exact work in branch reads, one branch at one threshold: a threshold set is
+# charged 7 a cylinder for its pass and one a cylinder a row, a comparison row
+# about 14 for each of its q^M branches (about 0.8 us a read when rows read maps)
 _BUILD_COST = 7
 _COMPARE_COST = 14
-_MAX_EXACT = 6 * 10**7  # the most branch reads one scan's exact rows may cost: about a minute
+_MAX_EXACT = 6 * 10**7  # the most branch reads one scan's exact rows may cost: about a minute of comparisons
 
 
 class BudgetExceededError(RuntimeError):
@@ -232,14 +240,27 @@ def _bound_sampling(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
 
 def _bound_exact(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
     """Refuse the exact rows of each spec in ``work`` past ``_MAX_EXACT`` branch reads:
-    a threshold set builds its q^M branches at ``_BUILD_COST`` each and reads them once
-    a row, a comparison costs ``_COMPARE_COST`` a branch.  Each q^M fits the budget."""
+    a threshold set is charged ``_BUILD_COST`` for each of its q^M cylinders and one
+    read a cylinder a row, a comparison ``_COMPARE_COST`` a branch.  Each q^M fits the
+    budget.  A threshold row reads two prefix counts, so its charge over-counts the
+    work; it stays so that the bound refuses the same scans with the same line."""
     cost = 0
     for spec, rows in work:
         each = _COMPARE_COST if spec.kind is FamilyKind.COMPARE_ITER else _BUILD_COST + rows
         cost += spec.q**spec.depth * each
     if cost > _MAX_EXACT:
         raise BudgetExceededError(f"the exact rows would cost {cost} branch reads, over the limit {_MAX_EXACT}")
+
+
+def _kept_digits(q: int, deleted: Sequence[int], top: int) -> Iterator[int]:
+    """s_j for j = 0 .. q^top - 1 in order: the integer that the digits of j at
+    the positions 1..top outside ``deleted`` form, ``deleted`` ending at top."""
+    runs = _surviving_runs(q, deleted, top)
+    for j in range(q**top):
+        kept = 0
+        for div, size in runs:
+            kept = kept * size + (j // div) % size
+        yield kept
 
 
 def _plm_deleting(spec: "SetFamilySpec", budget: int) -> PiecewiseLinearMap:
@@ -251,18 +272,38 @@ def _plm_deleting(spec: "SetFamilySpec", budget: int) -> PiecewiseLinearMap:
         raise BudgetExceededError(refusal)
     deleted = spec.deleted_positions()
     count = q**top
-    runs = _surviving_runs(q, deleted, top)
     slope = Fraction(q ** len(deleted))
     scale = q ** (top - len(deleted))
     out, lo = [], Fraction(0)
-    for j in range(count):
-        kept = 0
-        for div, size in runs:
-            kept = kept * size + (j // div) % size
+    for j, kept in enumerate(_kept_digits(q, deleted, top)):
         hi = Fraction(j + 1, count)
         out.append(Branch(lo, hi, slope, Fraction(kept - j, scale)))
         lo = hi
     return PiecewiseLinearMap(out)
+
+
+def _cylinders_below(spec: "SetFamilySpec") -> list[int]:
+    """below[F] = #{j : s_j < F} for F = 0 .. q^K, K = M - L, over the q^M rank-M
+    cylinders of ``spec``'s deletion: one pass counts them by s_j."""
+    q, top = spec.q, spec.depth
+    deleted = spec.deleted_positions()
+    counts = [0] * q ** (top - len(deleted))
+    for kept in _kept_digits(q, deleted, top):
+        counts[kept] += 1
+    return list(accumulate(counts, initial=0))
+
+
+def _threshold_measure(below: Sequence[int], x: Fraction) -> Fraction:
+    """Measure of {z : map(z) < x} from ``_cylinders_below``: with F, r = divmod(x q^K, 1)
+    it is (#{s_j < F} + #{s_j = F} * r) / q^M, as the module docstring derives."""
+    xn, xd = x.numerator, x.denominator
+    if not 0 <= xn <= xd:
+        raise ValueError("threshold must lie in [0, 1]")
+    whole, part = divmod(xn * (len(below) - 1), xd)
+    num = below[whole] * xd
+    if part:
+        num += (below[whole + 1] - below[whole]) * part
+    return Fraction(num, xd * below[-1])
 
 
 def plm_iter_shift(q: int, n: int, budget: int = DEFAULT_BRANCH_BUDGET) -> PiecewiseLinearMap:
@@ -303,7 +344,7 @@ def sublevel_set(plm: PiecewiseLinearMap, x) -> tuple[tuple[Fraction, Fraction],
     Boundary points where plm(z) = x are measure zero and may fall on either
     side of a half-open endpoint.
     """
-    x = Fraction(x)
+    x = _rational(x)
     pairs = []
     for br in plm.branches:
         if br.slope > 0:
@@ -370,7 +411,7 @@ def _sublevel_kernel(branches: Iterable[Branch], x: Fraction) -> Fraction:
 
 
 def sublevel_measure(plm: PiecewiseLinearMap, x) -> Fraction:
-    x = Fraction(x)
+    x = _rational(x)
     if not 0 <= x <= 1:
         raise ValueError("threshold must lie in [0, 1]")
     return _sublevel_kernel(plm.branches, x)
@@ -534,7 +575,7 @@ def monte_carlo_measure(
             hits += (shallow < deep) == a_leads
         return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
-    x = Fraction(x)
+    x = _rational(x)
     if not 0 <= x <= 1:
         raise ValueError("threshold must lie in [0, 1]")
     xn, xd = x.numerator, x.denominator
@@ -621,9 +662,13 @@ def gk_scan(
 ) -> list[ScanRow]:
     """Measure table over a family of shift-composition sets.
 
-    Every set is decided from its ``depth`` M before any map is built or row
-    drawn or logged: its rows are exact when q^M fits the budget and, for
-    itershift and compareiter, M is at most ``iter_limit``.  Otherwise they
+    Every set is decided from its ``depth`` M before any cylinder is counted,
+    map built or row drawn or logged: its rows are exact when q^M fits the
+    budget and, for itershift and compareiter, M is at most ``iter_limit``.
+    An exact threshold set makes one integer pass over its q^M rank-M
+    cylinders, counting them by s_j (see the module docstring), and each of
+    its rows reads two of those counts; an exact comparison row is
+    ``comparison_measure`` of the two iterates' maps.  Otherwise rows
     fall back to Monte Carlo, with per-row seeds ``seed + counter`` that keep
     the output deterministic.  BudgetExceededError names the first set with
     fallback off or a sample past ``_MAX_DRAW`` digits, or else all sampled
@@ -661,28 +706,26 @@ def gk_scan(
     rows: list[ScanRow] = []
     counter = 0
     for spec, refusal, _ in plan:
-        family, q = spec.kind.value, spec.q
+        family, param, q = spec.kind.value, spec.param, spec.q
         if refusal is not None:
             if log:
-                log(f"{family} {spec.param}: {refusal}, Monte Carlo fallback")
+                log(f"{family} {param}: {refusal}, Monte Carlo fallback")
         elif spec.kind is FamilyKind.COMPARE_ITER:
             value = comparison_measure(plm_iter_shift(q, spec.a, budget), plm_iter_shift(q, spec.b, budget))
-        elif spec.kind is FamilyKind.ITER_SHIFT:
-            plm = plm_iter_shift(q, spec.n, budget)
         else:
-            plm = plm_generalized_chain(q, spec.indices, budget)
-        grid = [None] if spec.kind is FamilyKind.COMPARE_ITER else [Fraction(x) for x in x_grid]
+            below = _cylinders_below(spec)
+        grid = [None] if spec.kind is FamilyKind.COMPARE_ITER else [_rational(x) for x in x_grid]
         for x in grid:
             counter += 1
             if refusal is None:
-                measure = value if x is None else sublevel_measure(plm, x)
-                rows.append(ScanRow(family, spec.param, x, measure, "exact"))
+                measure = value if x is None else _threshold_measure(below, x)
+                rows.append(ScanRow(family, param, x, measure, "exact"))
                 continue
             mc = monte_carlo_measure(spec, Fraction(0) if x is None else x, samples, seed + counter)
             rows.append(
                 ScanRow(
                     family,
-                    spec.param,
+                    param,
                     x,
                     Fraction(mc.hits, mc.samples),
                     "mc",

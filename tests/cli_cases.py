@@ -27,6 +27,7 @@ import sys
 import tempfile
 import time
 import traceback
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -49,7 +50,9 @@ class Case(NamedTuple):
     stdout: str | None = None  # the whole of stdout
     stderr: str | re.Pattern | None = None  # the whole of stderr, or a pattern it matches in full
     config: str | None = None  # written to exp.cfg before the run
-    files: tuple = ()  # (name, substrings) for a non-empty file holding each, (name, None) for no file
+    # (name, substrings) for a non-empty file holding each, (name, text) for a
+    # file of exactly that text, (name, None) for no file
+    files: tuple = ()
     child: bool = False  # run in a child process with a timeout and 1 GiB of address space
     seconds: float | None = None  # the child's timeout, or the in-process run's wall-time bound
 
@@ -63,6 +66,13 @@ def _refused(id: str, config: str, error: str, seconds: float, code: int = 4) ->
 
 def _xs(count: int) -> str:
     return ", ".join(f"{i}/1000" for i in range(count))
+
+
+def _exact_rows(family: str, param: str, count: int) -> str:
+    """The CSV of a threshold set whose measure at each of ``_xs(count)`` is x."""
+    rows = [f"{family},{param},{x.numerator},{x.denominator},{x.numerator},{x.denominator},exact,,\n"
+            for x in (Fraction(i, 1000) for i in range(count))]
+    return "family,param,x_num,x_den,measure_num,measure_den,method,samples,halfwidth\n" + "".join(rows)
 
 
 CASES = (
@@ -111,9 +121,14 @@ CASES = (
     _refused("measure-many-rows", f"family = itershift\nq = 2\nn = 9..1008\nx = {_xs(1001)}\nsamples = 1\n",
              "the scan would hold 1001000 rows, over the limit 1000000", 5),
     # one deletion at position 19: 2^19 branches, inside the default budget,
-    # built and read at 1000 thresholds would take minutes
+    # charged as built and read at 1000 thresholds (about 7 minutes that way)
     _refused("measure-exact-work", f"family = genchain\nq = 2\nindices = 19\nx = {_xs(1000)}\n",
              "the exact rows would cost 527958016 branch reads, over the limit 60000000", 5),
+    # the same set at 10 thresholds runs: one pass counts its 2^19 cylinders,
+    # where building and reading 2^19 branches took about 6 s
+    Case("measure-exact-chain", ("measure", "exp.cfg"), 0, "", "wrote 10 rows to out.csv\n",
+         f"family = genchain\nq = 2\nindices = 19\nx = {_xs(10)}\nout = out.csv\n",
+         (("out.csv", _exact_rows("genchain", "1", 10)),), True, 3),
     # --tol is no flag: argparse refuses it before the command runs
     Case("eval-unknown-flag", ("eval", "q=2;p=0.5,0.5", "1/2", "--tol", "0"), 2, "",
          usage_error("unrecognized arguments: --tol 0")),
@@ -200,6 +215,9 @@ def run(case: Case) -> list[str]:
                     problems.append(f"{name} was written")
             elif not path.is_file() or not path.stat().st_size:
                 problems.append(f"{name} is missing or empty")
+            elif isinstance(parts, str):
+                if path.read_text() != parts:
+                    problems.append(f"{name} differs from the expected text")
             else:
                 text = path.read_text()
                 problems += [f"{name} lacks {part!r}" for part in parts if part not in text]

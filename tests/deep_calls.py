@@ -27,12 +27,16 @@ from cantorshift import (
     distribution_function,
     expansion_of,
     generalized_shift_value,
+    gk_scan,
     make_schedule,
     monte_carlo_measure,
     original_positions,
     parse_function_spec,
     plm_generalized_chain,
+    plm_iter_shift,
     prefix_sum,
+    sublevel_measure,
+    sublevel_set,
     value_at,
 )
 
@@ -54,6 +58,10 @@ EXPECTED = [
     "-17/162",
     "43/60",
     "-71/240",
+    PAST_LIMIT,
+    PAST_LIMIT,
+    PAST_LIMIT,
+    PAST_LIMIT,
     PAST_LIMIT,
     PAST_LIMIT,
     PAST_LIMIT,
@@ -86,6 +94,10 @@ def main() -> int:
         lambda: value_at(f, "1e-99999999"),
         lambda: distribution_function(DistributionSpec(f.weights), "1e-99999999"),
         lambda: expansion_of("1e-99999999", BaseSpec.constant(3), 10),
+        lambda: gk_scan([SetFamilySpec.iter_shift(2, 1)], ["1e-99999999"]),
+        lambda: sublevel_measure(plm_iter_shift(2, 1), "1e-99999999"),
+        lambda: sublevel_set(plm_iter_shift(2, 1), "1e-99999999"),
+        lambda: monte_carlo_measure(SetFamilySpec.iter_shift(2, 1), "1e-99999999", 1, 0),
     ):
         try:
             lines.append(str(call()))

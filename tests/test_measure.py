@@ -345,10 +345,10 @@ class TestScan:
 
     def test_refused_sets_build_no_map(self, monkeypatch):
         def build(*_args, **_kwargs):
-            raise AssertionError("a map was built for a refused set")
+            raise AssertionError("a map was built or cylinders counted for a refused set")
 
-        monkeypatch.setattr(measure, "plm_iter_shift", build)
-        monkeypatch.setattr(measure, "plm_generalized_chain", build)
+        for name in ("plm_iter_shift", "plm_generalized_chain", "_cylinders_below", "_kept_digits"):
+            monkeypatch.setattr(measure, name, build)
         # 2^9 fits the budget, so the iterates are refused by the iterate
         # limit alone; the chain deletes up to position 10
         specs = [SetFamilySpec.iter_shift(2, 9), SetFamilySpec.gen_chain(2, (9, 9)), SetFamilySpec.compare_iter(2, 9, 3)]
@@ -413,6 +413,58 @@ class TestScan:
         assert lines[2].split(",") == ["compareiter", "2:1", "", "", "1", "2", "exact", "", ""]
 
 
+class TestThresholdRows:
+    """An exact threshold row comes from one integer pass over the rank-M
+    cylinders; the PLM engine, which builds the q^M branches and sums their
+    pieces, is its oracle."""
+
+    @staticmethod
+    def seeded_specs(q, seed):
+        rng = random.Random(seed)
+        deepest = {2: 8, 3: 6, 4: 5}[q]  # at most the default iterate limit
+        specs = [SetFamilySpec.iter_shift(q, rng.randint(1, deepest))]
+        while len(specs) < 7:
+            indices = tuple(rng.randint(1, deepest - 1) for _ in range(rng.randint(1, 3)))
+            kind = FamilyKind.GEN_CHAIN if len(specs) % 2 else FamilyKind.SCHEDULE_CHAIN
+            spec = SetFamilySpec(kind, q, indices=indices)
+            if spec.depth <= deepest:
+                specs.append(spec)
+        return rng, specs
+
+    @pytest.mark.parametrize("seed", [3, 17])
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_rows_match_the_map_engine(self, q, seed):
+        rng, specs = self.seeded_specs(q, seed)
+        for spec in specs:
+            if spec.kind is FamilyKind.ITER_SHIFT:
+                plm = plm_iter_shift(q, spec.n)
+            else:
+                plm = plm_generalized_chain(q, spec.indices)
+            # x * q^K is an integer at a piece boundary, K the surviving digits
+            scale = q ** (spec.depth - len(spec.deleted_positions()))
+            xs = [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(rng.randint(0, scale), scale)]
+            xs += [Fraction(rng.randint(0, den), den) for den in (rng.randint(2, 50) for _ in range(4))]
+            rows = gk_scan([spec], xs)
+            assert [row.method for row in rows] == ["exact"] * len(xs)
+            assert [row.measure for row in rows] == [sublevel_measure(plm, x) for x in xs]
+
+    def test_threshold_rows_build_no_branch(self, monkeypatch):
+        def build(*_args, **_kwargs):
+            raise AssertionError("a branch or map was built for a threshold row")
+
+        for name in ("Branch", "PiecewiseLinearMap", "plm_iter_shift", "plm_generalized_chain", "_plm_deleting"):
+            monkeypatch.setattr(measure, name, build)
+        specs = [SetFamilySpec.iter_shift(3, 4), SetFamilySpec.gen_chain(2, (3, 1, 5))]
+        rows = gk_scan(specs, [Fraction(1, 3), Fraction(5, 8)])
+        assert [row.measure for row in rows] == [Fraction(1, 3), Fraction(5, 8)] * 2
+
+    @pytest.mark.parametrize("x", [2, Fraction(-1, 3), Fraction(4, 3), "-1/2"])
+    def test_threshold_outside_unit_interval(self, x):
+        for spec in (SetFamilySpec.iter_shift(2, 3), SetFamilySpec.gen_chain(3, (2, 1))):
+            with pytest.raises(ValueError, match=r"^threshold must lie in \[0, 1\]$"):
+                gk_scan([spec], [Fraction(1, 2), x])
+
+
 class TestSamplingBound:
     """All sampled rows of a scan, and one direct estimate, are bounded in
     drawn bits: (q - 1).bit_length() a digit plus a fixed cost a sample."""
@@ -428,8 +480,8 @@ class TestSamplingBound:
             raise AssertionError("a map was built or a sample drawn")
 
         monkeypatch.setattr(measure, "_MAX_SAMPLING", self.BITS - 1)
-        monkeypatch.setattr(measure, "monte_carlo_measure", work)
-        monkeypatch.setattr(measure, "plm_iter_shift", work)
+        for name in ("monte_carlo_measure", "plm_iter_shift", "_cylinders_below", "_kept_digits"):
+            monkeypatch.setattr(measure, name, work)
         logged = []
         with pytest.raises(BudgetExceededError) as exc:
             gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
@@ -479,8 +531,8 @@ class TestRowBound:
             raise AssertionError("a map was built or a sample drawn")
 
         monkeypatch.setattr(measure, "_MAX_ROWS", 6)
-        monkeypatch.setattr(measure, "monte_carlo_measure", work)
-        monkeypatch.setattr(measure, "plm_iter_shift", work)
+        for name in ("monte_carlo_measure", "plm_iter_shift", "_cylinders_below", "_kept_digits"):
+            monkeypatch.setattr(measure, name, work)
         logged = []
         with pytest.raises(BudgetExceededError) as exc:
             gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
@@ -525,7 +577,14 @@ class TestExactWorkBound:
             raise AssertionError("a map was built or a sample drawn")
 
         monkeypatch.setattr(measure, "_MAX_EXACT", self.COST - 1)
-        for name in ("plm_iter_shift", "plm_generalized_chain", "plm_single_deletion", "monte_carlo_measure"):
+        for name in (
+            "plm_iter_shift",
+            "plm_generalized_chain",
+            "plm_single_deletion",
+            "_cylinders_below",
+            "_kept_digits",
+            "monte_carlo_measure",
+        ):
             monkeypatch.setattr(measure, name, work)
         logged = []
         with pytest.raises(BudgetExceededError) as exc:
