@@ -295,6 +295,11 @@ def _int_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {quote_token(text)}") from None
 
 
+# main dispatches through this dict rather than argparse defaults, so a
+# wrapper bound to an entry (a tracer's, say) is what runs
+_COMMANDS = {"eval": cmd_eval, "curve": cmd_curve, "verify": cmd_verify, "measure": cmd_measure}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -306,13 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a function at a point")
     p_eval.add_argument("spec", help='function spec, e.g. "q=2; p=0.3,0.7; seq=perm(2 1)"')
     p_eval.add_argument("x", help="rational like 1/3 or 0.25, or digit notation like q2:[1]:zeros")
-    p_eval.set_defaults(func=cmd_eval)
 
     p_curve = sub.add_parser("curve", help="write a CSV curve of the function")
     p_curve.add_argument("spec")
     p_curve.add_argument("--grid", type=_int_flag, default=256, help="number of grid cells (>= 2)")
     p_curve.add_argument("--out", required=True)
-    p_curve.set_defaults(func=cmd_curve)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help="suite name or 'all'")
@@ -322,21 +325,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="function spec read by the system, integral and continuity suites"
         f' (default "{sm.format_function_spec(DEFAULT_FUNCTION)}")',
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_measure = sub.add_parser("measure", help="run a measure experiment from a config file")
     p_measure.add_argument("config")
     p_measure.add_argument("--out", default=None, help="override the config output path")
     p_measure.add_argument("--budget", type=_int_flag, default=None)
     p_measure.add_argument("--seed", type=_int_flag, default=None)
-    p_measure.set_defaults(func=cmd_measure)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command](args)
     except me.BudgetExceededError as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except (ValueError, ZeroDivisionError) as exc:
