@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from fractions import Fraction
 
@@ -269,18 +270,30 @@ def cmd_measure(args) -> int:
     # an empty --out keeps the config's path; ``gk_scan`` checks --budget and --seed
     flags = {"budget": args.budget, "seed": args.seed, "out": args.out or None}
     cfg = parse_config(text)._replace(**{k: v for k, v in flags.items() if v is not None})
-    rows = me.gk_scan(
-        cfg.specs,
-        cfg.x_grid,
-        budget=cfg.budget,
-        iter_limit=cfg.iter_limit,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        allow_fallback=cfg.fallback,
-        log=lambda msg: print(msg, file=sys.stderr),
-    )
-    table = me.rows_to_csv(rows)  # before the file opens, so a failed render leaves no file
-    with open(cfg.out, "w", encoding="ascii") as handle:
+    # an unwritable out fails here, before the scan.  Opened to append, an
+    # existing file is truncated only once the table is ready, and a file
+    # made here is removed if the scan or render fails
+    made = not os.path.lexists(cfg.out)
+    with open(cfg.out, "a", encoding="ascii") as handle:
+        try:
+            rows = me.gk_scan(
+                cfg.specs,
+                cfg.x_grid,
+                budget=cfg.budget,
+                iter_limit=cfg.iter_limit,
+                samples=cfg.samples,
+                seed=cfg.seed,
+                allow_fallback=cfg.fallback,
+                log=lambda msg: print(msg, file=sys.stderr),
+            )
+            table = me.rows_to_csv(rows)
+        except BaseException:
+            handle.close()
+            if made:
+                os.remove(cfg.out)
+            raise
+        if not made:
+            handle.truncate(0)
         handle.write(table)
     print(f"wrote {len(rows)} rows to {cfg.out}", file=sys.stderr)
     return EXIT_OK

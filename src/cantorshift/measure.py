@@ -28,7 +28,9 @@ length, drawn again while out of range, the rule ``randrange`` follows on
 Python 3.10-3.13, so seeded streams match a ``randrange`` loop.  A threshold
 sample compares the integer its surviving digits form once with
 floor(x * q^(M - L + 16)); only the one that holds x * q^(M - L + 16) reads
-further digits.
+further digits.  A q = 2 draw of at most 32 bits is decided a round of
+32-bit words at a time, in the bit fields of one big integer, with the same
+stream; see ``monte_carlo_measure``.
 
 The builders check q^M against the budget, and the sampler its draw against
 ``_MAX_DRAW`` digits, before they list, build or draw anything.  ``gk_scan``
@@ -83,8 +85,13 @@ DEFAULT_SAMPLES = 10**5
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _GUARD = 16  # digits a draw reads past the last deleted position, and a comparison window's width
 _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
+# the sampling time model charges every draw as a draw-at-a-time sample; a
+# binary draw, decided a round at a time, costs less, and the model is kept
+# unchanged so that every refusal line stays the same
 _SAMPLE_COST = 300  # a sample's cost past its digits, in drawn bits: about 0.3 us at about 1 ns a bit
 _MAX_SAMPLING = 5 * 10**10  # the most bits one scan or estimate may draw, costs included: about a minute
+_WORD = 32  # bits in one output word of the Mersenne Twister
+_ROUND_WORDS = 4096  # the most words one round of binary Monte Carlo draws: 2^17 bits
 _MAX_ROWS = 10**6  # the most rows one scan may hold: at the bound, rows and CSV peak near 0.6 GB
 # exact work in branch reads, one branch at one threshold: a threshold set is
 # charged 7 a cylinder for its pass and one a cylinder a row, a comparison row
@@ -515,6 +522,96 @@ def _halfwidth(hits: int, samples: int) -> float:
     return _Z99 * math.sqrt(max(phat * (1.0 - phat), 0.0) / samples)
 
 
+def _refine_block(rng: random.Random, q: int, block: int, depth: int, xn: int, xd: int) -> bool | None:
+    """A threshold sample whose block of ``depth`` digits holds x = xn / xd * q^depth:
+    one fresh digit a round narrows [block, block + 1) / q^depth until it lies
+    below x (True, a hit) or not below it (False), or None past 128 digits."""
+    scale = q**depth
+    while depth < 128:
+        block = block * q + rng.randrange(q)
+        scale *= q
+        depth += 1
+        if (block + 1) * xd <= xn * scale:
+            return True
+        if block * xd >= xn * scale:
+            return False
+    return None
+
+
+def _refine_windows(rng: random.Random, u: int, lag: int, window: int) -> bool | None:
+    """A comparison draw u whose two windows tie: each round keeps the last
+    |a - b| digits and appends ``_GUARD`` fresh ones, up to 256 compared digits.
+    Whether the shallow window ends below the deep one, or None if every round ties."""
+    for _ in range(256 // _GUARD - 1):
+        u = u % lag * window + rng.randrange(window)
+        shallow, deep = u // lag, u % window
+        if shallow != deep:
+            return shallow < deep
+    return None
+
+
+def _binary_counts(
+    rng: random.Random,
+    samples: int,
+    fields: Callable[[int], Callable[[int], tuple[int, int]]],
+    settle: Callable[[int], bool | None] | None,
+) -> tuple[int, int]:
+    """(hits, indeterminate) of ``samples`` draws of ``bits`` <= 32 bits each,
+    decided a round of 32-bit words at a time; the stream is that of a
+    ``getrandbits(bits)`` loop that draws again while the top bit is set.
+
+    ``getrandbits(32 n)`` returns the n words that n calls of
+    ``getrandbits(bits)`` would read, the first least significant, each draw
+    the top ``bits`` bits of its word, so bit 31 of a slot is its rejection
+    bit.  ``fields(ones)``, given 1 in each slot, returns the reader of a
+    round: two integers that hold in each slot's bits 0-30 the two values a
+    sample compares, a hit when the first is below the second.  Guard-bit
+    subtraction compares every slot at once and ``int.bit_count`` counts
+    them.  A round draws one word for each sample still to decide, at most
+    ``_ROUND_WORDS``.  A tie, where the two values are equal, is finished by
+    ``settle`` from its word, and it may draw: the state saved at the start or
+    after the last tie is restored, the words up to the tied one are drawn
+    again, and ``settle`` reads on from there, as the one-draw-at-a-time loop does.
+    Without ``settle`` equal values are a miss.
+    """
+    hits = indet = 0
+    state, words = rng.getstate(), 0  # words drawn since ``state``
+    n = 0
+    while samples:
+        if n != min(samples, _ROUND_WORDS):
+            n = min(samples, _ROUND_WORDS)
+            ones = int.from_bytes(b"\1\0\0\0" * n, "little")
+            high = ones << 31
+            read = fields(ones)
+        draw = rng.getrandbits(_WORD * n)
+        first, second = read(draw)
+        accepted = high ^ (draw & high)
+        at_least = (first | high) - second  # bit 31 set where first >= second
+        below = accepted & ~at_least
+        tied = accepted & (at_least ^ (at_least - ones)) & high if settle else 0
+        if tied:
+            tie = tied & -tied  # bit 31 of the first tied slot
+            slot = tie.bit_length() // _WORD - 1
+            accepted &= tie - 1
+            below &= tie - 1
+        hits += below.bit_count()
+        samples -= accepted.bit_count()
+        if not tied:
+            words += n
+            continue
+        rng.setstate(state)
+        words += slot + 1
+        while words:
+            rng.getrandbits(_WORD * min(words, _ROUND_WORDS))
+            words -= min(words, _ROUND_WORDS)
+        outcome = settle(draw >> _WORD * slot & 0xFFFFFFFF)
+        hits += outcome is True
+        indet += outcome is None
+        samples -= 1
+        state = rng.getstate()
+    return hits, indet
+
+
 def monte_carlo_measure(
     spec: SetFamilySpec,
     x,
@@ -541,6 +638,17 @@ def monte_carlo_measure(
     fresh ones, up to 256 compared digits.  Deterministic for a fixed seed;
     indeterminate samples are counted separately.  A draw past ``_MAX_DRAW``
     digits, or ``_MAX_SAMPLING`` bits in all, is refused before anything is drawn.
+
+    A binary draw, q = 2 with span.bit_length() <= 32 (M <= 15 for a threshold
+    family, 1 <= |a - b| <= 15 for a comparison), fits one 32-bit word and is
+    decided a round of words at a time by ``_binary_counts``: one
+    ``getrandbits(32 n)`` holds the words that n draws would read, the first
+    least significant, each draw the top bits of its word; a draw is accepted
+    when its top bit is clear, as ``randrange`` accepts it.  A tie restores
+    the generator's state saved at the start or after the last tie, draws the
+    words up to the tied sample again, and refines that sample as below, so
+    the stream is the same.  Every other draw (q != 2, over 32 bits, or a = b,
+    where every sample ties) is read one at a time.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -553,9 +661,25 @@ def monte_carlo_measure(
     q = spec.q
 
     if spec.kind is FamilyKind.COMPARE_ITER:
-        lag, window, a_leads = q ** abs(spec.a - spec.b), q**_GUARD, spec.a < spec.b
+        k = abs(spec.a - spec.b)
+        lag, window, a_leads = q**k, q**_GUARD, spec.a < spec.b
         span = lag * window
         bits = span.bit_length()
+        if q == 2 and k and bits <= _WORD:
+            # the draw fills word bits 32 - bits .. 30: the shallow window is
+            # bits 15..30, the deep one bits 15 - k .. 30 - k
+            def fields(ones: int) -> Callable[[int], tuple[int, int]]:
+                windows = (0xFFFF << 15) * ones
+                if a_leads:
+                    return lambda draw: (draw & windows, draw << k & windows)
+                return lambda draw: (draw << k & windows, draw & windows)
+
+            def settle(word: int) -> bool | None:
+                below = _refine_windows(rng, word >> (_WORD - bits), lag, window)
+                return None if below is None else below == a_leads
+
+            hits, indet = _binary_counts(rng, samples, fields, settle)
+            return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
         hits = indet = 0
         for _ in range(samples):
             # randrange(span) on Python 3.10-3.13, without its wrapper
@@ -564,15 +688,13 @@ def monte_carlo_measure(
                 u = getrandbits(bits)
             shallow, deep = u // lag, u % window
             if shallow == deep:
-                for _ in range(256 // _GUARD - 1):
-                    u = u % lag * window + rng.randrange(window)
-                    shallow, deep = u // lag, u % window
-                    if shallow != deep:
-                        break
-                else:
+                below = _refine_windows(rng, u, lag, window)
+                if below is None:
                     indet += 1
                     continue
-            hits += (shallow < deep) == a_leads
+            else:
+                below = shallow < deep
+            hits += below == a_leads
         return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
     x = _rational(x)
@@ -587,10 +709,26 @@ def monte_carlo_measure(
     bits = span.bit_length()
     runs = _surviving_runs(q, deleted, top)
     block_len = top - len(deleted)
-    q_block, cap = q**block_len, 128
-    # a block below x * q_block is a hit and one above it a miss; only the
-    # block floor(x * q_block), when x * q_block is not an integer, reads on
-    below, rest = divmod(xn * q_block, xd)
+    # a block below x * q^block_len is a hit and one above it a miss; only the
+    # block floor(x * q^block_len), when x * q^block_len is not an integer, reads on
+    below, rest = divmod(xn * q**block_len, xd)
+    if q == 2 and bits <= _WORD:
+        # digit p of the draw is word bit 31 - p, so the surviving digits keep
+        # their order with the deleted ones cleared, and floor(x * 2^block_len)
+        # is spread over the same bits; 2^block_len itself (x = 1) over bit 31
+        places = [31 - p for p in range(top, 0, -1) if p not in deleted] + [31]
+        kept = sum(1 << place for place in places[:-1])
+        target = sum(1 << place for i, place in enumerate(places) if below >> i & 1)
+
+        def fields(ones: int) -> Callable[[int], tuple[int, int]]:
+            mask, spread = kept * ones, target * ones
+            return lambda draw: (draw & mask, spread)
+
+        def settle(_word: int) -> bool | None:
+            return _refine_block(rng, q, below, block_len, xn, xd)
+
+        hits, indet = _binary_counts(rng, samples, fields, settle if rest else None)
+        return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
     hits = indet = 0
     for _ in range(samples):
         # randrange(span) on Python 3.10-3.13, without its wrapper
@@ -604,21 +742,9 @@ def monte_carlo_measure(
         if block < below:
             hits += 1
         elif block == below and rest:
-            # the composed value lies in [block, block + 1) / scale
-            scale = q_block
-            depth = block_len
-            while True:
-                if depth >= cap:
-                    indet += 1
-                    break
-                block = block * q + rng.randrange(q)
-                scale *= q
-                depth += 1
-                if (block + 1) * xd <= xn * scale:
-                    hits += 1
-                    break
-                if block * xd >= xn * scale:
-                    break
+            outcome = _refine_block(rng, q, block, block_len, xn, xd)
+            hits += outcome is True
+            indet += outcome is None
     return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
 
 

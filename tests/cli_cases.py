@@ -403,6 +403,20 @@ CASES = (
     Case("measure-unwritable-out", ("measure", "exp.cfg"), 3, "",
          "error: [Errno 2] No such file or directory: 'missing/out.csv'\n",
          "family = itershift\nq = 2\nn = 1..2\nx = 1/3\nout = missing/out.csv\n", (("missing", None),)),
+    # the output path is opened before the scan: this one would sample for
+    # about a second, and log a fallback line a set, before it could fail
+    Case("measure-unwritable-out-before-scan", ("measure", "exp.cfg"), 3, "",
+         "error: [Errno 2] No such file or directory: 'missing/out.csv'\n",
+         "family = itershift\nq = 3\nn = 100..140\nx = 1/3\nsamples = 100000\nout = missing/out.csv\n",
+         (("missing", None),), seconds=0.5),
+    # an existing out, here the longer config itself, is replaced by the table alone
+    Case("measure-existing-out-is-replaced", ("measure", "exp.cfg"), 0, "", "wrote 1 rows to exp.cfg\n",
+         "#" * 300 + "\nfamily = itershift\nq = 2\nn = 1\nx = 1/3\nout = exp.cfg\n",
+         (("exp.cfg", CSV_HEADER + "itershift,1,1,3,1,3,exact,,\n"),)),
+    # a refused scan leaves an existing out as it was: here the config itself
+    Case("measure-refused-keeps-existing-out", ("measure", "exp.cfg"), 4, "", "error: iterate count 9 over limit 8\n",
+         "family = itershift\nq = 2\nn = 9\nx = 1/3\nfallback = false\nout = exp.cfg\n",
+         (("exp.cfg", "family = itershift\nq = 2\nn = 9\nx = 1/3\nfallback = false\nout = exp.cfg\n"),)),
     _rejected("measure-no-fallback", "family = itershift\nq = 2\nn = 9..9\nx = 1/3\nfallback = false\n",
               "iterate count 9 over limit 8", code=4),
     # measure: a config refused before any set is decided

@@ -1,7 +1,9 @@
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -311,6 +313,120 @@ class TestMonteCarlo:
     def test_comparison_tie_keeps_the_lag_digits(self, a, b, seed):
         mc = monte_carlo_measure(SetFamilySpec.compare_iter(2, a, b), 0, 300, seed)
         assert (mc.hits, mc.indeterminate) == compare_mc_counts(2, a, b, 300, seed)
+
+
+class TestBinaryRounds:
+    """A q = 2 draw that fits one 32-bit word is decided a round of words at a
+    time by ``measure._binary_counts``; every count must still equal the
+    digit-by-digit oracle's, which draws one ``randrange`` sample at a time."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """The ``samples`` of every ``_binary_counts`` call, and the number of
+        tied samples refined (by either path) under "ties"."""
+        calls = {"samples": [], "ties": 0}
+        kernel, block, windows = measure._binary_counts, measure._refine_block, measure._refine_windows
+
+        def spy(rng, samples, *rest):
+            calls["samples"].append(samples)
+            return kernel(rng, samples, *rest)
+
+        def refine(refiner):
+            def counted(*args):
+                calls["ties"] += 1
+                return refiner(*args)
+
+            return counted
+
+        monkeypatch.setattr(measure, "_binary_counts", spy)
+        monkeypatch.setattr(measure, "_refine_block", refine(block))
+        monkeypatch.setattr(measure, "_refine_windows", refine(windows))
+        return calls
+
+    # a draw takes M + 17 bits, or |a - b| + 17 for a comparison: depth or lag
+    # 15 is the widest one word holds, 16 the first read one draw at a time
+    @pytest.mark.parametrize(
+        "spec, deleted, binary",
+        [
+            (SetFamilySpec.iter_shift(2, 15), range(1, 16), True),
+            (SetFamilySpec.iter_shift(2, 16), range(1, 17), False),
+            (SetFamilySpec.gen_chain(2, (9, 14)), (9, 15), True),
+            (SetFamilySpec.gen_chain(2, (9, 15)), (9, 16), False),
+            (SetFamilySpec.compare_iter(2, 17, 2), None, True),
+            (SetFamilySpec.compare_iter(2, 2, 18), None, False),
+        ],
+        ids=["itershift-15", "itershift-16", "genchain-15", "genchain-16", "compareiter-lag-15", "compareiter-lag-16"],
+    )
+    def test_widest_one_word_draw(self, rounds, spec, deleted, binary):
+        if deleted is None:
+            mc = monte_carlo_measure(spec, 0, 3000, 5)
+            assert (mc.hits, mc.indeterminate) == compare_mc_counts(2, spec.a, spec.b, 3000, 5)
+        else:
+            for x in (Fraction(1, 3), Fraction(5, 7)):
+                mc = monte_carlo_measure(spec, x, 3000, 5)
+                assert (mc.hits, mc.indeterminate) == threshold_mc_counts(2, deleted, x, 3000, 5)
+        assert bool(rounds["samples"]) == binary
+
+    @pytest.mark.parametrize("x", [Fraction(0), Fraction(1)])
+    def test_end_thresholds(self, rounds, x):
+        mc = monte_carlo_measure(SetFamilySpec.gen_chain(2, (9, 14)), x, 5000, 2)
+        assert (mc.hits, mc.indeterminate) == (5000 * x, 0) == threshold_mc_counts(2, (9, 15), x, 5000, 2)
+        assert rounds["samples"] == [5000]
+
+    def test_samples_past_one_round(self, rounds):
+        # about 20,000 words, at most 4096 a round
+        spec = SetFamilySpec(FamilyKind.SCHEDULE_CHAIN, 2, indices=(5, 6, 4))
+        deleted = chain_deleted_positions(spec.indices)
+        mc = monte_carlo_measure(spec, Fraction(2, 5), 10000, 8)
+        assert (mc.hits, mc.indeterminate) == threshold_mc_counts(2, deleted, Fraction(2, 5), 10000, 8)
+        assert rounds["samples"] == [10000]
+
+    # a sample ties when its 16 trailing digits form floor(2^16 / 3) = 21845:
+    # seed 7711 at sample 0, the first slot of the first round; seed 7 at
+    # sample 6318 (word 12475, past the first round's 4096 words); seed 62 at
+    # samples 2709 and 3212 (words 5446 and 6455)
+    @pytest.mark.parametrize(
+        "seed, samples, ties", [(7711, 600, 1), (7, 10000, 1), (62, 10000, 2)], ids=["first-slot", "later-round", "two"]
+    )
+    def test_threshold_ties(self, rounds, seed, samples, ties):
+        mc = monte_carlo_measure(SetFamilySpec.iter_shift(2, 9), Fraction(1, 3), samples, seed)
+        assert (mc.hits, mc.indeterminate) == threshold_mc_counts(2, range(1, 10), Fraction(1, 3), samples, seed)
+        assert rounds == {"samples": [samples], "ties": ties}
+
+    # the two windows of a lag-1 draw tie at seed 12735, sample 0; of a lag-3
+    # draw at seed 8, sample 4456 (word 8895), and at seed 60, samples 303
+    # and 7170 (words 649 and 14148)
+    @pytest.mark.parametrize(
+        "a, b, seed, samples, ties",
+        [(3, 2, 12735, 600, 1), (2, 5, 8, 10000, 1), (5, 2, 60, 10000, 2)],
+        ids=["first-slot", "later-round", "two"],
+    )
+    def test_comparison_ties(self, rounds, a, b, seed, samples, ties):
+        mc = monte_carlo_measure(SetFamilySpec.compare_iter(2, a, b), 0, samples, seed)
+        assert (mc.hits, mc.indeterminate) == compare_mc_counts(2, a, b, samples, seed)
+        assert rounds == {"samples": [samples], "ties": ties}
+
+    def test_equal_iterates_are_read_one_draw_at_a_time(self, rounds):
+        # every sample ties: a round of words would decide one sample each
+        started = time.perf_counter()
+        rows = gk_scan([SetFamilySpec.compare_iter(2, 9, 9)], [], samples=20000, seed=4)
+        assert time.perf_counter() - started < 1.0
+        assert [(row.measure, row.indeterminate) for row in rows] == [(0, 20000)]
+        assert rounds == {"samples": [], "ties": 20000}
+
+    def test_a_round_draws_at_most_2_to_the_17_bits(self, monkeypatch):
+        sizes = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                sizes.append(k)
+                return super().getrandbits(k)
+
+        spec = SetFamilySpec.iter_shift(2, 9)
+        plain = monte_carlo_measure(spec, Fraction(1, 3), 10**6, 3)
+        monkeypatch.setattr(measure, "random", SimpleNamespace(Random=Recording))
+        assert monte_carlo_measure(spec, Fraction(1, 3), 10**6, 3) == plain
+        assert max(sizes) == 2**17
 
 
 class TestScan:

@@ -3,7 +3,8 @@
 Each config runs in-process and its CSV is compared with a literal, so a
 change to any exact row or any seeded Monte Carlo stream shows here.  The
 configs cover exact rows and both fallback causes (the iterate limit and
-the branch budget) for each family, and a comparison tie a = b.
+the branch budget) for each family, a comparison tie a = b, and q = 2 draws
+of at most 32 bits, which are decided a round of words at a time.
 """
 
 import pytest
@@ -52,6 +53,24 @@ CASES = {
         "compareiter,9:11,,,13,25,mc,400,0.0643442\n"
         "compareiter,10:10,,,0,1,mc,400,0\n"
         "compareiter,12:9,,,99,200,mc,400,0.0643925\n",
+    ),
+    # q = 2 draws that fit one 32-bit word are decided a round of words at a
+    # time; these pin that stream on every CI Python.  Lags 2, 14 and 15 draw
+    # with seeds 12, 13 and 14; the first windows tie at sample 15147 of 9:11
+    # and at sample 12917 of 12:27
+    "compareiter-binary": (
+        "family = compareiter\nq = 2\npsi = 9,24,12\nphi = 11,10,27\nsamples = 20000\nseed = 11\n",
+        "compareiter,9:11,,,5023,10000,mc,20000,0.00910684\n"
+        "compareiter,24:10,,,308,625,mc,20000,0.00910599\n"
+        "compareiter,12:27,,,617,1250,mc,20000,0.00910619\n",
+    ),
+    # the chain 9,14 deletes positions 9 and 15: a 32-bit draw, the widest one word holds
+    "genchain-binary-depth15": (
+        "family = genchain\nq = 2\nindices = 9,14\ncount = 1..2\nx = 1/3, 5/7\nsamples = 5000\nseed = 3\nbudget = 100\n",
+        "genchain,1,1,3,209,625,mc,5000,0.0171859\n"
+        "genchain,1,5,7,3581,5000,mc,5000,0.0164231\n"
+        "genchain,2,1,3,853,2500,mc,5000,0.0172708\n"
+        "genchain,2,5,7,1807,2500,mc,5000,0.0163056\n",
     ),
 }
 
