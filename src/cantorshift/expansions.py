@@ -58,7 +58,8 @@ class _Record:
     follow them, and ``_fields`` then names the built-from ones), and its
     ``__init__`` checks its arguments and stores the slots with ``_set``.
     Copies, pickles and ``_replace`` rebuild the record through ``__init__``
-    from its fields.
+    from its fields; ``_make`` is the one way past the checks, for values
+    that hold by construction.
     """
 
     __slots__ = ()
@@ -73,6 +74,14 @@ class _Record:
         """Store ``values`` in the slots, in ``__slots__`` order, past ``__setattr__``."""
         for store, value in zip(self._stores, values):
             store(self, value)
+
+    @classmethod
+    def _make(cls, *values):
+        """A record of ``values``, in ``__slots__`` order, stored without the
+        checks of ``__init__``: only for values that are valid by construction."""
+        self = object.__new__(cls)
+        self._set(*values)
+        return self
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -128,7 +137,9 @@ class BaseSpec(_Record):
 
     @classmethod
     def constant(cls, q: int) -> "BaseSpec":
-        return cls((), q)
+        if q < 2:
+            raise ValueError("base entries must be >= 2")
+        return cls._make((), q)
 
     @classmethod
     def cantor(cls, prefix, tail_value: int) -> "BaseSpec":
@@ -276,7 +287,9 @@ def dual_representation(e: DigitExpansion) -> DigitExpansion | None:
     if not digits:
         return None
     step, tail = (-1, Tail.MAX) if e.tail is Tail.ZEROS else (1, Tail.ZEROS)
-    return DigitExpansion(e.base, digits[:-1] + (digits[-1] + step,), tail)
+    # a significant last digit is >= 1 under a zeros tail and <= base - 2
+    # under a max tail, so the moved digit stays in its alphabet
+    return DigitExpansion._make(e.base, digits[:-1] + (digits[-1] + step,), tail)
 
 
 def _significant(e: DigitExpansion) -> tuple[int, ...]:

@@ -647,8 +647,10 @@ def monte_carlo_measure(
     when its top bit is clear, as ``randrange`` accepts it.  A tie restores
     the generator's state saved at the start or after the last tie, draws the
     words up to the tied sample again, and refines that sample as below, so
-    the stream is the same.  Every other draw (q != 2, over 32 bits, or a = b,
-    where every sample ties) is read one at a time.
+    the stream is the same.  Every other draw (q != 2 or over 32 bits) is
+    read one at a time.  For a = b the two windows read the same digits, so
+    every sample ties through every round: the result, 0 hits and every
+    sample indeterminate, is returned without drawing.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -662,10 +664,12 @@ def monte_carlo_measure(
 
     if spec.kind is FamilyKind.COMPARE_ITER:
         k = abs(spec.a - spec.b)
+        if not k:
+            return MonteCarloResult(0.0, 0.0, samples, 0, samples)
         lag, window, a_leads = q**k, q**_GUARD, spec.a < spec.b
         span = lag * window
         bits = span.bit_length()
-        if q == 2 and k and bits <= _WORD:
+        if q == 2 and bits <= _WORD:
             # the draw fills word bits 32 - bits .. 30: the shallow window is
             # bits 15..30, the deep one bits 15 - k .. 30 - k
             def fields(ones: int) -> Callable[[int], tuple[int, int]]:

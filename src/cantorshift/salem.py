@@ -175,10 +175,8 @@ class IndexSequence(_Record):
         if k < 0:
             raise ValueError("k must be >= 0")
         deleted = sorted(self.prefix[:k])
-        induced = object.__new__(IndexSequence)
         ranks = tuple(n - bisect_left(deleted, n) for n in self.prefix[k:])
-        induced._set(_without_fixed_tail(ranks))
-        return induced
+        return IndexSequence._make(_without_fixed_tail(ranks))
 
 
 def _without_fixed_tail(perm: tuple[int, ...]) -> tuple[int, ...]:
@@ -249,11 +247,16 @@ def _periodic(w: WeightSet, order: tuple[int, ...], head: list[int], block: list
 
 
 def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
-    """Exact value of the function at an expansion: past its digit prefix it
-    reads the block (0), fixed point 0, or (q-1), fixed point 1."""
+    """Exact value of the function at an expansion, in closed form: the digit
+    prefix, padded with the tail digit to the order's length, is read through
+    the order as one map g -> (b + a*g)/s, and past it g reads the identity
+    order's value of its constant tail, 0 for the zeros tail and 1 for the
+    (q-1) tail, so the value is b/s or (b + a)/s."""
     _check_base(f, e)
-    tail = f.weights.q - 1 if e.tail is Tail.MAX else 0
-    return _periodic(f.weights, f.seq.prefix, list(e.prefix), [tail])
+    w, order, top = f.weights, f.seq.prefix, e.tail is Tail.MAX
+    pad = [w.q - 1 if top else 0] * (len(order) - len(e.prefix))
+    b, a, s = _word(w, _read(order, list(e.prefix) + pad))
+    return Fraction(b + a if top else b, s)
 
 
 def value_at(f: SalemFunction, x: Fraction | int | str) -> tuple[Fraction, int | None]:
@@ -337,7 +340,7 @@ def chain_value(f: SalemFunction, e: DigitExpansion, k: int) -> Fraction:
     re-read through the original order would pair the wrong digits with the
     wrong series slots.
     """
-    shifted = SalemFunction(f.weights, f.seq.induced_after(k))
+    shifted = SalemFunction._make(f.weights, f.seq.induced_after(k))
     return evaluate(shifted, chain_expansion(f, e, k))
 
 

@@ -61,7 +61,8 @@ def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return DigitExpansion(BaseSpec(e.base.prefix[n:], e.base.tail_value), e.prefix[n:], e.tail)
+    # a tail of a stripped base prefix is stripped, and each kept digit keeps its base
+    return DigitExpansion._make(BaseSpec._make(e.base.prefix[n:], e.base.tail_value), e.prefix[n:], e.tail)
 
 
 def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:
@@ -104,13 +105,15 @@ def delete_positions(e: DigitExpansion, positions: Sequence[int]) -> DigitExpans
 
     One pass keeps the stored digits and base-prefix entries at every other
     position; a position past a prefix removes a symbolic tail entry, which
-    leaves the constant stream beyond it unchanged.
+    leaves the constant stream beyond it unchanged.  Each kept digit keeps
+    its base, so only a shortened base prefix is checked again, for the
+    entries equal to the tail value that it may now end in.
     """
     cuts = sorted(_distinct_positions(positions))
     base = e.base
     if cuts and cuts[0] <= len(base.prefix):
         base = BaseSpec(_without(base.prefix, cuts), base.tail_value)
-    return DigitExpansion(base, _without(e.prefix, cuts), e.tail)
+    return DigitExpansion._make(base, _without(e.prefix, cuts), e.tail)
 
 
 def _without(seq: tuple[int, ...], cuts: list[int]) -> tuple[int, ...]:

@@ -259,7 +259,9 @@ def check_peeling_identities(
     Each g_k is ``chain_value(f, e, k)``, its own deletion, induced order and
     evaluation, computed once per point and shared by the identities k and
     k+1.  No g_k is derived from a neighbour, which would make the identity
-    hold by construction."""
+    hold by construction.  With beta_d = B/D and p_d = P/D over the common
+    weight denominator D, the identity is compared cross-multiplied in
+    integers; the residual is built only for a failing case's detail."""
     name = "peeling identities hold along deletion chains"
     for f, e, ks in cases:
         w = f.weights
@@ -269,8 +271,11 @@ def check_peeling_identities(
             for j in (k - 1, k):
                 if j not in g:
                     g[j] = sm.chain_value(f, e, j)
-            r = abs(g[k - 1] - (w.beta[d] + w.p[d] * g[k]))
-            if r != 0:
+            lhs, rhs = g[k - 1], g[k]
+            if lhs.numerator * w.den * rhs.denominator != (
+                w.beta_num[d] * rhs.denominator + w.p_num[d] * rhs.numerator
+            ) * lhs.denominator:
+                r = abs(lhs - (w.beta[d] + w.p[d] * rhs))
                 return name, False, f"{sm.format_function_spec(f)} k={k} residual={r}"
     return name, True, ""
 
@@ -296,13 +301,22 @@ def check_endpoint_sums(cases: Iterable[tuple[sm.SalemFunction, int]]) -> Check:
     g_id(0) = 0, g_id(1) = 1.  As w -> w' is a bijection on the words of
     length k, sum P = (sum p)^k = 1 and sum H = sum_j (sum beta)*q^(k-j) =
     (q^k - 1)*I.  Weights of either sign that sum to 1 suffice.
+
+    Each value is read through max(k, n) digits, so its denominator divides
+    D^max(k, n), D the common weight denominator, and the sum is taken in
+    numerators over that power.
     """
     name = "closed form matches exact cylinder-endpoint sums"
     for f, k in cases:
         q = f.weights.q
         base, want = xp.BaseSpec.constant(q), (q**k - 1) * sm.integral_closed_form(f)
+        common = f.weights.den ** max(k, f.seq.size)
         for tail, extra in ((xp.Tail.ZEROS, 0), (xp.Tail.MAX, 1)):
-            total = sum(sm.evaluate(f, xp.DigitExpansion(base, w, tail)) for w in itertools.product(range(q), repeat=k))
+            num = 0
+            for w in itertools.product(range(q), repeat=k):
+                value = sm.evaluate(f, xp.DigitExpansion(base, w, tail))
+                num += value.numerator * (common // value.denominator)
+            total = Fraction(num, common)
             if total != want + extra:
                 return name, False, f"{sm.format_function_spec(f)} k={k} {tail.value} tail: sum={total}"
     return name, True, "exact equality"

@@ -285,6 +285,14 @@ CASES = (
          PASSED["integral"], ""),
     Case("verify-all-perm21", ("verify", "all", "--spec", "q=2; p=0.3,0.7; seq=perm(2 1)"), 0, PASSED["all"], ""),
     Case("verify-integral-order20", ("verify", "integral", "--spec", LONG_ORDER_SPEC), 0, PASSED["integral"], ""),
+    # continuity checks the spec's weights, here under a rearranged order and
+    # with a negative middle weight; system reads the spec's own order
+    Case("verify-continuity-perm21", ("verify", "continuity", "--spec", "q=2; p=0.3,0.7; seq=perm(2 1)"), 0,
+         PASSED["continuity"], ""),
+    Case("verify-continuity-negative-weight", ("verify", "continuity", "--spec", "q=3; p=0.6,-0.19,0.59"), 0,
+         PASSED["continuity"], ""),
+    Case("verify-system-perm312", ("verify", "system", "--spec", "q=3; p=1/5,2/5,2/5; seq=perm(3 1 2)"), 0,
+         PASSED["system"], ""),
     Case("verify-system-long-order",
          ("verify", "system", "--spec", "q=2; p=0.3,0.7; seq=perm(" + " ".join(map(str, range(3000, 0, -1))) + ")"), 0,
          PASSED["system"], "", seconds=2.0),

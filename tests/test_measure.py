@@ -406,13 +406,28 @@ class TestBinaryRounds:
         assert (mc.hits, mc.indeterminate) == compare_mc_counts(2, a, b, samples, seed)
         assert rounds == {"samples": [samples], "ties": ties}
 
-    def test_equal_iterates_are_read_one_draw_at_a_time(self, rounds):
-        # every sample ties: a round of words would decide one sample each
+    def test_equal_iterates_draw_nothing(self, rounds, monkeypatch):
+        # both windows read the same digits, so every sample ties through all
+        # 16 rounds: 0 hits and every sample indeterminate, for every seed and q
+        sizes = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                sizes.append(k)
+                return super().getrandbits(k)
+
+        monkeypatch.setattr(measure, "random", SimpleNamespace(Random=Recording))
+        for q in (2, 3, 5):
+            for seed in (0, 1, 7):
+                mc = monte_carlo_measure(SetFamilySpec.compare_iter(q, 9, 9), 0, 300, seed)
+                assert (mc.hits, mc.indeterminate) == compare_mc_counts(q, 9, 9, 300, seed) == (0, 300)
+                assert (mc.estimate, mc.halfwidth, mc.samples) == (0.0, 0.0, 300)
         started = time.perf_counter()
         rows = gk_scan([SetFamilySpec.compare_iter(2, 9, 9)], [], samples=20000, seed=4)
         assert time.perf_counter() - started < 1.0
         assert [(row.measure, row.indeterminate) for row in rows] == [(0, 20000)]
-        assert rounds == {"samples": [], "ties": 20000}
+        assert rounds == {"samples": [], "ties": 0}
+        assert sizes == []
 
     def test_a_round_draws_at_most_2_to_the_17_bits(self, monkeypatch):
         sizes = []

@@ -7,6 +7,7 @@ without ``dataclasses``, ``inspect`` or ``typing``."""
 
 import copy
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from cantorshift.cli import MeasureConfig
-from cantorshift.expansions import BaseSpec, Cylinder, DigitExpansion, Tail
+from cantorshift.expansions import BaseSpec, Cylinder, DigitExpansion, Tail, _Record, dual_representation
 from cantorshift.measure import Branch, MonteCarloResult, ScanRow, SetFamilySpec
 from cantorshift.salem import (
     ContinuityResult,
@@ -23,7 +24,9 @@ from cantorshift.salem import (
     IndexSequence,
     SalemFunction,
     WeightSet,
+    chain_expansion,
 )
+from cantorshift.shifts import delete_positions, shift_n
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -156,3 +159,57 @@ def test_the_cli_imports_without_dataclasses_or_inspect():
     )
     out = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)], capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def rebuilt(record):
+    """``record`` built again through its checking constructor, its record
+    fields first: it raises if a field breaks a check, and differs if one was
+    stored in a form the constructor would normalize."""
+    return type(record)(*(rebuilt(v) if isinstance(v, _Record) else v for v in record._values()))
+
+
+class TestTrustedBuilders:
+    """The builders store records whose values hold by construction through
+    ``_Record._make``, past the checks; each such record equals its rebuild."""
+
+    @staticmethod
+    def expansions(rng, cantor):
+        for _ in range(200):
+            if cantor:
+                base = BaseSpec.cantor([rng.randrange(2, 6) for _ in range(rng.randrange(0, 6))], rng.randrange(2, 6))
+            else:
+                base = BaseSpec.constant(rng.choice([2, 3, 10]))
+            digits = tuple(rng.randrange(base.base_at(k)) for k in range(1, rng.randrange(0, 10) + 1))
+            yield DigitExpansion(base, digits, rng.choice([Tail.ZEROS, Tail.MAX]))
+
+    @pytest.mark.parametrize("cantor", [False, True], ids=["constant", "cantor"])
+    def test_duals_shifts_and_deletions(self, cantor):
+        rng = random.Random(907 + cantor)
+        tails, built = set(), 0
+        for e in self.expansions(rng, cantor):
+            tails.add(e.tail)
+            records = [dual_representation(e)] + [shift_n(e, n) for n in range(12)]
+            records += [delete_positions(e, rng.sample(range(1, 12), rng.randrange(0, 5))) for _ in range(4)]
+            for r in filter(None, records):
+                assert rebuilt(r) == r and rebuilt(r.base) == r.base
+                built += 1
+        assert tails == {Tail.ZEROS, Tail.MAX} and built > 3000
+
+    def test_chain_expansions_and_orders(self):
+        rng = random.Random(911)
+        w = WeightSet(3, (F(1, 5), F(2, 5), F(2, 5)))
+        for order in ((), (3, 1, 2), (1, 5, 7, 3, 6, 10, 2, 4, 8, 9)):
+            f = SalemFunction(w, IndexSequence(order))
+            for e in self.expansions(rng, cantor=False):
+                e = DigitExpansion(BaseSpec.constant(3), tuple(d % 3 for d in e.prefix), e.tail)
+                for k in range(len(order) + 3):
+                    r = chain_expansion(f, e, k)
+                    assert rebuilt(r) == r and rebuilt(r.base) == r.base
+                    assert rebuilt(f.seq.induced_after(k)) == f.seq.induced_after(k)
+
+    def test_constant_bases_keep_their_check(self):
+        for q in (2, 3, 10**40):
+            assert rebuilt(BaseSpec.constant(q)) == BaseSpec.constant(q) == BaseSpec((), q)
+        for q in (1, 0, -3):
+            with pytest.raises(ValueError, match="^base entries must be >= 2$"):
+                BaseSpec.constant(q)

@@ -310,6 +310,32 @@ class TestEvaluateKernel:
                 assert evaluate(SalemFunction(w, seq), e) == expected
         assert seen_negative and seen_zero and seen_shorter and seen_longer
 
+    def test_tail_read_through_a_longer_order_matches_the_rational_oracle(self):
+        # a zeros tail is the terminating rational x itself; a max tail is the
+        # digit reflection d -> q-1-d of a zeros tail at 1 - x, read under the
+        # reflected weights p'_d = p_(q-1-d), where g(x) = 1 - g'(1 - x)
+        rng = random.Random(4099)
+        for q in (2, 3, 10):
+            base = BaseSpec.constant(q)
+            for _ in range(30):
+                p = _signed_weights(rng, q)
+                w, flipped = WeightSet(q, p), WeightSet(q, p[::-1])
+                digits = tuple(rng.randrange(q) for _ in range(rng.randrange(0, 7)))
+                order = list(range(1, len(digits) + rng.randrange(2, 6) + 1))
+                rng.shuffle(order)
+                if order[-1] == len(order):
+                    order[0], order[-1] = order[-1], order[0]
+                f = SalemFunction(w, IndexSequence(tuple(order)))
+                assert f.seq.size > len(digits)
+                x = value_of(DigitExpansion(base, digits))
+                assert evaluate(f, DigitExpansion(base, digits)) == salem_value_exact(
+                    w.beta, w.p, f.seq.prefix, x.numerator, x.denominator, q
+                )
+                y = 1 - value_of(DigitExpansion(base, digits, Tail.MAX))
+                assert evaluate(f, DigitExpansion(base, digits, Tail.MAX)) == 1 - salem_value_exact(
+                    flipped.beta, flipped.p, f.seq.prefix, y.numerator, y.denominator, q
+                )
+
     def test_integer_weights_over_common_denominator(self):
         w = WeightSet(3, (Fraction(1, 2), Fraction(-1, 6), Fraction(2, 3)))
         assert w.den == 6
@@ -494,6 +520,21 @@ class TestPeelingCheck:
         monkeypatch.setattr(verify.sm, "chain_value", off_at_5)
         _, ok, detail = check_peeling_identities([(*self.POINT, range(1, 12))])
         assert not ok and " k=5 " in detail
+
+    def test_a_chain_value_one_step_off_fails_with_its_residual(self, monkeypatch):
+        # each g_k read as g_(k+1): the first identity it breaks is named,
+        # with its exact residual
+        f, e = self.POINT
+        real, w = verify.sm.chain_value, f.weights
+        g = [real(f, e, k) for k in range(13)]
+        for k in range(1, 12):
+            d = e.digit_at(f.seq.n_at(k))
+            r = abs(g[k] - (w.beta[d] + w.p[d] * g[k + 1]))
+            if r:
+                break
+        monkeypatch.setattr(verify.sm, "chain_value", lambda f, e, k: real(f, e, k + 1))
+        _, ok, detail = check_peeling_identities([(f, e, range(1, 12))])
+        assert not ok and detail == f"{format_function_spec(f)} k={k} residual={r}"
 
     @pytest.mark.parametrize("ks, calls", [(range(1, 12), 12), ((1, 7, 20), 6)])
     def test_each_chain_value_is_read_once(self, monkeypatch, ks, calls):
