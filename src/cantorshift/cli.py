@@ -3,7 +3,7 @@ suites, and drive measure experiments from config files.
 
 Exit codes: 0 success, 1 a verify check failed, 2 usage/parse error, 3 I/O
 error, 4 branch budget exceeded without fallback, or a scan that would draw
-too many digits or bits, hold too many rows or read too many exact branches.
+too many digits a sample, hold too many rows or take over about a minute.
 The commands raise, and ``main`` alone maps the exception to its exit code
 and an ``error:`` line.
 All outputs are deterministic for fixed inputs and seed.
@@ -61,16 +61,21 @@ def cmd_curve(args) -> int:
 def cmd_verify(args) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         known = ", ".join(sorted(SUITES) + ["all"])
-        raise ValueError(f"unknown suite {args.suite!r}; known: {known}")
+        raise ValueError(f"unknown suite {quote_token(args.suite)}; known: {known}")
     f = sm.parse_function_spec(args.spec) if args.spec else DEFAULT_FUNCTION
-    names = SUITES if args.suite == "all" else [args.suite]
-    checks = [check for name in names for check in SUITES[name](f)]
     failed = 0
-    for name, ok, detail in checks:
-        tag = "PASS" if ok else "FAIL"
-        suffix = f"  [{detail}]" if (detail and not ok) else ""
-        print(f"{tag}  {name}{suffix}")
-        failed += not ok
+    for suite in SUITES if args.suite == "all" else [args.suite]:
+        # each suite is run and printed before the next: one that raises is
+        # one FAIL line, and the suites after it still run
+        try:
+            checks = SUITES[suite](f)
+        except Exception as exc:
+            checks = [(suite, False, f"{type(exc).__name__}: {exc}")]
+        for name, ok, detail in checks:
+            tag = "PASS" if ok else "FAIL"
+            suffix = f"  [{detail}]" if (detail and not ok) else ""
+            print(f"{tag}  {name}{suffix}")
+            failed += not ok
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 

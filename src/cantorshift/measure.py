@@ -85,26 +85,24 @@ DEFAULT_SAMPLES = 10**5
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _GUARD = 16  # digits a draw reads past the last deleted position, and a comparison window's width
 _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
-# the sampling time model charges every draw as a draw-at-a-time sample; a
-# binary draw, decided a round at a time, costs less, and the model is kept
-# unchanged so that every refusal line stays the same
-_SAMPLE_COST = 300  # a sample's cost past its digits, in drawn bits: about 0.3 us at about 1 ns a bit
-_MAX_SAMPLING = 5 * 10**10  # the most bits one scan or estimate may draw, costs included: about a minute
 _WORD = 32  # bits in one output word of the Mersenne Twister
 _ROUND_WORDS = 4096  # the most words one round of binary Monte Carlo draws: 2^17 bits
 _MAX_ROWS = 10**6  # the most rows one scan may hold: at the bound, rows and CSV peak near 0.6 GB
-# exact work in branch reads, one branch at one threshold: a threshold set is
-# charged 7 a cylinder for its pass and one a cylinder a row, a comparison row
-# about 14 for each of its q^M branches (about 0.8 us a read when rows read maps)
-_BUILD_COST = 7
-_COMPARE_COST = 14
-_MAX_EXACT = 6 * 10**7  # the most branch reads one scan's exact rows may cost: 60-80 s of comparisons at 14-19 us a branch
+# work in integer nanoseconds, charged in the unit each kernel spends; each
+# figure is the spread measured on a shared 2-core Xeon with Python 3.11.7
+_NS_CYLINDER = 160  # a cylinder of the threshold pass: 95-245 ns, more with more runs of kept digits
+_NS_ROW = 5000  # an exact row, read and written as CSV: 4-5 us
+_NS_BRANCH = 13000  # a branch of a comparison's two maps, built and compared: 10-21 us
+_NS_BINARY_SAMPLE = 60  # a sample decided a round of 32-bit words at a time: 33-92 ns
+_NS_SAMPLE = 300  # a sample drawn at a time, besides its words: 200-570 ns in all at 2-4 words
+_NS_WORD = 36  # each 32-bit word of its draw: 25-55 ns at 12,502 words (q = 10)
+_MAX_WORK_NS = 60 * 10**9  # the most work one scan or estimate may take: about a minute
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact computation would exceed the branch budget, Monte Carlo
-    sampling would draw over ``_MAX_DRAW`` digits a sample or ``_MAX_SAMPLING`` bits,
-    or a scan would hold over ``_MAX_ROWS`` rows or read over ``_MAX_EXACT`` exact branches."""
+    """Raised when an exact computation would exceed the branch budget, a Monte Carlo
+    sample would draw over ``_MAX_DRAW`` digits, a scan would hold over ``_MAX_ROWS``
+    rows, or a scan or estimate would take over ``_MAX_WORK_NS`` nanoseconds."""
 
 
 class Branch(_Record):
@@ -237,26 +235,29 @@ def _draw_refusal(spec: "SetFamilySpec") -> str | None:
     return None
 
 
-def _bound_sampling(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
-    """Refuse n samples of each spec in ``work`` past ``_MAX_SAMPLING`` bits, counting
-    (q - 1).bit_length() a drawn digit and ``_SAMPLE_COST`` a sample; no q^draw is built."""
-    bits = sum(n * (_draw(spec) * (spec.q - 1).bit_length() + _SAMPLE_COST) for spec, n in work)
-    if bits > _MAX_SAMPLING:
-        raise BudgetExceededError(f"Monte Carlo sampling would draw {bits} bits, over the limit {_MAX_SAMPLING}")
-
-
-def _bound_exact(work: Iterable[tuple["SetFamilySpec", int]]) -> None:
-    """Refuse the exact rows of each spec in ``work`` past ``_MAX_EXACT`` branch reads:
-    a threshold set is charged ``_BUILD_COST`` for each of its q^M cylinders and one
-    read a cylinder a row, a comparison ``_COMPARE_COST`` a branch.  Each q^M fits the
-    budget.  A threshold row reads two prefix counts, so its charge over-counts the
-    work; it stays so that the bound refuses the same scans with the same line."""
-    cost = 0
-    for spec, rows in work:
-        each = _COMPARE_COST if spec.kind is FamilyKind.COMPARE_ITER else _BUILD_COST + rows
-        cost += spec.q**spec.depth * each
-    if cost > _MAX_EXACT:
-        raise BudgetExceededError(f"the exact rows would cost {cost} branch reads, over the limit {_MAX_EXACT}")
+def _bound_work(work: Iterable[tuple["SetFamilySpec", int, int]]) -> int:
+    """Nanoseconds the rows of each (spec, rows, samples a row) in ``work`` take,
+    exact when samples is 0, refused past ``_MAX_WORK_NS`` in seconds rounded up.
+    An exact set is charged its q^M cylinders or comparison branches, which fit
+    the budget, and each row; a sample once on the binary path, or with the
+    32-bit words of its draw, whose bit length is counted without building q^draw
+    (exact for q a power of 2); nothing for a = b, which draws nothing."""
+    ns = 0
+    for spec, rows, samples in work:
+        bits = _draw(spec) * (spec.q - 1).bit_length() + 1
+        if not samples:
+            unit = _NS_BRANCH if spec.kind is FamilyKind.COMPARE_ITER else _NS_CYLINDER
+            ns += spec.q**spec.depth * unit + rows * _NS_ROW
+        elif spec.kind is FamilyKind.COMPARE_ITER and spec.a == spec.b:
+            continue
+        elif spec.q == 2 and bits <= _WORD:
+            ns += rows * samples * _NS_BINARY_SAMPLE
+        else:
+            ns += rows * samples * (_NS_SAMPLE + -(-bits // _WORD) * _NS_WORD)
+    if ns > _MAX_WORK_NS:
+        seconds, limit = -(-ns // 10**9), _MAX_WORK_NS // 10**9
+        raise BudgetExceededError(f"the work would take about {seconds} s, over the limit of {limit} s")
+    return ns
 
 
 def _kept_digits(q: int, deleted: Sequence[int], top: int) -> Iterator[int]:
@@ -637,7 +638,7 @@ def monte_carlo_measure(
     integers; a tie keeps the last |a - b| digits and appends ``_GUARD``
     fresh ones, up to 256 compared digits.  Deterministic for a fixed seed;
     indeterminate samples are counted separately.  A draw past ``_MAX_DRAW``
-    digits, or ``_MAX_SAMPLING`` bits in all, is refused before anything is drawn.
+    digits, or past ``_MAX_WORK_NS`` of work in all, is refused before anything is drawn.
 
     A binary draw, q = 2 with span.bit_length() <= 32 (M <= 15 for a threshold
     family, 1 <= |a - b| <= 15 for a comparison), fits one 32-bit word and is
@@ -657,7 +658,7 @@ def monte_carlo_measure(
     too_deep = _draw_refusal(spec)
     if too_deep is not None:
         raise BudgetExceededError(too_deep)
-    _bound_sampling([(spec, samples)])
+    _bound_work([(spec, 1, samples)])
     rng = random.Random(seed)
     getrandbits = rng.getrandbits
     q = spec.q
@@ -801,9 +802,8 @@ def gk_scan(
     ``comparison_measure`` of the two iterates' maps.  Otherwise rows
     fall back to Monte Carlo, with per-row seeds ``seed + counter`` that keep
     the output deterministic.  BudgetExceededError names the first set with
-    fallback off or a sample past ``_MAX_DRAW`` digits, or else all sampled
-    rows past ``_MAX_SAMPLING`` bits, or else all rows past ``_MAX_ROWS``, or else
-    the exact rows past ``_MAX_EXACT`` branch reads.
+    fallback off or a sample past ``_MAX_DRAW`` digits, or else all rows, exact
+    and sampled, past ``_MAX_WORK_NS`` of work, or else past ``_MAX_ROWS``.
     ``budget`` and ``iter_limit`` must be >= 1, and ``seed`` >= 0:
     Random(-s) draws the stream of Random(s).
     Threshold families emit one row per grid value; comparison families emit
@@ -828,11 +828,10 @@ def gk_scan(
             if too_deep is not None:
                 raise BudgetExceededError(f"{refusal}; {too_deep}")
         plan.append((spec, refusal, 1 if spec.kind is FamilyKind.COMPARE_ITER else len(x_grid)))
-    _bound_sampling((spec, samples * n) for spec, refusal, n in plan if refusal)
+    _bound_work((spec, n, samples if refusal else 0) for spec, refusal, n in plan)
     count = sum(n for _, _, n in plan)
     if count > _MAX_ROWS:
         raise BudgetExceededError(f"the scan would hold {count} rows, over the limit {_MAX_ROWS}")
-    _bound_exact((spec, n) for spec, refusal, n in plan if refusal is None)
     rows: list[ScanRow] = []
     counter = 0
     for spec, refusal, _ in plan:

@@ -313,8 +313,9 @@ def check_endpoint_sums(cases: Iterable[tuple[sm.SalemFunction, int]]) -> Check:
         common = f.weights.den ** max(k, f.seq.size)
         for tail, extra in ((xp.Tail.ZEROS, 0), (xp.Tail.MAX, 1)):
             num = 0
+            # every word of range(q) digits is in the alphabet: stored unchecked
             for w in itertools.product(range(q), repeat=k):
-                value = sm.evaluate(f, xp.DigitExpansion(base, w, tail))
+                value = sm.evaluate(f, xp.DigitExpansion._make(base, w, tail))
                 num += value.numerator * (common // value.denominator)
             total = Fraction(num, common)
             if total != want + extra:

@@ -201,26 +201,30 @@ CASES = (
     _refused("measure-deep-itershift", "family = itershift\nq = 2\nn = 1000000000000\nx = 1/3\n",
              "iterate count 1000000000000 over limit 8; "
              "a sample would draw 1000000000016 digits, over the limit 100016", 20),
+    _refused("measure-deep-itershift-no-fallback",
+             "family = itershift\nq = 2\nn = 1000000000\nx = 1/3\nfallback = false\n",
+             "iterate count 1000000000 over limit 8", 20),
     _refused("measure-deep-genchain", "family = genchain\nq = 3\nindices = 1000000000\nx = 1/3\nfallback = false\n",
              "3^1000000000 branches exceed budget 1000000", 20),
     # 99,992 sets past the iterate limit, each row 10^5 samples of n + 16
-    # digits: about 5e14 bits, against about 10^9 bits a second
+    # digits: about 6.5 days of sampling
     _refused("measure-many-sets",
              "family = itershift\nq = 2\nn = 1..100000\nx = 1/2\nsamples = 100000\nfallback = true\n",
-             "Monte Carlo sampling would draw 503164743600000 bits, over the limit 50000000000", 5),
-    # 1000 sampled sets by 1001 thresholds at one sample a row: about 8e8
-    # bits, inside the sampling bound, but 1,001,000 rows
+             "the work would take about 565871 s, over the limit of 60 s", 5),
+    # 1000 sampled sets by 1001 thresholds at one sample a row: about 0.5 s
+    # of sampling, inside the work bound, but 1,001,000 rows
     _refused("measure-many-rows", f"family = itershift\nq = 2\nn = 9..1008\nx = {_xs(1001)}\nsamples = 1\n",
              "the scan would hold 1001000 rows, over the limit 1000000", 5),
-    # one deletion at position 19: 2^19 branches, inside the default budget,
-    # charged as built and read at 1000 thresholds (about 7 minutes that way)
-    _refused("measure-exact-work", f"family = genchain\nq = 2\nindices = 19\nx = {_xs(1000)}\n",
-             "the exact rows would cost 527958016 branch reads, over the limit 60000000", 5),
-    # the same set at 10 thresholds runs: one pass counts its 2^19 cylinders,
-    # where building and reading 2^19 branches took about 6 s
-    Case("measure-exact-chain", ("measure", "exp.cfg"), 0, "", "wrote 10 rows to out.csv\n",
-         f"family = genchain\nq = 2\nindices = 19\nx = {_xs(10)}\nout = out.csv\n",
-         (("out.csv", _exact_rows("genchain", "1", 10)),), True, 3),
+    # the 2^30 cylinders of the 30-fold drop, inside the raised budget and
+    # iterate limit: a pass of about 100-170 s
+    _refused("measure-exact-work",
+             "family = itershift\nq = 2\nn = 30\niter_limit = 30\nbudget = 1100000000\nx = 1/3\n",
+             "the work would take about 172 s, over the limit of 60 s", 5),
+    # one deletion at position 19 at 1000 thresholds: one pass counts its 2^19
+    # cylinders, about 0.1 s, and each row reads two counts
+    Case("measure-exact-chain", ("measure", "exp.cfg"), 0, "", "wrote 1000 rows to out.csv\n",
+         f"family = genchain\nq = 2\nindices = 19\nx = {_xs(1000)}\nout = out.csv\n",
+         (("out.csv", _exact_rows("genchain", "1", 1000)),), True, 5),
     # --tol is no flag: argparse refuses it before the command runs
     Case("eval-unknown-flag", ("eval", "q=2;p=0.5,0.5", "1/2", "--tol", "0"), 2, "",
          usage_error("unrecognized arguments: --tol 0")),
@@ -337,6 +341,9 @@ CASES = (
     # the suite name is checked before the spec is read
     Case("verify-unknown-suite", ("verify", "nosuchsuite"), 2, "", UNKNOWN_SUITE),
     Case("verify-unknown-suite-bad-spec", ("verify", "nosuchsuite", "--spec", "q=two"), 2, "", UNKNOWN_SUITE),
+    # a long suite name is clipped, as every other token
+    Case("verify-unknown-suite-long", ("verify", "s" * 200), 2, "",
+         UNKNOWN_SUITE.replace("'nosuchsuite'", "'" + "s" * 40 + "'... (200 characters)")),
     *(Case(f"verify-{suite}-bad-spec", ("verify", suite, "--spec", "q=two"), 2, "",
            "error: spec key q must be an integer, got 'two'\n") for suite in PASSED),
     # measure: the tables a config asks for

@@ -411,7 +411,9 @@ def test_negative_point_after_double_dash_reaches_the_range_check(cases=row("eva
 
 
 class TestVerify:
-    def test_unknown_suite(self, cases=row("verify-unknown-suite", "verify-unknown-suite-bad-spec")):
+    def test_unknown_suite(
+        self, cases=row("verify-unknown-suite", "verify-unknown-suite-bad-spec", "verify-unknown-suite-long")
+    ):
         check(*cases)
 
     @rows({suite: f"verify-{suite}-bad-spec" for suite in [*SUITES, "all"]})
@@ -440,6 +442,17 @@ class TestVerify:
         monkeypatch.setitem(SUITES, "integral", lambda f: [("forced", False, format_function_spec(f))])
         assert main(["verify", "integral", "--spec", "q=2; p=0.3,0.7; seq=perm(2 1)"]) == 1
         assert capsys.readouterr().out == "FAIL  forced  [q=2; p=3/10,7/10; seq=perm(2 1)]\n"
+
+    def test_a_raising_suite_is_one_fail_line_and_later_suites_run(self, capsys, monkeypatch):
+        def raising(_f):
+            raise IndexError("tuple index out of range")
+
+        # compose is the third suite: the seven after it still run and print
+        monkeypatch.setitem(SUITES, "compose", raising)
+        assert main(["verify", "all"]) == 1
+        printed = {suite: text for suite, text in cli_cases.PASSED.items() if suite != "all"}
+        printed["compose"] = "FAIL  compose  [IndexError: tuple index out of range]\n"
+        assert capsys.readouterr() == ("".join(printed.values()), "")
 
     @rows({
         "integral-q=2; p=0.3,0.7; seq=perm(2 1)": "verify-integral-perm21",
@@ -832,6 +845,17 @@ class TestMeasureFuzz:
 class TestMainEntry:
     def test_in_process_eval(self, cases=row("eval-quarter")):
         check(*cases)
+
+
+def test_every_refusal_the_readme_quotes_is_a_cli_case():
+    # each `error: ...` line quoted in the measure config section, wrapped
+    # lines joined, is the whole stderr of some row
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    start = readme.index("### Measure config format")
+    section = readme[start : readme.index("\n## ", start)]
+    quoted = [" ".join(text.split()) + "\n" for text in re.findall(r"`(error:\s[^`]*)`", section)]
+    stderrs = {case.stderr for case in cli_cases.CASES}
+    assert len(quoted) >= 6 and [line for line in quoted if line not in stderrs] == []
 
 
 @pytest.mark.parametrize("case", [case for case in cli_cases.CASES if case.id not in _NAMED], ids=lambda case: case.id)

@@ -596,36 +596,47 @@ class TestThresholdRows:
                 gk_scan([spec], [Fraction(1, 2), x])
 
 
-class TestSamplingBound:
-    """All sampled rows of a scan, and one direct estimate, are bounded in
-    drawn bits: (q - 1).bit_length() a digit plus a fixed cost a sample."""
+def _forbid_work(monkeypatch):
+    def work(*_args, **_kwargs):
+        raise AssertionError("a cylinder was counted, a map built or a sample drawn")
 
-    # n = 1 is exact; n = 9 and 10 pass the iterate limit and are sampled
+    for name in (
+        "monte_carlo_measure",
+        "plm_iter_shift",
+        "plm_generalized_chain",
+        "plm_single_deletion",
+        "_cylinders_below",
+        "_kept_digits",
+    ):
+        monkeypatch.setattr(measure, name, work)
+
+
+class TestSamplingBound:
+    """All rows of a scan, exact and sampled, and one direct estimate, are
+    bounded together in nanoseconds of work; these are the sampled rows."""
+
+    # n = 1 is exact; n = 9 and 10 pass the iterate limit and are sampled, on the binary path
     SPECS = [SetFamilySpec.iter_shift(2, n) for n in (1, 9, 10)]
     XS = [Fraction(1, 3), Fraction(1, 2)]
-    # 10 samples a row, 2 rows a set, one bit a digit: 9 + 16 and 10 + 16 digits
-    BITS = 10 * 2 * ((25 + measure._SAMPLE_COST) + (26 + measure._SAMPLE_COST))
+    # 2 cylinders and 2 exact rows, then 10 samples a row in 2 rows a set
+    NS = 2 * measure._NS_CYLINDER + 2 * measure._NS_ROW + 2 * 2 * 10 * measure._NS_BINARY_SAMPLE
 
-    def test_one_bit_over_the_bound_is_refused_before_any_work(self, monkeypatch):
-        def work(*_args, **_kwargs):
-            raise AssertionError("a map was built or a sample drawn")
-
-        monkeypatch.setattr(measure, "_MAX_SAMPLING", self.BITS - 1)
-        for name in ("monte_carlo_measure", "plm_iter_shift", "_cylinders_below", "_kept_digits"):
-            monkeypatch.setattr(measure, name, work)
+    def test_one_ns_over_the_bound_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", self.NS - 1)
+        _forbid_work(monkeypatch)
         logged = []
         with pytest.raises(BudgetExceededError) as exc:
             gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
-        assert str(exc.value) == f"Monte Carlo sampling would draw {self.BITS} bits, over the limit {self.BITS - 1}"
+        assert str(exc.value) == "the work would take about 1 s, over the limit of 0 s"
         assert logged == []
 
     def test_at_the_bound_the_scan_runs(self, monkeypatch):
-        monkeypatch.setattr(measure, "_MAX_SAMPLING", self.BITS)
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", self.NS)
         rows = gk_scan(self.SPECS, self.XS, samples=10)
         assert [row.method for row in rows] == ["exact"] * 2 + ["mc"] * 4
 
     def test_an_earlier_refusal_takes_precedence(self, monkeypatch):
-        monkeypatch.setattr(measure, "_MAX_SAMPLING", 0)
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", 0)
         with pytest.raises(BudgetExceededError, match="^iterate count 9 over limit 8$"):
             gk_scan(self.SPECS, self.XS, samples=10, allow_fallback=False)
         deep = SetFamilySpec.iter_shift(2, 10**6)
@@ -636,17 +647,19 @@ class TestSamplingBound:
         def draw(_seed):
             raise AssertionError("a sample was drawn")
 
+        # 4 + 16 digits of at most 4 bits a decimal digit: 81 bits, 3 words
         spec = SetFamilySpec.compare_iter(10, 1, 5)
-        bits = 7 * ((4 + 16) * 4 + measure._SAMPLE_COST)  # 4 bits a decimal digit
-        monkeypatch.setattr(measure, "_MAX_SAMPLING", bits - 1)
+        ns = 7 * (measure._NS_SAMPLE + 3 * measure._NS_WORD)
+        assert measure._bound_work([(spec, 1, 7)]) == ns
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", ns - 1)
         monkeypatch.setattr(measure.random, "Random", draw)
-        with pytest.raises(BudgetExceededError, match=f"^Monte Carlo sampling would draw {bits} bits"):
+        with pytest.raises(BudgetExceededError, match="^the work would take about 1 s, over the limit of 0 s$"):
             monte_carlo_measure(spec, 0, 7, 0)
 
     @pytest.mark.parametrize("q", [2, 10])
     def test_a_deepest_row_at_the_default_samples_fits(self, q):
         spec = SetFamilySpec.iter_shift(q, measure._MAX_DRAW - 16)
-        measure._bound_sampling([(spec, measure.DEFAULT_SAMPLES)])
+        measure._bound_work([(spec, 1, measure.DEFAULT_SAMPLES)])
 
 
 class TestRowBound:
@@ -658,12 +671,8 @@ class TestRowBound:
     XS = TestSamplingBound.XS
 
     def test_one_row_over_the_bound_is_refused_before_any_work(self, monkeypatch):
-        def work(*_args, **_kwargs):
-            raise AssertionError("a map was built or a sample drawn")
-
         monkeypatch.setattr(measure, "_MAX_ROWS", 6)
-        for name in ("monte_carlo_measure", "plm_iter_shift", "_cylinders_below", "_kept_digits"):
-            monkeypatch.setattr(measure, name, work)
+        _forbid_work(monkeypatch)
         logged = []
         with pytest.raises(BudgetExceededError) as exc:
             gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
@@ -682,18 +691,17 @@ class TestRowBound:
         deep = SetFamilySpec.iter_shift(2, 10**6)
         with pytest.raises(BudgetExceededError, match=" digits, over the limit 100016$"):
             gk_scan(self.SPECS + [deep], self.XS, samples=10)
-        monkeypatch.setattr(measure, "_MAX_SAMPLING", 0)
-        with pytest.raises(BudgetExceededError, match="^Monte Carlo sampling would draw "):
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", 0)
+        with pytest.raises(BudgetExceededError, match="^the work would take about "):
             gk_scan(self.SPECS, self.XS, samples=10)
 
 
 class TestExactWorkBound:
-    """The exact rows of a scan cost at most ``_MAX_EXACT`` branch reads, charged
-    from the plan: building a threshold set's q^M branches, reading them once a
-    row, and a comparison's q^M branches at ``_COMPARE_COST`` each."""
+    """The exact rows of a scan count towards the same bound: a threshold set
+    its q^M cylinders and each row, a comparison its q^M branches and its row."""
 
     # itershift 2 and genchain (2, 1) (M = 2) are exact and read at 2 thresholds,
-    # compareiter 3:1 (M = 3) is exact, itershift 9 is sampled and costs nothing here
+    # compareiter 3:1 (M = 3) is exact, itershift 9 is sampled on the binary path
     SPECS = [
         SetFamilySpec.iter_shift(2, 2),
         SetFamilySpec.gen_chain(2, (2, 1)),
@@ -701,43 +709,120 @@ class TestExactWorkBound:
         SetFamilySpec.iter_shift(2, 9),
     ]
     XS = [Fraction(1, 3), Fraction(1, 2)]
-    COST = 2 * 4 * (measure._BUILD_COST + 2) + 8 * measure._COMPARE_COST
+    NS = (
+        2 * (4 * measure._NS_CYLINDER + 2 * measure._NS_ROW)
+        + 8 * measure._NS_BRANCH
+        + measure._NS_ROW
+        + 2 * 10 * measure._NS_BINARY_SAMPLE
+    )
 
-    def test_one_read_over_the_bound_is_refused_before_any_work(self, monkeypatch):
-        def work(*_args, **_kwargs):
-            raise AssertionError("a map was built or a sample drawn")
-
-        monkeypatch.setattr(measure, "_MAX_EXACT", self.COST - 1)
-        for name in (
-            "plm_iter_shift",
-            "plm_generalized_chain",
-            "plm_single_deletion",
-            "_cylinders_below",
-            "_kept_digits",
-            "monte_carlo_measure",
-        ):
-            monkeypatch.setattr(measure, name, work)
+    def test_one_ns_over_the_bound_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", self.NS - 1)
+        _forbid_work(monkeypatch)
         logged = []
         with pytest.raises(BudgetExceededError) as exc:
             gk_scan(self.SPECS, self.XS, samples=10, log=logged.append)
-        assert str(exc.value) == f"the exact rows would cost {self.COST} branch reads, over the limit {self.COST - 1}"
+        assert str(exc.value) == "the work would take about 1 s, over the limit of 0 s"
         assert logged == []
 
     def test_at_the_bound_the_scan_runs(self, monkeypatch):
-        monkeypatch.setattr(measure, "_MAX_EXACT", self.COST)
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", self.NS)
         rows = gk_scan(self.SPECS, self.XS, samples=10)
         assert [row.method for row in rows] == ["exact"] * 5 + ["mc"] * 2
 
     def test_the_earlier_refusals_take_precedence(self, monkeypatch):
-        monkeypatch.setattr(measure, "_MAX_EXACT", 0)
+        # the work bound comes before the row bound, and after each set's refusal
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", 0)
         monkeypatch.setattr(measure, "_MAX_ROWS", 0)
-        with pytest.raises(BudgetExceededError, match="^the scan would hold 7 rows"):
+        with pytest.raises(BudgetExceededError, match="^the work would take about 1 s, over the limit of 0 s$"):
             gk_scan(self.SPECS, self.XS, samples=10)
+        with pytest.raises(BudgetExceededError, match="^iterate count 9 over limit 8$"):
+            gk_scan(self.SPECS, self.XS, samples=10, allow_fallback=False)
 
     def test_a_scan_without_exact_rows_costs_nothing(self, monkeypatch):
-        monkeypatch.setattr(measure, "_MAX_EXACT", 0)
-        rows = gk_scan(self.SPECS[3:], self.XS, samples=10)
-        assert [row.method for row in rows] == ["mc"] * 2
+        # a = b comparisons are sampled and draw nothing
+        monkeypatch.setattr(measure, "_MAX_WORK_NS", 0)
+        specs = [SetFamilySpec.compare_iter(2, 9, 9), SetFamilySpec.compare_iter(3, 10, 10)]
+        rows = gk_scan(specs, [], samples=10)
+        assert [(row.method, row.indeterminate) for row in rows] == [("mc", 10)] * 2
+
+
+class TestWorkCharges:
+    """Each charge is the count of the unit its kernel spends, counted on a run."""
+
+    XS = [Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)]
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each ``getrandbits(k)`` call of the run, as (k, value)."""
+        calls = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                value = super().getrandbits(k)
+                calls.append((k, value))
+                return value
+
+        monkeypatch.setattr(measure, "random", SimpleNamespace(Random=Recording))
+        return calls
+
+    def test_a_threshold_set_is_charged_the_cylinders_its_pass_yields(self, monkeypatch):
+        specs = [SetFamilySpec.iter_shift(2, 5), SetFamilySpec.gen_chain(3, (2, 4)), SetFamilySpec.gen_chain(2, (7,))]
+        kept_digits, yielded = measure._kept_digits, []
+
+        def counting(*args):
+            for kept in kept_digits(*args):
+                yielded.append(kept)
+                yield kept
+
+        monkeypatch.setattr(measure, "_kept_digits", counting)
+        rows = gk_scan(specs, self.XS)
+        assert len(yielded) == 2**5 + 3**5 + 2**7
+        charged = measure._bound_work([(spec, len(self.XS), 0) for spec in specs])
+        assert charged == len(yielded) * measure._NS_CYLINDER + len(rows) * measure._NS_ROW
+
+    def test_a_comparison_is_charged_the_branches_of_its_maps(self, monkeypatch):
+        compare, branches = measure.comparison_measure, []
+
+        def counting(a, b):
+            branches.append(len(a.subtract(b)))
+            return compare(a, b)
+
+        monkeypatch.setattr(measure, "comparison_measure", counting)
+        for q, a, b in ((2, 3, 7), (3, 5, 2), (2, 4, 4)):
+            spec = SetFamilySpec.compare_iter(q, a, b)
+            gk_scan([spec], [])
+            assert measure._bound_work([(spec, 1, 0)]) == branches.pop() * measure._NS_BRANCH + measure._NS_ROW
+        assert branches == []
+
+    @pytest.mark.parametrize("spec", [SetFamilySpec.iter_shift(2, 9), SetFamilySpec.compare_iter(2, 1, 15)])
+    def test_a_binary_sample_is_charged_once(self, calls, spec):
+        # at x = 1/2 no threshold sample ties, and these windows tie at no word
+        # drawn: every call is one round, and a word whose top bit is clear is a sample
+        mc = monte_carlo_measure(spec, Fraction(1, 2), 5000, 2)
+        accepted = sum(not value >> (32 * i + 31) & 1 for k, value in calls for i in range(k // 32))
+        assert (accepted, mc.indeterminate) == (5000, 0)
+        assert measure._bound_work([(spec, 1, 5000)]) == accepted * measure._NS_BINARY_SAMPLE
+
+    @pytest.mark.parametrize(
+        "spec",
+        [SetFamilySpec.iter_shift(2, 16), SetFamilySpec.gen_chain(3, (4, 9)), SetFamilySpec.compare_iter(10, 7, 2)],
+    )
+    def test_a_sample_drawn_at_a_time_is_charged_with_its_words(self, calls, spec):
+        # the first call of a sample draws every digit at once; refinements
+        # draw one digit a call, fewer bits
+        span = spec.q ** measure._draw(spec)
+        monte_carlo_measure(spec, Fraction(1, 3), 3000, 5)
+        draws = [value for k, value in calls if k == span.bit_length()]
+        assert sum(value < span for value in draws) == 3000
+        words = -(-span.bit_length() // 32)
+        assert measure._bound_work([(spec, 1, 3000)]) == 3000 * (measure._NS_SAMPLE + words * measure._NS_WORD)
+
+    def test_an_equal_comparison_is_charged_nothing(self, calls):
+        spec = SetFamilySpec.compare_iter(3, 9, 9)
+        assert monte_carlo_measure(spec, 0, 10**6, 1).indeterminate == 10**6
+        assert calls == []
+        assert measure._bound_work([(spec, 1, 10**9), (spec, 10**6, 10**9)]) == 0
 
 
 def test_deep_deletions_in_a_bounded_process():
