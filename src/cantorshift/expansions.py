@@ -296,11 +296,15 @@ def _significant(e: DigitExpansion) -> tuple[int, ...]:
     """The stored digits of ``e`` less its trailing digits equal to the tail
     digit (0 for a zeros tail, base - 1 for a max tail), which carry no
     information."""
-    top = 0 if e.tail is Tail.ZEROS else 1
-    n = len(e.prefix)
-    while n and e.prefix[n - 1] == top * (e.base.base_at(n) - 1):
-        n -= 1
-    return e.prefix[:n]
+    prefix, n = e.prefix, len(e.prefix)
+    if e.tail is Tail.ZEROS:
+        while n and not prefix[n - 1]:
+            n -= 1
+    else:
+        bases = _bases(e.base, n)
+        while n and prefix[n - 1] == bases[n - 1] - 1:
+            n -= 1
+    return prefix[:n]
 
 
 def cylinder_interval(c: Cylinder) -> tuple[Fraction, Fraction]:

@@ -87,6 +87,7 @@ _GUARD = 16  # digits a draw reads past the last deleted position, and a compari
 _MAX_DRAW = 10**5 + _GUARD  # the most digits one Monte Carlo sample may draw
 _WORD = 32  # bits in one output word of the Mersenne Twister
 _ROUND_WORDS = 4096  # the most words one round of binary Monte Carlo draws: 2^17 bits
+_ONES = int.from_bytes(b"\1\0\0\0" * _ROUND_WORDS, "little")  # 1 in each 32-bit slot of a round
 _MAX_ROWS = 10**6  # the most rows one scan may hold: at the bound, rows and CSV peak near 0.6 GB
 # work in integer nanoseconds, charged in the unit each kernel spends; each
 # figure is the spread measured on a shared 2-core Xeon with Python 3.11.7
@@ -96,6 +97,7 @@ _NS_BRANCH = 13000  # a branch of a comparison's two maps, built and compared: 1
 _NS_BINARY_SAMPLE = 60  # a sample decided a round of 32-bit words at a time: 33-92 ns
 _NS_SAMPLE = 300  # a sample drawn at a time, besides its words: 200-570 ns in all at 2-4 words
 _NS_WORD = 36  # each 32-bit word of its draw: 25-55 ns at 12,502 words (q = 10)
+_NS_DIVIDE = 2  # a word pair of its divisions by kept runs: 1.6-2.6 ns at 32,625-10^8 pairs
 _MAX_WORK_NS = 60 * 10**9  # the most work one scan or estimate may take: about a minute
 
 
@@ -200,17 +202,43 @@ class PiecewiseLinearMap:
                 b = next(theirs)
 
 
-def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int, int]]:
-    """(q^(top - last position), q^length) of each run of surviving positions
-    before the last deleted one: with u holding the digits of 1..top, folding
-    ``block * size + (u // div) % size`` over the runs gives the integer they form."""
+def _runs(deleted: Sequence[int]) -> list[tuple[int, int]]:
+    """(last position, length) of each run of surviving positions before the
+    last of the ascending ``deleted`` positions."""
     runs = []
     start = 1
     for pos in deleted:
         if pos > start:
-            runs.append((q ** (top - pos + 1), q ** (pos - start)))
+            runs.append((pos - 1, pos - start))
         start = pos + 1
     return runs
+
+
+def _surviving_runs(q: int, deleted: Sequence[int], top: int) -> list[tuple[int, int]]:
+    """(q^(top - last position), q^length) of each of the ``_runs``: with u
+    holding the digits of 1..top, folding ``block * size + (u // div) % size``
+    over them gives the integer they form."""
+    return [(q ** (top - end), q**length) for end, length in _runs(deleted)]
+
+
+def _division_pairs(spec: "SetFamilySpec") -> int:
+    """Word pairs that a threshold sample drawn at a time divides to read its
+    runs, ``(u // div) % size`` each, counted as schoolbook division does, a
+    quotient over a divisor of n words at (quotient words + 1) * n, each power
+    of q taken at the draw's ``(q - 1).bit_length()`` bits a digit."""
+    digit = (spec.q - 1).bit_length()
+
+    def words(digits: int) -> int:
+        return -(-digits * digit // _WORD)
+
+    deleted = spec.deleted_positions()
+    top = deleted[-1] + _GUARD
+    pairs = 0
+    for end, length in _runs(deleted):
+        # u // div leaves the end digits before the run, then % size keeps its length
+        div = words(top - end)
+        pairs += div * (words(top) - div + 1) + words(length) * max(words(end) - words(length) + 1, 0)
+    return pairs
 
 
 def _budget_refusal(q: int, depth: int, budget: int) -> str | None:
@@ -241,7 +269,10 @@ def _bound_work(work: Iterable[tuple["SetFamilySpec", int, int]]) -> int:
     An exact set is charged its q^M cylinders or comparison branches, which fit
     the budget, and each row; a sample once on the binary path, or with the
     32-bit words of its draw, whose bit length is counted without building q^draw
-    (exact for q a power of 2); nothing for a = b, which draws nothing."""
+    (exact for q a power of 2), and for a threshold family the word pairs of the
+    divisions that read its runs (``_division_pairs``), which grow with the
+    product of a run's length and the digits around it; nothing for a = b,
+    which draws nothing."""
     ns = 0
     for spec, rows, samples in work:
         bits = _draw(spec) * (spec.q - 1).bit_length() + 1
@@ -253,7 +284,10 @@ def _bound_work(work: Iterable[tuple["SetFamilySpec", int, int]]) -> int:
         elif spec.q == 2 and bits <= _WORD:
             ns += rows * samples * _NS_BINARY_SAMPLE
         else:
-            ns += rows * samples * (_NS_SAMPLE + -(-bits // _WORD) * _NS_WORD)
+            unit = _NS_SAMPLE + -(-bits // _WORD) * _NS_WORD
+            if spec.kind in (FamilyKind.GEN_CHAIN, FamilyKind.SCHEDULE_CHAIN):  # the n-fold drop keeps no run
+                unit += _division_pairs(spec) * _NS_DIVIDE
+            ns += rows * samples * unit
     if ns > _MAX_WORK_NS:
         seconds, limit = -(-ns // 10**9), _MAX_WORK_NS // 10**9
         raise BudgetExceededError(f"the work would take about {seconds} s, over the limit of {limit} s")
@@ -551,11 +585,19 @@ def _refine_windows(rng: random.Random, u: int, lag: int, window: int) -> bool |
     return None
 
 
+def _round_words(samples: int) -> int:
+    """Words a binary round draws for ``samples`` still to decide: half are
+    accepted, so twice as many, and 4 sqrt(samples) + 8 more, near three
+    standard deviations of the accepted count, at most ``_ROUND_WORDS``."""
+    return min(2 * samples + 4 * math.isqrt(samples) + 8, _ROUND_WORDS)
+
+
 def _binary_counts(
     rng: random.Random,
     samples: int,
     fields: Callable[[int], Callable[[int], tuple[int, int]]],
     settle: Callable[[int], bool | None] | None,
+    seed: int,
 ) -> tuple[int, int]:
     """(hits, indeterminate) of ``samples`` draws of ``bits`` <= 32 bits each,
     decided a round of 32-bit words at a time; the stream is that of a
@@ -568,25 +610,34 @@ def _binary_counts(
     round: two integers that hold in each slot's bits 0-30 the two values a
     sample compares, a hit when the first is below the second.  Guard-bit
     subtraction compares every slot at once and ``int.bit_count`` counts
-    them.  A round draws one word for each sample still to decide, at most
-    ``_ROUND_WORDS``.  A tie, where the two values are equal, is finished by
-    ``settle`` from its word, and it may draw: the state saved at the start or
-    after the last tie is restored, the words up to the tied one are drawn
-    again, and ``settle`` reads on from there, as the one-draw-at-a-time loop does.
-    Without ``settle`` equal values are a miss.
+    them.  A round draws ``_round_words`` of the samples still to decide,
+    and the accepted slots past the last one needed are cut off; the masks
+    are built once, for the first round, the largest.  A tie, where the two
+    values are equal, is finished by ``settle`` from its word, and it may
+    draw: the generator is seeded again with ``seed`` (``rng``'s seed), or
+    set to the state saved after the last tie, the words up to the tied one
+    are drawn again, and ``settle`` reads on from there, as the
+    one-draw-at-a-time loop does.  Without ``settle`` equal values are a miss.
     """
     hits = indet = 0
-    state, words = rng.getstate(), 0  # words drawn since ``state``
-    n = 0
+    state, words = None, 0  # words drawn since ``seed``, or since ``state`` after a tie
+    size = _round_words(samples)
+    ones = _ONES >> _WORD * (_ROUND_WORDS - size)
+    high = ones << 31
+    read = fields(ones)
     while samples:
-        if n != min(samples, _ROUND_WORDS):
-            n = min(samples, _ROUND_WORDS)
-            ones = int.from_bytes(b"\1\0\0\0" * n, "little")
-            high = ones << 31
-            read = fields(ones)
+        n = _round_words(samples)
         draw = rng.getrandbits(_WORD * n)
         first, second = read(draw)
-        accepted = high ^ (draw & high)
+        accepted = high >> _WORD * (size - n)  # bit 31 of each of the n slots drawn
+        accepted ^= draw & accepted
+        count = accepted.bit_count()
+        if count > samples:
+            # keep the fewest leading slots that hold ``samples`` accepted
+            # ones, counted as all less those above: the cut lies near the top
+            t = bisect_left(range(n), samples, samples, key=lambda t: count - (accepted >> _WORD * t).bit_count())
+            accepted &= (1 << _WORD * t) - 1
+            count = samples
         at_least = (first | high) - second  # bit 31 set where first >= second
         below = accepted & ~at_least
         tied = accepted & (at_least ^ (at_least - ones)) & high if settle else 0
@@ -596,11 +647,15 @@ def _binary_counts(
             accepted &= tie - 1
             below &= tie - 1
         hits += below.bit_count()
-        samples -= accepted.bit_count()
         if not tied:
+            samples -= count
             words += n
             continue
-        rng.setstate(state)
+        samples -= accepted.bit_count()
+        if state is None:
+            rng.seed(seed)
+        else:
+            rng.setstate(state)
         words += slot + 1
         while words:
             rng.getrandbits(_WORD * min(words, _ROUND_WORDS))
@@ -645,13 +700,15 @@ def monte_carlo_measure(
     decided a round of words at a time by ``_binary_counts``: one
     ``getrandbits(32 n)`` holds the words that n draws would read, the first
     least significant, each draw the top bits of its word; a draw is accepted
-    when its top bit is clear, as ``randrange`` accepts it.  A tie restores
-    the generator's state saved at the start or after the last tie, draws the
-    words up to the tied sample again, and refines that sample as below, so
-    the stream is the same.  Every other draw (q != 2 or over 32 bits) is
-    read one at a time.  For a = b the two windows read the same digits, so
-    every sample ties through every round: the result, 0 hits and every
-    sample indeterminate, is returned without drawing.
+    when its top bit is clear, as ``randrange`` accepts it.  A round draws
+    about twice as many words as samples are left, and the words past the
+    last sample decided are never read.  A tie seeds the generator again (or
+    restores its state saved after the last tie), draws the words up to the
+    tied sample again, and refines that sample as below, so the stream is the
+    same.  Every other draw (q != 2 or over 32 bits) is read one at a time.
+    For a = b the two windows read the same digits, so every sample ties
+    through every round: the result, 0 hits and every sample indeterminate,
+    is returned without drawing.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -683,7 +740,7 @@ def monte_carlo_measure(
                 below = _refine_windows(rng, word >> (_WORD - bits), lag, window)
                 return None if below is None else below == a_leads
 
-            hits, indet = _binary_counts(rng, samples, fields, settle)
+            hits, indet = _binary_counts(rng, samples, fields, settle, seed)
             return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
         hits = indet = 0
         for _ in range(samples):
@@ -732,7 +789,7 @@ def monte_carlo_measure(
         def settle(_word: int) -> bool | None:
             return _refine_block(rng, q, below, block_len, xn, xd)
 
-        hits, indet = _binary_counts(rng, samples, fields, settle if rest else None)
+        hits, indet = _binary_counts(rng, samples, fields, settle if rest else None, seed)
         return MonteCarloResult(hits / samples, _halfwidth(hits, samples), samples, hits, indet)
     hits = indet = 0
     for _ in range(samples):

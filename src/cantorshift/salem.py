@@ -97,11 +97,12 @@ class WeightSet(_Record):
     sums stay inside (0, 1); that forces p_0 > 0 and p_{q-1} > 0.
 
     ``den`` is the lcm D of the weights' denominators; ``p_num`` and
-    ``beta_num`` are the integers p_i * D and beta_i * D.  Only ``q`` and
-    ``p`` are compared, hashed and shown; the rest derive from them.
+    ``beta_num`` are the integers p_i * D and beta_i * D, and ``p_abs`` the
+    floats |p_i| that ``value_at`` multiplies to decide where to cut.  Only
+    ``q`` and ``p`` are compared, hashed and shown; the rest derive from them.
     """
 
-    __slots__ = ("q", "p", "beta", "den", "p_num", "beta_num")
+    __slots__ = ("q", "p", "beta", "den", "p_num", "beta_num", "p_abs")
     _fields = ("q", "p")
     q: int
     p: tuple[Fraction, ...]
@@ -109,6 +110,7 @@ class WeightSet(_Record):
     den: int
     p_num: tuple[int, ...]
     beta_num: tuple[int, ...]
+    p_abs: tuple[float, ...]
 
     def __init__(self, q: int, p: tuple[Fraction, ...]) -> None:
         if q < 2:
@@ -125,7 +127,8 @@ class WeightSet(_Record):
             raise ValueError("weights must sum to 1 exactly")
         if any(not 0 < b < den for b in beta_num[1:]):
             raise ValueError("cumulative sums must lie strictly in (0, 1)")
-        self._set(q, p, tuple(Fraction(b, den) for b in beta_num), den, p_num, tuple(beta_num))
+        beta = tuple(Fraction(b, den) for b in beta_num)
+        self._set(q, p, beta, den, p_num, tuple(beta_num), tuple(abs(float(v)) for v in p))
 
 
 class IndexSequence(_Record):
@@ -174,6 +177,8 @@ class IndexSequence(_Record):
         """
         if k < 0:
             raise ValueError("k must be >= 0")
+        if k >= len(self.prefix):
+            return _IDENTITY
         deleted = sorted(self.prefix[:k])
         ranks = tuple(n - bisect_left(deleted, n) for n in self.prefix[k:])
         return IndexSequence._make(_without_fixed_tail(ranks))
@@ -187,12 +192,15 @@ def _without_fixed_tail(perm: tuple[int, ...]) -> tuple[int, ...]:
     return perm[:size]
 
 
+_IDENTITY = IndexSequence()  # the identity order, shared: a record is immutable
+
+
 class SalemFunction(_Record):
     __slots__ = ("weights", "seq")
     weights: WeightSet
     seq: IndexSequence
 
-    def __init__(self, weights: WeightSet, seq: IndexSequence = IndexSequence()) -> None:
+    def __init__(self, weights: WeightSet, seq: IndexSequence = _IDENTITY) -> None:
         self._set(weights, seq)
 
 
@@ -211,8 +219,8 @@ class DistributionSpec(_Record):
 def _check_base(f: SalemFunction, e: DigitExpansion) -> None:
     """Raise ValueError ``expansion base must be q{q}`` unless ``e`` is written
     in the constant base q of f's weights."""
-    q = f.weights.q
-    if not (e.base.is_constant and e.base.tail_value == q):
+    q, base = f.weights.q, e.base
+    if base.prefix or base.tail_value != q:
         raise ValueError(f"expansion base must be q{q}")
 
 
@@ -253,10 +261,20 @@ def evaluate(f: SalemFunction, e: DigitExpansion) -> Fraction:
     order's value of its constant tail, 0 for the zeros tail and 1 for the
     (q-1) tail, so the value is b/s or (b + a)/s."""
     _check_base(f, e)
+    return Fraction(*_evaluate_pair(f, e))
+
+
+def _evaluate_pair(f: SalemFunction, e: DigitExpansion) -> tuple[int, int]:
+    """``evaluate``'s value as the unreduced integers (num, D^len), D the
+    common weight denominator and len the digits read, for an ``e`` in f's
+    base; the identity order reads the stored digits as they are."""
     w, order, top = f.weights, f.seq.prefix, e.tail is Tail.MAX
-    pad = [w.q - 1 if top else 0] * (len(order) - len(e.prefix))
-    b, a, s = _word(w, _read(order, list(e.prefix) + pad))
-    return Fraction(b + a if top else b, s)
+    digits = e.prefix
+    if order:
+        pad = [w.q - 1 if top else 0] * (len(order) - len(digits))
+        digits = _read(order, list(digits) + pad)
+    b, a, s = _word(w, digits)
+    return b + a if top else b, s
 
 
 def value_at(f: SalemFunction, x: Fraction | int | str) -> tuple[Fraction, int | None]:
@@ -282,7 +300,7 @@ def value_at(f: SalemFunction, x: Fraction | int | str) -> tuple[Fraction, int |
     w, order = f.weights, f.seq.prefix
     if x == 1:
         return _periodic(w, order, [], [w.q - 1]), None
-    absp = [abs(float(v)) for v in w.p]
+    absp = w.p_abs
     num, den = x.numerator, x.denominator
     seen: dict[int, int] = {}
     digits: list[int] = []
@@ -463,9 +481,9 @@ def continuity_at(f: SalemFunction, e: DigitExpansion) -> ContinuityResult:
     other = dual_representation(e)
     if other is None:
         raise ValueError(f"{0 if e.tail is Tail.ZEROS else 1} has a unique expansion")
-    m = len(other.prefix)
-    steps = f.seq._steps(m)
-    if steps[-1] == m == max(steps):
+    # past the order's prefix the steps are the identity, so they end on m
+    m, order = len(other.prefix), f.seq.prefix
+    if m > len(order) or order[m - 1] == m == max(order[:m]):
         return ContinuityResult(None)
     jump = evaluate(f, e) - evaluate(f, other)
     return ContinuityResult(jump if e.tail is Tail.ZEROS else -jump)

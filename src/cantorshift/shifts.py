@@ -61,8 +61,12 @@ def shift_n(e: DigitExpansion, n: int) -> DigitExpansion:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    # a tail of a stripped base prefix is stripped, and each kept digit keeps its base
-    return DigitExpansion._make(BaseSpec._make(e.base.prefix[n:], e.base.tail_value), e.prefix[n:], e.tail)
+    # a tail of a stripped base prefix is stripped, each kept digit keeps its
+    # base, and a constant base is its own shift
+    base = e.base
+    if base.prefix:
+        base = BaseSpec._make(base.prefix[n:], base.tail_value)
+    return DigitExpansion._make(base, e.prefix[n:], e.tail)
 
 
 def generalized_shift(e: DigitExpansion, m: int) -> DigitExpansion:

@@ -31,6 +31,30 @@ Check = tuple[str, bool, str]
 
 
 # --- cases -------------------------------------------------------------------
+#
+# The builders draw each digit d < q as ``randrange(q)`` does on Python
+# 3.10-3.13, ``getrandbits`` of q's bit length drawn again while d >= q, so a
+# seed gives the cases of a ``randrange`` loop.  Every digit is in its
+# alphabet by construction, so the cases are stored with ``_make``, each
+# constant base built once (a suite reads a few).
+
+
+@functools.lru_cache(maxsize=8)
+def _constant_base(q: int) -> xp.BaseSpec:
+    return xp.BaseSpec.constant(q)
+
+
+def _digits(rng: random.Random, bases: Iterable[int]) -> list[int]:
+    """One uniform digit below each base, by the rule ``randrange`` follows."""
+    getrandbits = rng.getrandbits
+    digits = []
+    for q in bases:
+        k = q.bit_length()
+        d = getrandbits(k)
+        while d >= q:
+            d = getrandbits(k)
+        digits.append(d)
+    return digits
 
 
 def _random_expansion(rng: random.Random, cantor: bool = False, maxlen: int = 12) -> xp.DigitExpansion:
@@ -38,25 +62,26 @@ def _random_expansion(rng: random.Random, cantor: bool = False, maxlen: int = 12
         prefix = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(0, 4)))
         base = xp.BaseSpec.cantor(prefix, rng.randrange(2, 6))
     else:
-        base = xp.BaseSpec.constant(rng.choice([2, 3, 10]))
-    n = rng.randrange(0, maxlen)
-    digits = tuple(rng.randrange(base.base_at(k)) for k in range(1, n + 1))
+        base = _constant_base(rng.choice([2, 3, 10]))
+    digits = _digits(rng, xp._bases(base, rng.randrange(0, maxlen)))
     tail = rng.choice([xp.Tail.ZEROS, xp.Tail.MAX])
-    return xp.DigitExpansion(base, digits, tail)
+    return xp.DigitExpansion._make(base, tuple(digits), tail)
 
 
 def random_terminating(rng: random.Random, q: int, length: int) -> xp.DigitExpansion:
     """A zeros-tail base-q expansion of ``length`` uniform digits."""
-    return xp.DigitExpansion(xp.BaseSpec.constant(q), tuple(rng.randrange(q) for _ in range(length)))
+    base = _constant_base(q)
+    return xp.DigitExpansion._make(base, tuple(_digits(rng, [q] * length)), xp.Tail.ZEROS)
 
 
 def random_two_expansion_point(rng: random.Random, q: int, maxlen: int) -> xp.DigitExpansion:
     """A zeros-tail base-q expansion of 1..maxlen-1 digits whose last digit is
     nonzero, so the point it names has a second, (q-1)-tail expansion."""
-    digits = [rng.randrange(q) for _ in range(rng.randrange(1, maxlen))]
+    base = _constant_base(q)
+    digits = _digits(rng, [q] * rng.randrange(1, maxlen))
     if digits[-1] == 0:
         digits[-1] = rng.randrange(1, q)
-    return xp.DigitExpansion(xp.BaseSpec.constant(q), tuple(digits))
+    return xp.DigitExpansion._make(base, tuple(digits), xp.Tail.ZEROS)
 
 
 def random_positive_weights(rng: random.Random, q: int, grains: int = 40) -> tuple[Fraction, ...]:
@@ -313,10 +338,11 @@ def check_endpoint_sums(cases: Iterable[tuple[sm.SalemFunction, int]]) -> Check:
         common = f.weights.den ** max(k, f.seq.size)
         for tail, extra in ((xp.Tail.ZEROS, 0), (xp.Tail.MAX, 1)):
             num = 0
-            # every word of range(q) digits is in the alphabet: stored unchecked
+            # every word of range(q) digits is in the alphabet of f's base:
+            # stored and evaluated unchecked, as an unreduced numerator over D^max(k, n)
             for w in itertools.product(range(q), repeat=k):
-                value = sm.evaluate(f, xp.DigitExpansion._make(base, w, tail))
-                num += value.numerator * (common // value.denominator)
+                value, den = sm._evaluate_pair(f, xp.DigitExpansion._make(base, w, tail))
+                num += value * (common // den)
             total = Fraction(num, common)
             if total != want + extra:
                 return name, False, f"{sm.format_function_spec(f)} k={k} {tail.value} tail: sum={total}"
@@ -327,12 +353,18 @@ def check_continuous_at_two_expansion_points(
     cases: Iterable[tuple[sm.SalemFunction, xp.DigitExpansion]],
 ) -> Check:
     """Cases (f, e), f in the identity order: ``continuity_at`` finds g
-    continuous at e, and g takes the same value on both expansions."""
+    continuous at e, and g takes the same value on both expansions.
+
+    ``continuity_at`` checks e's base first; the two values are then compared
+    as ``evaluate``'s unreduced integer pairs, cross-multiplied."""
     name = "identity order is continuous at two-expansion points"
     for f, e in cases:
-        same = sm.evaluate(f, e) == sm.evaluate(f, xp.dual_representation(e))
-        if not (sm.continuity_at(f, e).is_continuous and same):
-            return name, False, f"{sm.format_function_spec(f)} at {e}"
+        if sm.continuity_at(f, e).is_continuous:
+            num, den = sm._evaluate_pair(f, e)
+            dual_num, dual_den = sm._evaluate_pair(f, xp.dual_representation(e))
+            if num * dual_den == dual_num * den:
+                continue
+        return name, False, f"{sm.format_function_spec(f)} at {e}"
     return name, True, ""
 
 
@@ -389,13 +421,13 @@ def check_increments_partition_unity(cases: Iterable[tuple[sm.SalemFunction, int
 
 
 def check_iter_shift_measure(shifts: Iterable[tuple[int, int]], points: Iterable[Fraction]) -> Check:
-    """Shifts (q, n): {z : shift^n z < x} has exact measure x at every point x."""
+    """Shifts (q, n): {z : shift^n z < x} has exact measure x at every point
+    x, as read from the exact rows ``gk_scan`` gives ``measure``."""
     name = "iterated shifts preserve Lebesgue measure"
     points = tuple(points)
     for q, n in shifts:
-        plm = me.plm_iter_shift(q, n)
-        for x in points:
-            if me.sublevel_measure(plm, x) != x:
+        for x, row in zip(points, me.gk_scan([me.SetFamilySpec.iter_shift(q, n)], points)):
+            if row.method != "exact" or row.measure != x:
                 return name, False, f"q={q} n={n} x={x}"
     return name, True, ""
 

@@ -220,6 +220,11 @@ CASES = (
     _refused("measure-exact-work",
              "family = itershift\nq = 2\nn = 30\niter_limit = 30\nbudget = 1100000000\nx = 1/3\n",
              "the work would take about 172 s, over the limit of 60 s", 5),
+    # two deletions that split a 100,016-digit q = 10 draw into runs of about
+    # 50,000 digits: each sample divides about 7.8 * 10^7 word pairs, some
+    # 0.1 s, so a row of 10^5 samples would run for hours
+    _refused("measure-deep-chain-divisions", "family = genchain\nq = 10\nindices = 50000, 99999\nx = 1/3\n",
+             "the work would take about 15684 s, over the limit of 60 s", 5),
     # one deletion at position 19 at 1000 thresholds: one pass counts its 2^19
     # cylinders, about 0.1 s, and each row reads two counts
     Case("measure-exact-chain", ("measure", "exp.cfg"), 0, "", "wrote 1000 rows to out.csv\n",

@@ -28,7 +28,7 @@ from cantorshift import (
     sublevel_set,
     value_of,
 )
-from cantorshift import measure
+from cantorshift import measure, verify
 import cli_cases
 import deep_calls
 from oracles import chain_deleted_positions, compare_mc_counts, constant_slope_map, threshold_mc_counts
@@ -429,6 +429,25 @@ class TestBinaryRounds:
         assert rounds == {"samples": [], "ties": 0}
         assert sizes == []
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rounds_are_sized_to_the_samples_left(self, monkeypatch, seed):
+        # half the words are accepted: a first round of 4096 words decides
+        # about 2048 samples and a second, about twice the rest, the others,
+        # where rounds of one word a sample left would take 13
+        sizes = []
+
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                sizes.append(k // 32)
+                return super().getrandbits(k)
+
+        spec = SetFamilySpec.iter_shift(2, 9)
+        plain = monte_carlo_measure(spec, Fraction(1, 2), 4000, seed)
+        monkeypatch.setattr(measure, "random", SimpleNamespace(Random=Recording))
+        assert monte_carlo_measure(spec, Fraction(1, 2), 4000, seed) == plain
+        assert (plain.hits, plain.indeterminate) == threshold_mc_counts(2, range(1, 10), Fraction(1, 2), 4000, seed)
+        assert len(sizes) == 2 and sizes[0] == 4096
+
     def test_a_round_draws_at_most_2_to_the_17_bits(self, monkeypatch):
         sizes = []
 
@@ -548,6 +567,19 @@ class TestThresholdRows:
     """An exact threshold row comes from one integer pass over the rank-M
     cylinders; the PLM engine, which builds the q^M branches and sums their
     pieces, is its oracle."""
+
+    def test_the_verify_measure_check_reads_these_rows(self, monkeypatch):
+        # a row that drops the part of x inside its cylinder fails the check
+        # that ``cantorshift verify measure`` runs
+        shifts, xs = [(2, 3), (3, 2)], (Fraction(1, 7), Fraction(1, 3))
+        name, ok, _ = verify.check_iter_shift_measure(shifts, xs)
+        assert ok
+
+        def whole_cylinders_only(below, x):
+            return Fraction(below[x.numerator * (len(below) - 1) // x.denominator], below[-1])
+
+        monkeypatch.setattr(measure, "_threshold_measure", whole_cylinders_only)
+        assert verify.check_iter_shift_measure(shifts, xs) == (name, False, "q=2 n=3 x=1/7")
 
     @staticmethod
     def seeded_specs(q, seed):
@@ -798,11 +830,12 @@ class TestWorkCharges:
     @pytest.mark.parametrize("spec", [SetFamilySpec.iter_shift(2, 9), SetFamilySpec.compare_iter(2, 1, 15)])
     def test_a_binary_sample_is_charged_once(self, calls, spec):
         # at x = 1/2 no threshold sample ties, and these windows tie at no word
-        # drawn: every call is one round, and a word whose top bit is clear is a sample
+        # drawn: every call is one round, a word whose top bit is clear is a
+        # sample, and only the last round reads past the last sample decided
         mc = monte_carlo_measure(spec, Fraction(1, 2), 5000, 2)
-        accepted = sum(not value >> (32 * i + 31) & 1 for k, value in calls for i in range(k // 32))
-        assert (accepted, mc.indeterminate) == (5000, 0)
-        assert measure._bound_work([(spec, 1, 5000)]) == accepted * measure._NS_BINARY_SAMPLE
+        accepted = [sum(not value >> (32 * i + 31) & 1 for i in range(k // 32)) for k, value in calls]
+        assert sum(accepted[:-1]) < 5000 <= sum(accepted) and mc.indeterminate == 0
+        assert measure._bound_work([(spec, 1, 5000)]) == 5000 * measure._NS_BINARY_SAMPLE
 
     @pytest.mark.parametrize(
         "spec",
@@ -816,7 +849,49 @@ class TestWorkCharges:
         draws = [value for k, value in calls if k == span.bit_length()]
         assert sum(value < span for value in draws) == 3000
         words = -(-span.bit_length() // 32)
-        assert measure._bound_work([(spec, 1, 3000)]) == 3000 * (measure._NS_SAMPLE + words * measure._NS_WORD)
+        divisions = 0 if spec.kind is FamilyKind.COMPARE_ITER else measure._division_pairs(spec) * measure._NS_DIVIDE
+        assert measure._bound_work([(spec, 1, 3000)]) == 3000 * (
+            measure._NS_SAMPLE + words * measure._NS_WORD + divisions
+        )
+
+    @pytest.mark.parametrize("q, indices", [(2, (50, 99)), (16, (20, 39, 7)), (4, (300,)), (2, (40, 1, 9, 3))])
+    def test_a_threshold_sample_drawn_at_a_time_is_charged_its_divisions(self, monkeypatch, q, indices):
+        # each run of kept digits is read as (u // div) % size, u below the
+        # draw's span: schoolbook division of a quotient of m words by n words
+        # costs (m + 1) n word pairs.  For q a power of 2 each operand's words
+        # follow from its digits exactly, as the charge counts them
+        runs, surviving = [], measure._surviving_runs
+
+        def recording(*args):
+            runs.extend(surviving(*args))
+            return surviving(*args)
+
+        monkeypatch.setattr(measure, "_surviving_runs", recording)
+        spec = SetFamilySpec.gen_chain(q, indices)
+        monte_carlo_measure(spec, Fraction(1, 3), 5, 1)
+        span = q ** (spec.deleted_positions()[-1] + measure._GUARD)
+
+        def words(bound):  # the words of the largest operand below ``bound``
+            return -(-(bound - 1).bit_length() // 32)
+
+        pairs = sum(
+            words(div) * (words(span) - words(div) + 1) + words(size) * max(words(span // div) - words(size) + 1, 0)
+            for div, size in runs
+        )
+        assert runs and measure._division_pairs(spec) == pairs
+        sample = measure._NS_SAMPLE + -(-span.bit_length() // 32) * measure._NS_WORD
+        assert measure._bound_work([(spec, 1, 7)]) == 7 * (sample + pairs * measure._NS_DIVIDE)
+
+    def test_a_deep_chain_is_refused_for_its_divisions(self, monkeypatch):
+        # two runs of about 50,000 digits in a 100,016-digit q = 10 draw: about
+        # 7.8 * 10^7 word pairs, some 0.1 s a sample, where its words alone
+        # take about 0.5 ms and 10^5 samples under a minute
+        spec = SetFamilySpec.gen_chain(10, (50000, 99999))
+        with monkeypatch.context() as patched:
+            patched.setattr(measure, "_NS_DIVIDE", 0)
+            assert measure._bound_work([(spec, 1, 10**5)]) < measure._MAX_WORK_NS
+        with pytest.raises(BudgetExceededError, match="^the work would take about 15684 s, over the limit of 60 s$"):
+            monte_carlo_measure(spec, Fraction(1, 3), 10**5, 1)
 
     def test_an_equal_comparison_is_charged_nothing(self, calls):
         spec = SetFamilySpec.compare_iter(3, 9, 9)

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from cantorshift import verify
 from cantorshift.cli import MeasureConfig
 from cantorshift.expansions import BaseSpec, Cylinder, DigitExpansion, Tail, _Record, dual_representation
 from cantorshift.measure import Branch, MonteCarloResult, ScanRow, SetFamilySpec
@@ -206,6 +207,60 @@ class TestTrustedBuilders:
                     r = chain_expansion(f, e, k)
                     assert rebuilt(r) == r and rebuilt(r.base) == r.base
                     assert rebuilt(f.seq.induced_after(k)) == f.seq.induced_after(k)
+
+    @staticmethod
+    def checked_expansion(rng, cantor=False, maxlen=12):
+        """``verify._random_expansion``'s case, drawn by ``randrange`` and built checked."""
+        if cantor:
+            prefix = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(0, 4)))
+            base = BaseSpec.cantor(prefix, rng.randrange(2, 6))
+        else:
+            base = BaseSpec.constant(rng.choice([2, 3, 10]))
+        n = rng.randrange(0, maxlen)
+        digits = tuple(rng.randrange(base.base_at(k)) for k in range(1, n + 1))
+        return DigitExpansion(base, digits, rng.choice([Tail.ZEROS, Tail.MAX]))
+
+    @staticmethod
+    def checked_terminating(rng, q, length):
+        return DigitExpansion(BaseSpec.constant(q), tuple(rng.randrange(q) for _ in range(length)))
+
+    @staticmethod
+    def checked_two_expansion_point(rng, q, maxlen):
+        digits = [rng.randrange(q) for _ in range(rng.randrange(1, maxlen))]
+        if digits[-1] == 0:
+            digits[-1] = rng.randrange(1, q)
+        return DigitExpansion(BaseSpec.constant(q), tuple(digits))
+
+    @staticmethod
+    def assert_same_cases(builder, checked, args):
+        """For seeds 0-20, ``builder`` returns exactly the cases ``checked``
+        builds from the same stream, and leaves the stream where it does."""
+        for seed in range(21):
+            fast, slow = random.Random(seed), random.Random(seed)
+            cases = [builder(fast, *args) for _ in range(40)]
+            assert cases == [checked(slow, *args) for _ in range(40)]
+            assert fast.getstate() == slow.getstate()
+            for e in cases:
+                assert rebuilt(e) == e and type(e.prefix) is tuple
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 10])
+    @pytest.mark.parametrize(
+        "builder, checked, size",
+        [
+            (verify.random_terminating, checked_terminating, 12),
+            (verify.random_terminating, checked_terminating, 0),
+            (verify.random_two_expansion_point, checked_two_expansion_point, 8),
+            (verify.random_two_expansion_point, checked_two_expansion_point, 2),
+        ],
+        ids=["terminating", "terminating-empty", "two-expansion", "two-expansion-one-digit"],
+    )
+    def test_constant_base_cases_are_the_checked_randrange_cases(self, q, builder, checked, size):
+        self.assert_same_cases(builder, checked.__func__, (q, size))
+
+    @pytest.mark.parametrize("cantor", [False, True], ids=["constant", "cantor"])
+    @pytest.mark.parametrize("maxlen", [12, 6])
+    def test_expansions_are_the_checked_randrange_cases(self, cantor, maxlen):
+        self.assert_same_cases(verify._random_expansion, self.checked_expansion, (cantor, maxlen))
 
     def test_constant_bases_keep_their_check(self):
         for q in (2, 3, 10**40):

@@ -44,12 +44,14 @@ from cantorshift import (
     verify,
 )
 from cantorshift.verify import (
+    check_continuous_at_two_expansion_points,
     check_endpoint_sums,
     check_grid_integral,
     check_peeling_identities,
     grid_integral,
     random_positive_weights,
     random_terminating,
+    random_two_expansion_point,
     stream_after_deleting,
 )
 from oracles import continuity_k0_rule, riemann_bracket, salem_series_brute, salem_value_exact, weight_set_plain
@@ -799,6 +801,55 @@ class TestContinuity:
         assert jump == evaluate(f, zeros_form) - evaluate(f, max_form) != 0
         if q == 2:
             assert jump == Fraction(-21, 50)  # -2 p0 p1
+
+
+class TestContinuityCheck:
+    """``check_continuous_at_two_expansion_points`` compares the evaluation
+    kernel's integer pairs on both expansions: a wrong kernel or a wrong dual
+    fails it."""
+
+    POINTS = [
+        (f, random_two_expansion_point(rng, f.weights.q, 8))
+        for f, rng in ((IDENT37, random.Random(600)), (SalemFunction(W315), random.Random(601)))
+        for _ in range(150)
+    ]
+
+    def fails_at(self, point):
+        _, ok, detail = check_continuous_at_two_expansion_points(self.POINTS)
+        f, e = point
+        assert (ok, detail) == (False, f"{format_function_spec(f)} at {e}")
+
+    def test_the_real_kernel_passes(self):
+        assert check_continuous_at_two_expansion_points(self.POINTS)[1]
+
+    @pytest.mark.parametrize("mutant", ["max-tail-off-by-one", "one-digit-short"])
+    def test_an_off_by_one_kernel_fails(self, monkeypatch, mutant):
+        real = verify.sm._evaluate_pair
+
+        def off_by_one(f, e):
+            if mutant == "one-digit-short":
+                return real(f, DigitExpansion(e.base, e.prefix[:-1], e.tail))
+            num, den = real(f, e)
+            return num + (e.tail is Tail.MAX), den
+
+        monkeypatch.setattr(verify.sm, "_evaluate_pair", off_by_one)
+        self.fails_at(self.POINTS[0])
+
+    def test_a_dual_that_moves_the_wrong_digit_fails(self, monkeypatch):
+        # the digit before the last moves, down for a zeros tail: a different
+        # point, so g differs, and an alphabet digit moved to -1 raises nothing
+        real = dual_representation
+
+        def moves_the_one_before(e):
+            d = real(e)
+            if len(d.prefix) < 2:
+                return d
+            digits = e.prefix[: len(d.prefix)]
+            return DigitExpansion._make(e.base, digits[:-2] + (digits[-2] - 1, digits[-1]), d.tail)
+
+        monkeypatch.setattr(verify.xp, "dual_representation", moves_the_one_before)
+        monkeypatch.setattr(verify.sm, "dual_representation", moves_the_one_before)
+        self.fails_at(next(p for p in self.POINTS if len(p[1].prefix) > 1))
 
 
 def rendered_round(v: Fraction) -> str:
